@@ -19,6 +19,8 @@ Typical use::
     run_suite(g).passed           # all identity checks
 """
 
+from importlib import import_module
+
 from .graph import (
     Edge,
     GenerationError,
@@ -36,14 +38,6 @@ from .graph import (
     validate,
     validation_report,
 )
-from .laplacian import (
-    BlockMatrix,
-    build_incidence,
-    build_laplacian,
-    laplacian_cofactor,
-    laplacian_cofactor_slog,
-    stacked_identity,
-)
 from .linalg import (
     DimensionError,
     Inertia,
@@ -51,34 +45,56 @@ from .linalg import (
     SpectralDecomposition,
     block_cofactor,
     det_lu,
-    inertia_of,
     kron,
     pd_inverse,
     pd_inverse_sqrt,
     pseudo_inverse,
-    schur_det,
     slogdet_lu,
     sym_eigen,
 )
-from .resistance import (
-    InterlaceRow,
-    ResistanceWorkspace,
-    resistance_from_pseudoinverse,
-)
-from .verify import (
-    CHECK_IDS,
-    CheckResult,
-    CorpusEntry,
-    GraphSpec,
-    SuiteReport,
-    UnknownCheckError,
-    run_check,
-    run_corpus,
-    run_suite,
-    scalar_resistance_oracle,
-    standard_corpus,
-    tree_distance_matrix,
-)
+
+# The engine and the verifier load on first use, so that building, parsing
+# and generating graphs (``resmat gen``) do not import and execute them.
+_LAZY_MODULES = {
+    "laplacian": (
+        "BlockMatrix",
+        "build_incidence",
+        "build_laplacian",
+        "laplacian_cofactor",
+        "laplacian_cofactor_slog",
+        "stacked_identity",
+    ),
+    "resistance": (
+        "InterlaceRow",
+        "ResistanceWorkspace",
+        "resistance_from_pseudoinverse",
+    ),
+    "verify": (
+        "CHECK_IDS",
+        "CheckResult",
+        "CorpusEntry",
+        "GraphSpec",
+        "SuiteReport",
+        "UnknownCheckError",
+        "run_check",
+        "run_corpus",
+        "run_suite",
+        "scalar_resistance_oracle",
+        "standard_corpus",
+        "tree_distance_matrix",
+    ),
+}
+_LAZY_NAMES = {
+    name: module for module, names in _LAZY_MODULES.items() for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 
@@ -114,12 +130,10 @@ __all__ = [
     "SpectralDecomposition",
     "block_cofactor",
     "det_lu",
-    "inertia_of",
     "kron",
     "pd_inverse",
     "pd_inverse_sqrt",
     "pseudo_inverse",
-    "schur_det",
     "slogdet_lu",
     "sym_eigen",
     # resistance engine

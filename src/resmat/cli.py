@@ -31,9 +31,6 @@ import numpy as np
 
 from . import linalg
 from .graph import GenerationError, GraphError, parse_graph, random_graph, serialize
-from .laplacian import build_laplacian, laplacian_cofactor, laplacian_cofactor_slog
-from .resistance import ResistanceWorkspace
-from .verify import CHECK_IDS, GraphSpec, run_corpus, run_suite
 
 __all__ = ["main", "entry", "UsageError"]
 
@@ -179,6 +176,11 @@ def _interlace_output(rows, fmt: str) -> str:
 
 
 def _cmd_compute(args) -> int:
+    # The engine loads here, and the verifier in the verify commands, so
+    # ``gen`` starts without either.
+    from .laplacian import build_laplacian, laplacian_cofactor_slog
+    from .resistance import ResistanceWorkspace
+
     g = parse_graph(Path(args.input).read_bytes())
     what = args.what
     fmt = args.format
@@ -192,8 +194,8 @@ def _cmd_compute(args) -> int:
         sys.stdout.write(_matrix_output(build_laplacian(g).body, g.s, fmt))
         return EXIT_OK
     if what == "chi":
-        value = laplacian_cofactor(g)
         sign, log_abs = laplacian_cofactor_slog(g)
+        value = linalg.value_from_slog(sign, log_abs)
         sys.stdout.write(_scalar_output(value, sign, log_abs, fmt))
         return EXIT_OK
 
@@ -252,7 +254,9 @@ def _suite_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_corpus_file(path: str) -> list[GraphSpec]:
+def _parse_corpus_file(path: str) -> list:
+    from .verify import GraphSpec
+
     try:
         entries = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
@@ -298,6 +302,8 @@ def _corpus_text(entries) -> str:
 
 
 def _cmd_verify_corpus(args) -> int:
+    from .verify import run_corpus
+
     if args.check:
         raise UsageError("--corpus runs the full registry; --check does not apply")
     entries = run_corpus(_parse_corpus_file(args.corpus))
@@ -320,6 +326,8 @@ def _cmd_verify_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import CHECK_IDS, run_suite
+
     if args.corpus is not None:
         if args.input is not None:
             raise UsageError("give either a graph file or --corpus, not both")

@@ -36,7 +36,6 @@ __all__ = [
     "parse_graph",
     "serialize",
     "adjacency",
-    "degree",
     "is_tree",
     "has_unit_weights",
     "random_pd_weight",
@@ -157,61 +156,75 @@ def validation_report(n, s, edges) -> ValidationReport:
         problems.append(f"block size s must be an integer >= 1, got {s!r}")
         return ValidationReport(tuple(problems))
 
+    # Problems in edge order; an edge whose weight still needs the batched
+    # checks holds a None slot until they have run.
+    slots: list[str | None] = []
+    candidates: list[tuple[str, int, np.ndarray]] = []
     seen_pairs: set[tuple[int, int]] = set()
     usable_pairs: list[tuple[int, int]] = []
     for position, (u, v, weight) in enumerate(edges, start=1):
         label = f"edge #{position}"
         if not (0 <= u < n and 0 <= v < n):
-            problems.append(
-                f"{label} ({u + 1}, {v + 1}): endpoints out of range 1..{n}"
-            )
+            slots.append(f"{label} ({u + 1}, {v + 1}): endpoints out of range 1..{n}")
             continue
         if u == v:
-            problems.append(f"{label}: self-loop at vertex {u + 1}")
+            slots.append(f"{label}: self-loop at vertex {u + 1}")
             continue
         if u > v:
-            problems.append(
-                f"{label} ({u + 1}, {v + 1}): endpoints must satisfy u < v"
-            )
+            slots.append(f"{label} ({u + 1}, {v + 1}): endpoints must satisfy u < v")
             continue
         if (u, v) in seen_pairs:
-            problems.append(f"{label} ({u + 1}, {v + 1}): duplicate edge")
+            slots.append(f"{label} ({u + 1}, {v + 1}): duplicate edge")
             continue
         seen_pairs.add((u, v))
-
         w = np.asarray(weight, dtype=np.float64)
         if w.shape != (s, s):
-            problems.append(
+            slots.append(
                 f"{label} ({u + 1}, {v + 1}): weight shape {w.shape} != ({s}, {s})"
             )
             continue
-        if not np.all(np.isfinite(w)):
-            problems.append(
-                f"{label} ({u + 1}, {v + 1}): weight has non-finite entries"
-            )
-            continue
-        gap = linalg.max_norm(w - w.T)
-        if gap > linalg.SYMMETRY_RTOL * (1.0 + linalg.max_norm(w)):
-            problems.append(
-                f"{label} ({u + 1}, {v + 1}): weight is not symmetric "
-                f"(max asymmetry {gap:.3e})"
-            )
-            continue
-        spectrum = linalg.sym_eigen((w + w.T) / 2.0).eigenvalues
-        largest = float(spectrum[0])
-        smallest = float(spectrum[-1])
-        if largest <= 0.0 or smallest <= linalg.default_rank_tol(s) * largest:
-            problems.append(
-                f"{label} ({u + 1}, {v + 1}): weight is not positive definite "
-                f"(smallest eigenvalue {smallest:.6e})"
-            )
-            continue
+        candidates.append((f"{label} ({u + 1}, {v + 1})", len(slots), w))
+        slots.append(None)
         usable_pairs.append((u, v))
 
+    messages = _weight_problems(s, [w for _, _, w in candidates])
+    for (label, slot, _), message in zip(candidates, messages):
+        if message is not None:
+            slots[slot] = f"{label}: {message}"
+    problems = [p for p in slots if p is not None]
     if not problems:
         if len(usable_pairs) < n - 1 or not _is_connected(n, usable_pairs):
             problems.append("graph is not connected")
     return ValidationReport(tuple(problems))
+
+
+def _weight_problems(s: int, weights: list[np.ndarray]) -> list[str | None]:
+    """The first finiteness, symmetry or definiteness problem of each
+    ``s x s`` weight (None when it has none), checked on the whole stack at
+    once: one batched eigensolve makes the definiteness test."""
+    found: list[str | None] = [None] * len(weights)
+    if not weights:
+        return found
+    stack = np.stack(weights)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    for k in np.flatnonzero(~finite):
+        found[k] = "weight has non-finite entries"
+    checked = np.flatnonzero(finite)
+    w = stack[checked]
+    gap = np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    limit = linalg.SYMMETRY_RTOL * (1.0 + np.abs(w).max(axis=(1, 2), initial=0.0))
+    asymmetric = gap > limit
+    for k, g in zip(checked[asymmetric], gap[asymmetric]):
+        found[k] = f"weight is not symmetric (max asymmetry {g:.3e})"
+    checked = checked[~asymmetric]
+    w = w[~asymmetric]
+    spectra = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2.0)
+    largest = spectra[:, -1]
+    smallest = spectra[:, 0]
+    lost = (largest <= 0.0) | (smallest <= linalg.default_rank_tol(s) * largest)
+    for k, low in zip(checked[lost], smallest[lost]):
+        found[k] = f"weight is not positive definite (smallest eigenvalue {low:.6e})"
+    return found
 
 
 def validate(g: MatrixWeightedGraph) -> ValidationReport:
@@ -315,11 +328,6 @@ def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     for row in table:
         row.sort()
     return table
-
-
-def degree(g: MatrixWeightedGraph, vertex: int) -> int:
-    """Number of edges incident to ``vertex`` (0-based)."""
-    return sum(1 for e in g.edges if vertex in (e.u, e.v))
 
 
 def is_tree(g: MatrixWeightedGraph) -> bool:

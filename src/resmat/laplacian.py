@@ -5,10 +5,11 @@ For a graph on ``n`` vertices with ``s x s`` positive definite edge weights
 diagonal block for each edge is ``-W_e^{-1}`` and whose diagonal block at
 each vertex is the bitwise negated sum (accumulated in ascending neighbor
 order) of the off-diagonal blocks in its block row, so block row and column
-sums vanish up to a reordering of identical floating-point terms.  The weighted incidence matrix ``Q`` is ``ns x ms`` with block
-column ``e`` holding ``+W_e^{-1/2}`` at the edge's origin and
-``-W_e^{-1/2}`` at its terminus; it satisfies ``L = Q Q'`` and its products
-with its own transpose do not depend on the chosen orientations.
+sums vanish up to a reordering of identical floating-point terms.  The
+weighted incidence matrix ``Q`` is ``ns x ms`` with block column ``e``
+holding ``+C_e`` at the edge's origin and ``-C_e`` at its terminus, where
+``C_e C_e' = W_e^{-1}``; it satisfies ``L = Q Q'`` and its products with
+its own transpose do not depend on the chosen orientations.
 
 The Laplacian cofactor (the common value of every block cofactor of ``L``)
 generalizes the spanning tree count: for ``s = 1`` unit weights it *is* the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graph import MatrixWeightedGraph, adjacency
+from .graph import MatrixWeightedGraph
 
 __all__ = [
     "BlockMatrix",
@@ -34,11 +35,20 @@ __all__ = [
 ]
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so :class:`BlockMatrix` can
+    adopt it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BlockMatrix:
     """A dense matrix viewed as a grid of ``s x s`` blocks.
 
     The body is stored read-only; :meth:`block` returns (read-only) views.
+    A body given as a read-only float64 array that owns its memory (see
+    :func:`frozen`) is adopted as is; any other body is copied.
     Rectangular bodies are allowed as long as both dimensions are multiples
     of ``s``.
     """
@@ -56,8 +66,8 @@ class BlockMatrix:
             raise linalg.DimensionError(
                 f"body shape {body.shape} is not a multiple of block size {self.s}"
             )
-        body = body.copy()
-        body.setflags(write=False)
+        if body.flags.writeable or not body.flags.owndata:
+            body = frozen(body.copy())
         object.__setattr__(self, "body", body)
 
     @property
@@ -94,47 +104,66 @@ def stacked_identity(n: int, s: int) -> np.ndarray:
     return np.tile(np.eye(s), (n, 1))
 
 
+def _edge_arrays(g: MatrixWeightedGraph):
+    """Origins, termini and the stacked ``(m, s, s)`` weights of all edges,
+    in canonical edge order."""
+    us = np.array([e.u for e in g.edges], dtype=np.intp)
+    vs = np.array([e.v for e in g.edges], dtype=np.intp)
+    weights = np.stack([e.weight for e in g.edges])
+    return us, vs, weights
+
+
 def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     """Assemble the block Laplacian of a matrix-weighted graph.
 
-    Off-diagonal blocks are the negated inverse weights; each diagonal block
-    is assembled as the negated sum of the off-diagonal blocks in its block
-    row, accumulated in ascending neighbor order.  That makes the diagonal
-    reproducible bitwise, and block row and column sums cancel up to a
-    reordering of identical floating-point terms (residuals at the level of
-    the last place, far below any tolerance used downstream).
+    Off-diagonal blocks are the negated inverse weights, all inverted in
+    one batched call; each diagonal block is the sum of the inverse weights
+    of its incident edges, accumulated in ascending neighbor order (the
+    canonical edge order visits every vertex's neighbors that way).  That
+    makes the diagonal reproducible bitwise, and block row and column sums
+    cancel up to a reordering of identical floating-point terms (residuals
+    at the level of the last place, far below any tolerance used
+    downstream).
     """
     n, s = g.n, g.s
+    us, vs, weights = _edge_arrays(g)
+    inverse_weights = linalg.pd_inverse(weights)
     body = np.zeros((n * s, n * s))
-    inverse_weights = [linalg.pd_inverse(e.weight) for e in g.edges]
-    for e in g.edges:
-        wi = inverse_weights[e.index]
-        body[e.u * s : (e.u + 1) * s, e.v * s : (e.v + 1) * s] = -wi
-        body[e.v * s : (e.v + 1) * s, e.u * s : (e.u + 1) * s] = -wi
-    for i, incident in enumerate(adjacency(g)):
-        total = np.zeros((s, s))
-        for j, _ in incident:
-            total -= body[i * s : (i + 1) * s, j * s : (j + 1) * s]
-        body[i * s : (i + 1) * s, i * s : (i + 1) * s] = total
-    return BlockMatrix(body, s)
+    blocks = body.reshape(n, s, n, s)
+    blocks[us, :, vs, :] = -inverse_weights
+    blocks[vs, :, us, :] = -inverse_weights
+    # Interleave each edge's two endpoints so ``add.at`` (which applies its
+    # updates in order) sums every vertex's blocks in canonical edge order.
+    diagonal = np.zeros((n, s, s))
+    np.add.at(
+        diagonal,
+        np.column_stack([us, vs]).ravel(),
+        np.repeat(inverse_weights, 2, axis=0),
+    )
+    vertices = np.arange(n)
+    blocks[vertices, :, vertices, :] = diagonal
+    return BlockMatrix(frozen(body), s)
 
 
 def build_incidence(g: MatrixWeightedGraph) -> BlockMatrix:
     """Assemble the weighted incidence matrix ``Q`` with ``L = Q Q'``.
 
-    Block column ``e`` carries ``+W_e^{-1/2}`` at the edge's origin (its
-    smaller endpoint) and ``-W_e^{-1/2}`` at its terminus.  Flipping an
-    orientation negates one block column, which conjugates ``Q' A Q`` by a
-    diagonal sign matrix and leaves ``Q Q'`` bitwise unchanged, so every
-    identity checked downstream is orientation-independent.
+    Block column ``e`` carries ``+W_e^{-1/2}`` (batched over all edges) at
+    the edge's origin (its smaller endpoint) and ``-W_e^{-1/2}`` at its
+    terminus.  Flipping an orientation negates one block column, which
+    conjugates ``Q' A Q`` by a diagonal sign matrix and leaves ``Q Q'``
+    bitwise unchanged, so every identity checked downstream is
+    orientation-independent.
     """
     n, s, m = g.n, g.s, g.m
+    us, vs, weights = _edge_arrays(g)
+    roots = linalg.pd_inverse_sqrt(weights)
     body = np.zeros((n * s, m * s))
-    for e in g.edges:
-        root = linalg.pd_inverse_sqrt(e.weight)
-        body[e.u * s : (e.u + 1) * s, e.index * s : (e.index + 1) * s] = root
-        body[e.v * s : (e.v + 1) * s, e.index * s : (e.index + 1) * s] = -root
-    return BlockMatrix(body, s)
+    blocks = body.reshape(n, s, m, s)
+    columns = np.arange(m)
+    blocks[us, :, columns, :] = roots
+    blocks[vs, :, columns, :] = -roots
+    return BlockMatrix(frozen(body), s)
 
 
 def laplacian_cofactor(

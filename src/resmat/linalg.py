@@ -1,9 +1,11 @@
-"""Dense linear algebra for symmetric matrices.
+"""Dense linear algebra for symmetric matrices, on top of ``numpy.linalg``.
 
-Self-contained kernel used by the rest of the package: a cyclic Jacobi
-eigensolver, spectral pseudoinverse and inverse-square-root routines, LU
-factorization with partial pivoting for determinants and linear solves,
-Kronecker products, block cofactors, and inertia counts.
+Thin layer over LAPACK (through ``numpy.linalg``) used by the rest of the
+package: symmetric eigendecompositions in descending order, the spectral
+pseudoinverse, batched positive definite inverses, determinants as exact
+``(sign, log|det|)`` pairs, block cofactors, and inertia counts.  It adds
+the checks LAPACK does not make: material asymmetry is rejected instead of
+averaged away, and definiteness and rank decisions are relative to scale.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
 read-only, and returns freshly allocated arrays.  Index sets and block
@@ -20,13 +22,10 @@ import numpy as np
 __all__ = [
     "EPS",
     "SYMMETRY_RTOL",
-    "JACOBI_MAX_SWEEPS",
-    "JACOBI_OFF_RTOL",
     "DimensionError",
     "NumericError",
     "SpectralDecomposition",
     "Inertia",
-    "LUFactorization",
     "as_dense",
     "max_norm",
     "default_rank_tol",
@@ -37,13 +36,11 @@ __all__ = [
     "pd_inverse",
     "pd_inverse_sqrt",
     "kron",
-    "lu_factor",
+    "value_from_slog",
     "det_lu",
     "slogdet_lu",
-    "schur_det",
     "block_cofactor",
     "block_cofactor_slog",
-    "inertia_of",
     "count_inertia",
     "index_set",
     "submatrix",
@@ -56,12 +53,8 @@ EPS = float(np.finfo(np.float64).eps)
 #: instead of silently repaired.
 SYMMETRY_RTOL = 1e-10
 
-#: Sweep cap for the cyclic Jacobi eigensolver.
-JACOBI_MAX_SWEEPS = 100
-
-#: Jacobi convergence threshold: off-diagonal Frobenius norm relative to
-#: the Frobenius norm of the input.
-JACOBI_OFF_RTOL = 1e-14
+#: Largest ``log|x|`` whose ``exp`` is still a finite double.
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 class DimensionError(ValueError):
@@ -69,12 +62,16 @@ class DimensionError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Numerical failure: lost definiteness, singularity, or no convergence."""
+    """Numerical failure: lost definiteness or singularity."""
 
 
 def as_dense(values) -> np.ndarray:
     """Coerce ``values`` to a freshly allocated 2-D float64 array."""
-    a = np.array(values, dtype=np.float64, order="C")
+    return _checked(np.array(values, dtype=np.float64, order="C"))
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, once it is known to be a non-empty finite matrix."""
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -118,13 +115,20 @@ def symmetrize(a, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """
     a = as_dense(a)
     _require_square(a)
-    gap = max_norm(a - a.T)
-    if gap > rtol * (1.0 + max_norm(a)):
+    return _symmetrized(a, rtol)
+
+
+def _symmetrized(w: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+    """:func:`symmetrize` for a matrix or each matrix of a ``(..., k, k)``
+    stack, raising if any one of them is materially asymmetric."""
+    wt = np.swapaxes(w, -1, -2)
+    gap = np.abs(w - wt).max(axis=(-2, -1))
+    if np.any(gap > rtol * (1.0 + np.abs(w).max(axis=(-2, -1)))):
         raise NumericError(
-            f"matrix is not symmetric: max asymmetry {gap:.3e} exceeds "
-            f"relative tolerance {rtol:.1e}"
+            f"matrix is not symmetric: max asymmetry {float(gap.max()):.3e} "
+            f"exceeds relative tolerance {rtol:.1e}"
         )
-    return (a + a.T) / 2.0
+    return (w + wt) / 2.0
 
 
 @dataclass(frozen=True)
@@ -160,87 +164,17 @@ class Inertia:
         return (self.positive, self.negative, self.zero)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part."""
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
+def sym_eigen(a) -> SpectralDecomposition:
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
-
-def _jacobi_rotate(work: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
-    """Apply one two-sided Givens rotation zeroing ``work[p, q]`` in place."""
-    apq = work[p, q]
-    app = work[p, p]
-    aqq = work[q, q]
-    diff = aqq - app
-    if abs(apq) < 1e-36 * abs(diff):
-        # The rotation angle underflows; the first-order tangent is exact
-        # to working precision and avoids overflow in diff / (2 apq).
-        t = apq / diff
-    else:
-        theta = diff / (2.0 * apq)
-        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-
-    row_p = work[p, :].copy()
-    row_q = work[q, :].copy()
-    work[p, :] = c * row_p - s * row_q
-    work[q, :] = s * row_p + c * row_q
-    col_p = work[:, p].copy()
-    col_q = work[:, q].copy()
-    work[:, p] = c * col_p - s * col_q
-    work[:, q] = s * col_p + c * col_q
-    # The (p, p), (q, q), (p, q) entries have closed-form updates that are
-    # more accurate than the vector arithmetic above.
-    work[p, p] = app - t * apq
-    work[q, q] = aqq + t * apq
-    work[p, q] = 0.0
-    work[q, p] = 0.0
-
-    vec_p = vectors[:, p].copy()
-    vec_q = vectors[:, q].copy()
-    vectors[:, p] = c * vec_p - s * vec_q
-    vectors[:, q] = s * vec_p + c * vec_q
-
-
-def sym_eigen(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    The input is symmetrized via :func:`symmetrize` (rejecting material
-    asymmetry), then rotated until the off-diagonal Frobenius norm drops to
-    ``JACOBI_OFF_RTOL`` times the Frobenius norm of the input.  Eigenvalues
-    are returned in descending order with eigenvectors in matching columns.
-
-    Raises
-    ------
-    NumericError
-        If convergence is not reached within ``max_sweeps`` sweeps, or the
-        input is materially asymmetric.
+    The input is symmetrized via :func:`symmetrize`, which rejects material
+    asymmetry.  Eigenvalues are returned in descending order with
+    eigenvectors in matching columns.
     """
-    work = symmetrize(a)
-    n = work.shape[0]
-    vectors = np.eye(n)
-    target = JACOBI_OFF_RTOL * float(np.sqrt(np.sum(work * work)))
-    # Entries at or below this cannot, even jointly, hold the off-diagonal
-    # norm above the target, so rotations on them are wasted work.
-    skip = target / n
-    sweeps = 0
-    off = _off_norm(work)
-    while off > target:
-        if sweeps == max_sweeps:
-            raise NumericError(
-                f"Jacobi eigensolver failed to converge in {max_sweeps} sweeps: "
-                f"off-diagonal norm {off:.3e}, target {target:.3e}"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > skip:
-                    _jacobi_rotate(work, vectors, p, q)
-        sweeps += 1
-        off = _off_norm(work)
-    values = np.diag(work).copy()
-    order = np.argsort(-values, kind="stable")
-    return SpectralDecomposition(values[order], np.ascontiguousarray(vectors[:, order]))
+    values, vectors = np.linalg.eigh(symmetrize(a))
+    return SpectralDecomposition(
+        values[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
+    )
 
 
 def pseudo_inverse_from(
@@ -289,38 +223,63 @@ def pseudo_inverse(a, rank_tol: float | None = None) -> np.ndarray:
     return pseudo_inverse_from(sym_eigen(a), rank_tol)
 
 
-def _pd_spectral_map(w, transform, rank_tol: float | None) -> np.ndarray:
-    """Apply ``transform`` to the spectrum of a positive definite matrix."""
-    dec = sym_eigen(w)
-    values = dec.eigenvalues
+def _pd_checked(w) -> np.ndarray:
+    """A symmetric matrix or ``(..., k, k)`` stack, checked for shape and
+    finiteness and averaged as in :func:`symmetrize`."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
+        raise DimensionError(f"expected square matrices, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise NumericError("matrix has non-finite entries")
+    return _symmetrized(w)
+
+
+def _require_pd(spectra: np.ndarray, rank_tol: float | None) -> None:
+    """Raise unless each ascending spectrum in ``spectra`` has its smallest
+    eigenvalue above ``rank_tol * largest`` (definiteness kept)."""
     if rank_tol is None:
-        rank_tol = default_rank_tol(values.size)
-    largest = float(values[0])
-    smallest = float(values[-1])
-    if largest <= 0.0 or smallest <= rank_tol * largest:
+        rank_tol = default_rank_tol(spectra.shape[-1])
+    largest = spectra[..., -1]
+    smallest = spectra[..., 0]
+    lost = (largest <= 0.0) | (smallest <= rank_tol * largest)
+    if np.any(lost):
+        worst = float(smallest[lost].min())
         raise NumericError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.6e}"
+            f"matrix is not positive definite: smallest eigenvalue {worst:.6e}"
         )
-    mapped = dec.assemble(transform(values))
-    return (mapped + mapped.T) / 2.0
 
 
 def pd_inverse(w, rank_tol: float | None = None) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via its spectrum.
+    """Inverse of a symmetric positive definite matrix, or of each matrix
+    in a stack of shape ``(..., k, k)``, by batched LAPACK calls (one
+    eigensolve for the definiteness test, one inversion).
 
-    Raises :class:`NumericError` if the smallest eigenvalue does not clear
-    ``rank_tol * largest`` (definiteness lost).
+    Inputs are checked and averaged as in :func:`symmetrize`, and each
+    inverse is symmetrized as ``(V + V') / 2``, so it is exactly symmetric.
+    Raises :class:`NumericError` if some input's smallest eigenvalue does
+    not clear ``rank_tol * largest`` (definiteness lost).
     """
-    return _pd_spectral_map(w, lambda v: 1.0 / v, rank_tol)
+    w = _pd_checked(w)
+    _require_pd(np.linalg.eigvalsh(w), rank_tol)
+    v = np.linalg.inv(w)
+    return (v + np.swapaxes(v, -1, -2)) / 2.0
 
 
 def pd_inverse_sqrt(w, rank_tol: float | None = None) -> np.ndarray:
-    """Inverse square root ``W^{-1/2}`` of a symmetric positive definite matrix.
+    """Inverse square root ``W^{-1/2}`` of a symmetric positive definite
+    matrix, or of each matrix in a ``(..., k, k)`` stack, by one batched
+    eigensolve.
 
-    The result ``S`` is the unique symmetric positive definite matrix with
-    ``S W S = I``.
+    Each result ``S`` is the unique symmetric positive definite matrix with
+    ``S W S = I``, symmetrized so it is exactly symmetric.  Inputs are
+    checked and the definiteness test made as in :func:`pd_inverse`.
     """
-    return _pd_spectral_map(w, lambda v: 1.0 / np.sqrt(v), rank_tol)
+    values, vectors = np.linalg.eigh(_pd_checked(w))
+    _require_pd(values, rank_tol)
+    root = (vectors * (1.0 / np.sqrt(values))[..., None, :]) @ np.swapaxes(
+        vectors, -1, -2
+    )
+    return (root + np.swapaxes(root, -1, -2)) / 2.0
 
 
 def kron(a, b) -> np.ndarray:
@@ -328,130 +287,41 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_dense(a), as_dense(b))
 
 
-@dataclass(frozen=True)
-class LUFactorization:
-    """Row-pivoted LU factorization ``P A = L U`` with unit lower triangle.
+def value_from_slog(sign: float, log_abs: float) -> float:
+    """The plain value ``sign * exp(log_abs)`` of a determinant pair.
 
-    ``lu`` stores L strictly below the diagonal and U on and above it;
-    ``pivots[i]`` is the row of A that became row ``i`` of ``P A``; ``sign``
-    is det(P).
+    Out-of-range pairs give ``±inf`` or a signed zero, without numpy
+    overflow warnings; in range this is exactly what ``numpy.linalg.det``
+    computes.
     """
-
-    lu: np.ndarray
-    pivots: np.ndarray
-    sign: float
-
-    @property
-    def order(self) -> int:
-        return self.lu.shape[0]
-
-    def det(self) -> float:
-        """Determinant as a plain float (overflow yields ``inf`` naturally)."""
-        return self.sign * float(np.prod(np.diag(self.lu)))
-
-    def slogdet(self) -> tuple[float, float]:
-        """Determinant as ``(sign, log|det|)``; ``(0.0, -inf)`` when singular."""
-        diag = np.diag(self.lu)
-        if np.any(diag == 0.0):
-            return (0.0, -math.inf)
-        sign = self.sign * float(np.prod(np.sign(diag)))
-        return (sign, float(np.sum(np.log(np.abs(diag)))))
-
-    def smallest_pivot(self) -> float:
-        """Magnitude of the smallest diagonal pivot."""
-        return float(np.min(np.abs(np.diag(self.lu))))
-
-    def solve(self, rhs) -> np.ndarray:
-        """Solve ``A x = rhs`` for a vector or matrix right-hand side.
-
-        Raises :class:`NumericError` on an exactly zero pivot.
-        """
-        b = np.array(rhs, dtype=np.float64)
-        vector = b.ndim == 1
-        if vector:
-            b = b[:, np.newaxis]
-        if b.ndim != 2 or b.shape[0] != self.order:
-            raise DimensionError(
-                f"right-hand side shape {b.shape} does not match order {self.order}"
-            )
-        diag = np.diag(self.lu)
-        if np.any(diag == 0.0):
-            raise NumericError("matrix is singular to working precision")
-        y = b[self.pivots, :]
-        n = self.order
-        for i in range(1, n):
-            y[i, :] -= self.lu[i, :i] @ y[:i, :]
-        for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                y[i, :] -= self.lu[i, i + 1 :] @ y[i + 1 :, :]
-            y[i, :] /= diag[i]
-        return y[:, 0] if vector else y
-
-
-def lu_factor(a) -> LUFactorization:
-    """LU factorization with partial (row) pivoting.
-
-    Never raises on singular input: a zero pivot column is simply skipped so
-    the determinant comes out exactly zero; :meth:`LUFactorization.solve`
-    refuses such factorizations.
-    """
-    lu = as_dense(a).copy()
-    n = _require_square(lu)
-    pivots = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            continue
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            pivots[[k, p]] = pivots[[p, k]]
-            sign = -sign
-        lu[k + 1 :, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LUFactorization(lu, pivots, sign)
-
-
-def det_lu(a) -> float:
-    """Determinant via LU with partial pivoting.
-
-    Exact for (permuted) triangular inputs; singular inputs give exactly 0.
-    """
-    return lu_factor(a).det()
+    if log_abs > _LOG_MAX:
+        return sign * math.inf
+    return sign * math.exp(log_abs)
 
 
 def slogdet_lu(a) -> tuple[float, float]:
-    """Determinant as ``(sign, log|det|)`` via LU; overflow-safe."""
-    return lu_factor(a).slogdet()
+    """Determinant as ``(sign, log|det|)`` via LAPACK LU; overflow-safe.
 
-
-def schur_det(a, split: int) -> float:
-    """Determinant via the Schur complement of the leading ``split`` block:
-    ``det A = det(A11) * det(A22 - A21 A11^{-1} A12)``.
-
-    Raises
-    ------
-    DimensionError
-        If ``split`` is not in ``[1, n - 1]``.
-    NumericError
-        If the leading block is numerically singular.
+    Singular inputs give ``(0.0, -inf)``.
     """
-    a = as_dense(a)
-    n = _require_square(a)
-    if not 1 <= split <= n - 1:
-        raise DimensionError(f"split {split} not in [1, {n - 1}] for order {n}")
-    a11 = a[:split, :split]
-    factor = lu_factor(a11)
-    if factor.smallest_pivot() <= default_rank_tol(split) * max_norm(a11):
-        raise NumericError("leading block is numerically singular")
-    x = factor.solve(a[:split, split:])
-    complement = a[split:, split:] - a[split:, :split] @ x
-    return factor.det() * det_lu(complement)
+    a = _checked(np.asarray(a, dtype=np.float64))
+    _require_square(a)
+    sign, log_abs = np.linalg.slogdet(a)
+    return (float(sign), float(log_abs))
+
+
+def det_lu(a) -> float:
+    """Determinant via LAPACK LU with partial pivoting, as the plain value
+    of :func:`slogdet_lu`.
+
+    Permutation matrices give exactly ``±1`` and singular inputs exactly 0.
+    Values beyond the double range come out as ``±inf`` or a signed zero.
+    """
+    return value_from_slog(*slogdet_lu(a))
 
 
 def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
-    a = as_dense(a)
+    a = _checked(np.asarray(a, dtype=np.float64))
     n = _require_square(a)
     if s < 1 or n % s != 0:
         raise DimensionError(f"order {n} is not a multiple of block size {s}")
@@ -465,18 +335,16 @@ def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
     # Sign from the sum of the deleted 1-based absolute row and column indices.
     exponent = int(rows.sum() + rows.size + cols.sum() + cols.size)
     sign = -1.0 if exponent % 2 else 1.0
-    minor = np.delete(np.delete(a, rows, axis=0), cols, axis=1)
-    return sign, minor
+    keep_rows = np.delete(np.arange(n), rows)
+    keep_cols = np.delete(np.arange(n), cols)
+    return sign, a[np.ix_(keep_rows, keep_cols)]
 
 
 def block_cofactor(a, i: int, j: int, s: int) -> float:
     """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
     ``s x s`` blocks: the signed determinant of A with block row ``i`` and
     block column ``j`` deleted."""
-    sign, minor = _cofactor_pieces(a, i, j, s)
-    if minor.size == 0:
-        return sign
-    return sign * det_lu(minor)
+    return value_from_slog(*block_cofactor_slog(a, i, j, s))
 
 
 def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
@@ -503,12 +371,6 @@ def count_inertia(values, zero_tol: float | None = None) -> Inertia:
     positive = int(np.sum(values > band))
     negative = int(np.sum(values < -band))
     return Inertia(positive, negative, n - positive - negative)
-
-
-def inertia_of(a, zero_tol: float | None = None) -> Inertia:
-    """Inertia (positive, negative, zero eigenvalue counts) of a symmetric
-    matrix, computed from its Jacobi spectrum."""
-    return count_inertia(sym_eigen(a).eigenvalues, zero_tol)
 
 
 def index_set(indices, order: int) -> tuple[int, ...]:

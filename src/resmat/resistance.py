@@ -18,9 +18,10 @@ With ``X = M^{-1}``:
   always split ``(s, ns - s, 0)`` into positive/negative/zero, and the
   negated reciprocal Laplacian spectrum interlaces them.
 
-A :class:`ResistanceWorkspace` computes the cheap objects eagerly (LU
-solves only) and caches the spectral ones on first use, so determinant
-work never pays for an eigendecomposition.
+A :class:`ResistanceWorkspace` computes the cheap objects eagerly (a
+Cholesky test and an LU solve of ``M`` give ``X``) and caches the
+spectral ones on first use, so determinant work never pays for an
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from .laplacian import (
     BlockMatrix,
     build_incidence,
     build_laplacian,
-    laplacian_cofactor,
+    frozen,
     laplacian_cofactor_slog,
-    stacked_identity,
 )
 
 __all__ = [
@@ -88,15 +88,53 @@ def resistance_from_pseudoinverse(pinv: BlockMatrix) -> np.ndarray:
     return body
 
 
+def _shift(body: np.ndarray, n: int, s: int, sign: float = 1.0) -> np.ndarray:
+    """``body + sign (1/n) J (x) I_s`` as a new ``ns x ns`` array."""
+    shifted = body.copy()
+    blocks = shifted.reshape(n, s, n, s)
+    blocks += (sign / n) * np.eye(s)[:, np.newaxis, :]
+    return shifted
+
+
+def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
+    """``X = M^{-1}`` for the shifted Laplacian ``M = L + (1/n) J (x) I_s``.
+
+    The Cholesky factorization ``M = C C'`` decides nonsingularity: it
+    must succeed, and its smallest pivot ``min diag(C)^2`` must clear
+    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.  ``X``
+    itself comes from an LU solve: on small rational inputs it is exact
+    (the 2-vertex path gives ``[[3/4, 1/4], [1/4, 3/4]]``), where
+    ``C^{-T} C^{-1}`` is off in the last place.  It is returned symmetrized.
+    """
+    shift_body = _shift(laplacian, n, s)
+    try:
+        pivot = float(np.min(np.diag(np.linalg.cholesky(shift_body)))) ** 2
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
+        raise linalg.NumericError(
+            "shifted Laplacian is numerically singular; "
+            "the graph is not usably connected"
+        )
+    x = np.linalg.inv(shift_body)
+    del shift_body
+    symmetric = x + x.T
+    symmetric /= 2.0
+    return symmetric
+
+
 class ResistanceWorkspace:
     """Everything derived from one graph: Laplacian, shifted inverse,
     pseudoinverse, resistance blocks, deficit blocks, and closed forms.
 
-    Construction never eigendecomposes a full ``ns x ns`` matrix: it is LU
-    solves plus ``s x s`` spectral work on the edge weights and the deficit
-    form.  The large spectra (`laplacian_spectrum`, `resistance_spectrum`,
-    `shift_spectrum`) and the incidence matrix are cached properties
-    computed on first access.
+    Construction never eigendecomposes a full ``ns x ns`` matrix: it is a
+    Cholesky test and an LU solve of the shifted Laplacian, batched inverses
+    of the edge weights, and an ``s x s`` eigensolve of the deficit form.
+    It keeps three ``ns x ns`` matrices: ``L``, ``X`` and ``R``.  The
+    shifted Laplacian and the pseudoinverse (each one addition away), the
+    large spectra (`laplacian_spectrum`, `resistance_spectrum`,
+    `shift_spectrum`), the block diagonal `diag_blocks` and the incidence
+    matrix are cached properties computed on first access.
 
     Raises
     ------
@@ -111,45 +149,21 @@ class ResistanceWorkspace:
         n, s = graph.n, graph.s
         ns = n * s
         self.laplacian = build_laplacian(graph)
+        x = _shifted_inverse(self.laplacian.body, n, s)
+        self.shifted_inverse = BlockMatrix(frozen(x), s)
 
-        shift_body = self.laplacian.body + linalg.kron(
-            np.ones((n, n)) / n, np.eye(s)
-        )
-        self.shift_body = shift_body
-        factor = linalg.lu_factor(shift_body)
-        if factor.smallest_pivot() <= linalg.default_rank_tol(ns) * linalg.max_norm(
-            shift_body
-        ):
-            raise linalg.NumericError(
-                "shifted Laplacian is numerically singular; "
-                "the graph is not usably connected"
-            )
-        x = factor.solve(np.eye(ns))
-        x = (x + x.T) / 2.0
-        self.shifted_inverse = BlockMatrix(x, s)
-        self._shift_factor = factor
+        # Diagonal blocks of X, stacked (n, s, s), then as an ns x s column.
+        x_blocks = x.reshape(n, s, n, s)
+        vertices = np.arange(n)
+        diagonal = x_blocks[vertices, :, vertices, :]
+        self.diag_stack = diagonal.reshape(ns, s)
 
-        self.pseudoinverse = BlockMatrix(
-            x - linalg.kron(np.ones((n, n)) / n, np.eye(s)), s
-        )
-
-        diag_blocks = [x[i * s : (i + 1) * s, i * s : (i + 1) * s] for i in range(n)]
-        # Stacked diagonal blocks of X (ns x s), and their block diagonal.
-        self.diag_stack = np.vstack(diag_blocks)
-        diag_body = np.zeros((ns, ns))
-        for i, block in enumerate(diag_blocks):
-            diag_body[i * s : (i + 1) * s, i * s : (i + 1) * s] = block
-        self.diag_blocks = BlockMatrix(diag_body, s)
-
-        resistance = np.zeros((ns, ns))
-        for i in range(n):
-            for j in range(n):
-                resistance[i * s : (i + 1) * s, j * s : (j + 1) * s] = (
-                    diag_blocks[i]
-                    + diag_blocks[j]
-                    - 2.0 * x[i * s : (i + 1) * s, j * s : (j + 1) * s]
-                )
-        self.resistance = BlockMatrix(resistance, s)
+        # R_ij = X_ii + X_jj - 2 X_ij for all block pairs at once.
+        resistance = np.empty((ns, ns))
+        r_blocks = resistance.reshape(n, s, n, s)
+        np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
+        r_blocks -= 2.0 * x_blocks
+        self.resistance = BlockMatrix(frozen(resistance), s)
 
         deficit = np.zeros((ns, s))
         for i, incident in enumerate(adjacency(graph)):
@@ -174,6 +188,17 @@ class ResistanceWorkspace:
             )
         self.deficit_form_spectrum = form_spectrum
 
+    @cached_property
+    def shift_body(self) -> np.ndarray:
+        """The shifted Laplacian ``M = L + (1/n) J (x) I_s``."""
+        return _shift(self.laplacian.body, self.graph.n, self.graph.s)
+
+    @cached_property
+    def pseudoinverse(self) -> BlockMatrix:
+        """Laplacian pseudoinverse ``X - (1/n) J (x) I_s``."""
+        n, s = self.graph.n, self.graph.s
+        return BlockMatrix(frozen(_shift(self.shifted_inverse.body, n, s, -1.0)), s)
+
     # ------------------------------------------------------------------
     # lazily computed spectral objects
 
@@ -195,12 +220,27 @@ class ResistanceWorkspace:
         return linalg.pseudo_inverse_from(self.laplacian_spectrum)
 
     @cached_property
+    def diag_blocks(self) -> BlockMatrix:
+        """Block diagonal of the shifted inverse, as an ``ns x ns`` matrix."""
+        n, s = self.graph.n, self.graph.s
+        body = np.zeros((n * s, n * s))
+        vertices = np.arange(n)
+        body.reshape(n, s, n, s)[vertices, :, vertices, :] = self.diag_stack.reshape(
+            n, s, s
+        )
+        return BlockMatrix(frozen(body), s)
+
+    @cached_property
     def incidence(self) -> BlockMatrix:
         return build_incidence(self.graph)
 
     @cached_property
+    def laplacian_cofactor_slog(self) -> tuple[float, float]:
+        return laplacian_cofactor_slog(self.graph, self.laplacian)
+
+    @cached_property
     def laplacian_cofactor_value(self) -> float:
-        return laplacian_cofactor(self.graph, self.laplacian)
+        return linalg.value_from_slog(*self.laplacian_cofactor_slog)
 
     @property
     def condition(self) -> float:
@@ -241,29 +281,21 @@ class ResistanceWorkspace:
         """Determinant of the resistance matrix by the closed form
         ``(-1)^{(n-1)s} 2^{(n-3)s} det(T' R T) / c(G)``.
 
-        Uses only LU determinants of small matrices plus one cofactor;
-        no eigendecomposition.  Raises :class:`NumericError` if the
-        Laplacian cofactor vanishes (impossible for a valid graph).
+        The plain value of :meth:`determinant_slog`: ``±inf`` or a signed
+        zero when it is beyond the double range.
         """
-        n, s = self.graph.n, self.graph.s
-        cofactor = self.laplacian_cofactor_value
-        if cofactor == 0.0:
-            raise linalg.NumericError(
-                "Laplacian cofactor is zero; the graph is not usably connected"
-            )
-        parity = -1.0 if ((n - 1) * s) % 2 else 1.0
-        return (
-            parity
-            * 2.0 ** ((n - 3) * s)
-            * linalg.det_lu(self.deficit_form)
-            / cofactor
-        )
+        return linalg.value_from_slog(*self.determinant_slog())
 
     def determinant_slog(self) -> tuple[float, float]:
         """The closed-form determinant as ``(sign, log|det|)``, safe for
-        sizes where the plain value would overflow."""
+        sizes where the plain value would overflow.
+
+        Uses only the determinant of the ``s x s`` deficit form plus one
+        cofactor; no eigendecomposition.  Raises :class:`NumericError` if
+        the Laplacian cofactor vanishes (impossible for a valid graph).
+        """
         n, s = self.graph.n, self.graph.s
-        cof_sign, cof_log = laplacian_cofactor_slog(self.graph, self.laplacian)
+        cof_sign, cof_log = self.laplacian_cofactor_slog
         if cof_sign == 0.0:
             raise linalg.NumericError(
                 "Laplacian cofactor is zero; the graph is not usably connected"
@@ -276,8 +308,7 @@ class ResistanceWorkspace:
     def inverse(self) -> np.ndarray:
         """Inverse of the resistance matrix by the closed form
         ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve)."""
-        factor = linalg.lu_factor(self.deficit_form)
-        middle = factor.solve(self.deficit.T)
+        middle = np.linalg.solve(self.deficit_form, self.deficit.T)
         f = -0.5 * self.laplacian.body + self.deficit @ middle
         return (f + f.T) / 2.0
 

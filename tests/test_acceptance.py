@@ -27,7 +27,6 @@ from resmat.linalg import (
     default_rank_tol,
     det_lu,
     kron,
-    lu_factor,
     max_norm,
     pseudo_inverse,
     submatrix,

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resmat
 from resmat.cli import EXIT_CHECK, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from resmat.graph import parse_graph, path_graph, serialize
 
@@ -230,6 +236,55 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", str(bad), "resistance")
         assert code == EXIT_INPUT
         assert "not connected" in err
+
+
+class TestOutOfRangeScalars:
+    """Determinants beyond the double range: exact sign and log, no numpy
+    warnings."""
+
+    @pytest.fixture
+    def tiny_path_file(self, tmp_path):
+        # c(G) = 1e10^39 overflows; det R underflows.
+        path = tmp_path / "tiny.json"
+        path.write_text(serialize(path_graph(40, 1, np.array([[1e-10]]))))
+        return str(path)
+
+    @pytest.mark.parametrize("what", ["chi", "det"])
+    def test_no_numpy_warnings(self, capsys, tiny_path_file, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "compute", tiny_path_file, what, "--format", "json"
+            )
+        assert code == EXIT_OK and err == ""
+        data = json.loads(out)
+        assert math.isfinite(data["log_abs"]) and abs(data["log_abs"]) > 709
+        if what == "chi":
+            assert data["sign"] == 1.0
+            # Every spanning tree of a path is the path: c(G) = prod 1/w_e.
+            assert data["log_abs"] == pytest.approx(39 * math.log(1e10), rel=1e-12)
+
+
+class TestFreshProcessDeterminism:
+    def test_resistance_identical_across_processes(self, tmp_path):
+        """`compute resistance` at ns = 300 in two fresh processes with the
+        same BLAS thread count gives byte-identical output."""
+        from resmat.graph import random_graph
+
+        path = tmp_path / "dense.json"
+        path.write_text(serialize(random_graph(100, 3, "gnp", seed=11, p=0.25)))
+        src = str(Path(resmat.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "resmat.cli", "compute", str(path), "resistance"]
+        runs = [
+            subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            for _ in range(2)
+        ]
+        assert runs[0].stdout and runs[0].stderr == ""
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestVerify:

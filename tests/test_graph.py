@@ -16,7 +16,6 @@ from resmat.graph import (
     adjacency,
     complete_graph,
     cycle_graph,
-    degree,
     from_edges,
     has_unit_weights,
     is_tree,
@@ -104,6 +103,33 @@ class TestValidation:
     def test_multiple_problems_all_reported(self):
         report = validation_report(3, 1, [(0, 0, unit()), (1, 0, unit())])
         assert len(report.problems) == 2
+
+    def test_problems_in_edge_order_with_exact_wording(self):
+        # Weight checks run on all edges at once; every problem must still
+        # come out in edge order, one per edge, worded as before.
+        report = validation_report(4, 2, [
+            (0, 1, [[1.0, 2.0], [2.0, 1.0]]),
+            (0, 0, np.eye(2)),
+            (1, 2, [[1.0, np.inf], [0.0, 1.0]]),
+            (0, 2, [[1.0, 0.5], [0.0, 1.0]]),
+            (2, 1, np.eye(2)),
+            (0, 2, np.eye(2)),
+            (2, 3, np.eye(3)),
+            (1, 3, [[1.0, 1.0], [1.0, 1.0]]),
+            (0, 3, [[2.0, 0.0], [0.0, 1.0]]),
+        ])
+        assert report.problems == (
+            "edge #1 (1, 2): weight is not positive definite "
+            "(smallest eigenvalue -1.000000e+00)",
+            "edge #2: self-loop at vertex 1",
+            "edge #3 (2, 3): weight has non-finite entries",
+            "edge #4 (1, 3): weight is not symmetric (max asymmetry 5.000e-01)",
+            "edge #5 (3, 2): endpoints must satisfy u < v",
+            "edge #6 (1, 3): duplicate edge",
+            "edge #7 (3, 4): weight shape (3, 3) != (2, 2)",
+            "edge #8 (2, 4): weight is not positive definite "
+            "(smallest eigenvalue 0.000000e+00)",
+        )
 
     def test_one_based_labels_in_messages(self):
         report = validation_report(3, 1, [(0, 3, unit())])
@@ -233,11 +259,6 @@ class TestStructure:
         table = adjacency(g)
         assert table[0] == [(1, 0), (2, 1), (3, 2)]
         assert table[1] == [(0, 0)]
-
-    def test_degree(self):
-        g = star_graph(3)
-        assert degree(g, 0) == 3
-        assert all(degree(g, v) == 1 for v in (1, 2, 3))
 
     def test_is_tree(self):
         assert is_tree(path_graph(4))

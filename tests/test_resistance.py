@@ -22,9 +22,7 @@ from resmat.laplacian import build_laplacian, stacked_identity
 from resmat.linalg import (
     NumericError,
     det_lu,
-    inertia_of,
     kron,
-    lu_factor,
     max_norm,
     sym_eigen,
 )
@@ -193,6 +191,19 @@ class TestWorkspaceStructure:
                 gap = max_norm(ws.resistance.block(i, j) - ws.resistance.block(j, i).T)
                 assert gap <= 1e-12 * (1.0 + max_norm(r))
 
+    def test_resistance_matches_blockwise_definition_bitwise(self):
+        # The broadcast assembly computes X_ii + X_jj - 2 X_ij in the same
+        # order as a block-by-block loop over the same X.
+        ws = ResistanceWorkspace(random_graph(7, 2, "gnp", seed=47, p=0.6))
+        x = ws.shifted_inverse
+        expected = np.zeros_like(ws.resistance.body)
+        for i in range(7):
+            for j in range(7):
+                expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = (
+                    x.block(i, i) + x.block(j, j) - 2.0 * x.block(i, j)
+                )
+        assert np.array_equal(ws.resistance.body, expected)
+
     def test_resistance_block_returns_copy(self):
         ws = ResistanceWorkspace(path_graph(3))
         block = ws.resistance_block(0, 1)
@@ -324,7 +335,7 @@ class TestClosedForms:
     def test_inverse_against_lu_inversion(self, seed):
         ws = ResistanceWorkspace(random_graph(6, 2, "cycle", seed=seed))
         closed = ws.inverse()
-        brute = lu_factor(ws.resistance.body).solve(np.eye(12))
+        brute = np.linalg.solve(ws.resistance.body, np.eye(12))
         assert max_norm(closed - brute) <= 1e-7 * (1.0 + max_norm(closed))
 
     @pytest.mark.parametrize("seed,model,n,s,p", [
