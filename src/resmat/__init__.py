@@ -67,7 +67,6 @@ _LAZY_MODULES = {
     "resistance": (
         "InterlaceRow",
         "ResistanceWorkspace",
-        "resistance_from_pseudoinverse",
     ),
     "verify": (
         "CHECK_IDS",
@@ -139,7 +138,6 @@ __all__ = [
     # resistance engine
     "InterlaceRow",
     "ResistanceWorkspace",
-    "resistance_from_pseudoinverse",
     # verifier
     "CHECK_IDS",
     "CheckResult",

@@ -15,15 +15,18 @@ report; ``gen`` writes a seeded random graph in the JSON interchange form.
 Exit codes: 0 success; 1 parse/validation/usage failure; 2 numeric or
 generation failure; 3 verification check failure (verify only, report
 still emitted).  Matrices print with 12 significant digits, one row per
-line, with blank lines between block-row boundaries.  All randomness
-comes from the explicit ``--seed``; identical invocations produce
-byte-identical output.
+line, with blank lines between block-row boundaries.  A determinant or
+cofactor beyond the double range prints in the same layout, computed from
+its exact logarithm; JSON then gives ``"value": null`` beside the exact
+``sign`` and ``log_abs``.  All randomness comes from the explicit
+``--seed``; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +43,7 @@ EXIT_NUMERIC = 2
 EXIT_CHECK = 3
 
 _FMT = "{:.11e}"
+_PRINTF = "%.11e"
 
 _MATRIX_OBJECTS = ("laplacian", "pinv", "resistance", "tau", "inverse")
 _WHAT_CHOICES = _MATRIX_OBJECTS + ("det", "inertia", "chi", "interlace")
@@ -111,16 +115,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _matrix_lines(a: np.ndarray, s: int, sep: str, block_gaps: bool) -> str:
-    lines = []
-    for r in range(a.shape[0]):
-        lines.append(sep.join(_FMT.format(x) for x in a[r]))
-        if block_gaps and (r + 1) % s == 0 and r + 1 < a.shape[0]:
-            lines.append("")
-    return "\n".join(lines) + "\n"
+def _matrix_lines(a: np.ndarray, s: int, sep: str, block_gaps: bool):
+    """The printed rows of ``a``, one string per line with its newline.
+
+    One printf template serves every row: ``"%.11e" % x`` gives the bytes
+    of ``_FMT.format(x)`` for every double.  Rows are converted to Python
+    floats and formatted one at a time, so neither all the floats nor all
+    the text of a large matrix is held at once."""
+    rows, cols = a.shape
+    template = sep.join([_PRINTF] * cols) + "\n"
+    for r in range(rows):
+        yield template % tuple(a[r].tolist())
+        if block_gaps and (r + 1) % s == 0 and r + 1 < rows:
+            yield "\n"
 
 
-def _matrix_output(a: np.ndarray, s: int, fmt: str) -> str:
+def _matrix_output(a: np.ndarray, s: int, fmt: str):
+    """The output of a matrix object as an iterable of strings, for
+    ``sys.stdout.writelines``."""
     if fmt == "text":
         # Block gaps only when there is real block structure to mark.
         return _matrix_lines(a, s, " ", block_gaps=s > 1)
@@ -132,12 +144,36 @@ def _matrix_output(a: np.ndarray, s: int, fmt: str) -> str:
         "cols": a.shape[1],
         "entries": a.tolist(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
-def _scalar_output(value: float, sign: float, log_abs: float, fmt: str) -> str:
+def _slog_text(sign: float, log_abs: float) -> str:
+    """``sign * exp(log_abs)`` in the layout of ``_FMT``, for values beyond
+    the double range: the mantissa and the decimal exponent come from
+    ``log_abs`` itself."""
+    log10 = log_abs / math.log(10.0)
+    exponent = math.floor(log10)
+    mantissa = 10.0 ** (log10 - exponent)
+    digits = f"{mantissa:.11f}"
+    if digits.startswith("10"):
+        exponent += 1
+        digits = f"{mantissa / 10.0:.11f}"
+    return f"{'-' if sign < 0 else ''}{digits}e{exponent:+03d}"
+
+
+def _scalar_output(sign: float, log_abs: float, fmt: str) -> str:
+    """A determinant-like scalar from its exact ``(sign, log|x|)`` pair.
+
+    In range, text prints the plain value and JSON carries it as
+    ``value``.  Out of range, text prints the mantissa/exponent form of
+    :func:`_slog_text` and JSON ``value`` is ``null``; ``sign`` and
+    ``log_abs`` are always exact."""
+    value = None
+    if linalg.slog_in_range(sign, log_abs):
+        value = linalg.value_from_slog(sign, log_abs)
     if fmt == "text":
-        return _FMT.format(value) + "\n"
+        text = _slog_text(sign, log_abs) if value is None else _FMT.format(value)
+        return text + "\n"
     payload = {"value": value, "sign": sign, "log_abs": log_abs}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -191,12 +227,10 @@ def _cmd_compute(args) -> int:
         raise UsageError("--pair only applies to resistance output")
 
     if what == "laplacian":
-        sys.stdout.write(_matrix_output(build_laplacian(g).body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(build_laplacian(g).body, g.s, fmt))
         return EXIT_OK
     if what == "chi":
-        sign, log_abs = laplacian_cofactor_slog(g)
-        value = linalg.value_from_slog(sign, log_abs)
-        sys.stdout.write(_scalar_output(value, sign, log_abs, fmt))
+        sys.stdout.write(_scalar_output(*laplacian_cofactor_slog(g), fmt))
         return EXIT_OK
 
     ws = ResistanceWorkspace(g)
@@ -204,18 +238,18 @@ def _cmd_compute(args) -> int:
         i, j = args.pair
         if not (1 <= i <= g.n and 1 <= j <= g.n):
             raise UsageError(f"--pair indices must be in 1..{g.n}")
-        sys.stdout.write(_matrix_output(ws.resistance_block(i - 1, j - 1), g.s, fmt))
+        block = ws.resistance_block(i - 1, j - 1)
+        sys.stdout.writelines(_matrix_output(block, g.s, fmt))
     elif what == "resistance":
-        sys.stdout.write(_matrix_output(ws.resistance.body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.resistance.body, g.s, fmt))
     elif what == "pinv":
-        sys.stdout.write(_matrix_output(ws.pseudoinverse.body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.pseudoinverse.body, g.s, fmt))
     elif what == "tau":
-        sys.stdout.write(_matrix_output(ws.deficit, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.deficit, g.s, fmt))
     elif what == "inverse":
-        sys.stdout.write(_matrix_output(ws.inverse(), g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.inverse(), g.s, fmt))
     elif what == "det":
-        sign, log_abs = ws.determinant_slog()
-        sys.stdout.write(_scalar_output(ws.determinant(), sign, log_abs, fmt))
+        sys.stdout.write(_scalar_output(*ws.determinant_slog(), fmt))
     elif what == "inertia":
         inertia = ws.inertia()
         if fmt == "json":

@@ -237,20 +237,23 @@ def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
 
     Raises :class:`GraphError` listing every validation problem.  Weights
     are exactly symmetrized (``(W + W') / 2``), frozen read-only, and edges
-    are sorted lexicographically by endpoint pair.
+    are sorted lexicographically by endpoint pair.  All weights live in one
+    read-only ``(m, s, s)`` stack, and each edge holds a view of its slice.
     """
     triples = [(int(u), int(v), w) for u, v, w in edges]
     report = validation_report(n, s, triples)
     if not report.ok:
         raise GraphError("; ".join(report.problems))
     triples.sort(key=lambda t: (t[0], t[1]))
-    built = []
-    for index, (u, v, w) in enumerate(triples):
-        weight = np.array(w, dtype=np.float64)
-        weight = (weight + weight.T) / 2.0
-        weight.setflags(write=False)
-        built.append(Edge(u, v, weight, index))
-    return MatrixWeightedGraph(int(n), int(s), tuple(built))
+    stack = np.array([w for _, _, w in triples], dtype=np.float64)
+    weights = stack + stack.transpose(0, 2, 1)
+    weights /= 2.0
+    weights.setflags(write=False)
+    built = tuple(
+        Edge(u, v, weights[index], index)
+        for index, (u, v, _) in enumerate(triples)
+    )
+    return MatrixWeightedGraph(int(n), int(s), built)
 
 
 def parse_graph(text) -> MatrixWeightedGraph:

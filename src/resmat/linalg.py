@@ -37,6 +37,7 @@ __all__ = [
     "pd_inverse_sqrt",
     "kron",
     "value_from_slog",
+    "slog_in_range",
     "det_lu",
     "slogdet_lu",
     "block_cofactor",
@@ -55,6 +56,9 @@ SYMMETRY_RTOL = 1e-10
 
 #: Largest ``log|x|`` whose ``exp`` is still a finite double.
 _LOG_MAX = math.log(np.finfo(np.float64).max)
+
+#: Smallest ``log|x|`` whose ``exp`` is still a normal double.
+_LOG_MIN = math.log(np.finfo(np.float64).tiny)
 
 
 class DimensionError(ValueError):
@@ -297,6 +301,13 @@ def value_from_slog(sign: float, log_abs: float) -> float:
     if log_abs > _LOG_MAX:
         return sign * math.inf
     return sign * math.exp(log_abs)
+
+
+def slog_in_range(sign: float, log_abs: float) -> bool:
+    """True when :func:`value_from_slog` of the pair is exact to full
+    precision: zero, or a normal double.  Out of range it would be ``±inf``,
+    a signed zero or a subnormal that lost digits."""
+    return sign == 0.0 or _LOG_MIN < log_abs < _LOG_MAX
 
 
 def slogdet_lu(a) -> tuple[float, float]:

@@ -8,8 +8,11 @@ With ``X = M^{-1}``:
 * the Laplacian pseudoinverse is ``X - (1/n) J (x) I_s``,
 * the block resistance matrix is ``R_{ij} = X_ii + X_jj - 2 X_ij``,
 * the vertex deficit blocks ``T_i = 2 I_s - sum_{j ~ i} W_ij^{-1} R_ji``
-  stack into an ``ns x s`` matrix ``T`` whose quadratic form ``T' R T`` is
-  positive definite and drives two closed forms:
+  stack into an ``ns x s`` matrix ``T``, which the engine takes from its
+  closed expression ``T = L xbar + (2/n)(1 (x) I_s)`` (``xbar`` the
+  stacked diagonal blocks of ``X``) with one product, not an edge loop;
+  the ``TAUDEF`` check compares it with the edge sum.  The quadratic form
+  ``T' R T`` is positive definite and drives two closed forms:
 
     det R   = (-1)^{(n-1)s} 2^{(n-3)s} det(T' R T) / c(G)
     R^{-1}  = -(1/2) L + T (T' R T)^{-1} T'
@@ -33,20 +36,20 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .graph import MatrixWeightedGraph, adjacency
+from .graph import MatrixWeightedGraph
 from .laplacian import (
     BlockMatrix,
     build_incidence,
     build_laplacian,
     frozen,
     laplacian_cofactor_slog,
+    stacked_identity,
 )
 
 __all__ = [
     "CONDITION_CONFIDENCE_LIMIT",
     "InterlaceRow",
     "ResistanceWorkspace",
-    "resistance_from_pseudoinverse",
 ]
 
 #: Condition number of the shifted Laplacian above which results are
@@ -68,24 +71,6 @@ class InterlaceRow:
     bound: float
     upper: float
     holds: bool
-
-
-def resistance_from_pseudoinverse(pinv: BlockMatrix) -> np.ndarray:
-    """Assemble the resistance matrix from Laplacian pseudoinverse blocks:
-    ``R_{ij} = K_ii + K_jj - 2 K_ij``.
-
-    This is the textbook definition route, kept separate from the
-    workspace's shifted-inverse route so the two can cross-check.
-    """
-    n, s = pinv.n, pinv.s
-    body = np.zeros_like(pinv.body)
-    for i in range(n):
-        kii = pinv.block(i, i)
-        for j in range(n):
-            body[i * s : (i + 1) * s, j * s : (j + 1) * s] = (
-                kii + pinv.block(j, j) - 2.0 * pinv.block(i, j)
-            )
-    return body
 
 
 def _shift(body: np.ndarray, n: int, s: int, sign: float = 1.0) -> np.ndarray:
@@ -165,14 +150,10 @@ class ResistanceWorkspace:
         r_blocks -= 2.0 * x_blocks
         self.resistance = BlockMatrix(frozen(resistance), s)
 
-        deficit = np.zeros((ns, s))
-        for i, incident in enumerate(adjacency(graph)):
-            block = 2.0 * np.eye(s)
-            for j, _ in incident:
-                # -L_{ij} is the inverse weight of edge {i, j}.
-                inverse_weight = -self.laplacian.block(i, j)
-                block -= inverse_weight @ self.resistance.block(j, i)
-            deficit[i * s : (i + 1) * s, :] = block
+        # T = L xbar + (2/n)(1 (x) I_s); TAUDEF checks it against the edge
+        # sum that defines it.
+        deficit = self.laplacian.body @ self.diag_stack
+        deficit += (2.0 / n) * stacked_identity(n, s)
         self.deficit = deficit
 
         form = deficit.T @ resistance @ deficit

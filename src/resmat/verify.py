@@ -9,7 +9,10 @@ and skipped checks never flip a suite's overall result.
 Checks never reuse the quantity they are checking: each one recomputes its
 right-hand side through an independent route (spectral pseudoinverse vs
 shifted-inverse algebra, LU determinants vs closed forms, breadth-first
-path sums vs resistance blocks, and so on).
+path sums vs resistance blocks, the defining edge sum of the deficit blocks
+vs the engine's ``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants
+and cofactors are compared as exact ``(sign, log|.|)`` pairs, so values
+beyond the double range are still compared, not two infinities or zeros.
 
 Reports are deterministic: the same graph yields a byte-identical JSON
 report, including the randomized checks, whose index samples are drawn
@@ -19,6 +22,7 @@ from generators seeded by the graph's dimensions alone.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,7 +44,7 @@ from .graph import (
     star_graph,
 )
 from .laplacian import stacked_identity
-from .resistance import ResistanceWorkspace, resistance_from_pseudoinverse
+from .resistance import ResistanceWorkspace
 
 __all__ = [
     "UnknownCheckError",
@@ -194,6 +198,26 @@ def tree_distance_matrix(g: MatrixWeightedGraph) -> np.ndarray:
 # the check registry
 
 
+def _log_ratio(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """``|log(a / b)|`` (principal branch) for two ``(sign, log|.|)`` pairs.
+
+    It is ``|log|a| - log|b||`` when the signs agree, and at least ``pi``
+    when they differ.  Since ``|log(a/b)| >= |a - b| / max(|a|, |b|)``, a
+    tolerance on it is no looser than the same relative tolerance on the
+    plain values, and it still compares values beyond the double range.
+    """
+    gap = abs(a[1] - b[1])
+    return gap if a[0] == b[0] else math.hypot(gap, math.pi)
+
+
+def _value_text(sign: float, log_abs: float) -> str:
+    """The plain value of a ``(sign, log|.|)`` pair, or ``[-]exp(log|.|)``
+    when the value is beyond the double range."""
+    if linalg.slog_in_range(sign, log_abs):
+        return f"{linalg.value_from_slog(sign, log_abs):.12e}"
+    return f"{'-' if sign < 0 else ''}exp({log_abs:.12e})"
+
+
 def _margin_residual(smallest: float, band: float) -> float:
     """0 when ``smallest`` clears ``band``, else the normalized shortfall."""
     if smallest >= band:
@@ -244,12 +268,18 @@ def _check_commute(ws: ResistanceWorkspace):
 
 def _check_taudef(ws: ResistanceWorkspace):
     g = ws.graph
-    direct = ws.laplacian.body @ ws.diag_stack + (2.0 / g.n) * stacked_identity(
-        g.n, g.s
-    )
-    residual = linalg.max_norm(direct - ws.deficit)
+    s = g.s
+    edge_sum = np.empty_like(ws.deficit)
+    for i, incident in enumerate(adjacency(g)):
+        block = 2.0 * np.eye(s)
+        for j, _ in incident:
+            # -L_{ij} is the inverse weight of edge {i, j}.
+            inverse_weight = -ws.laplacian.block(i, j)
+            block -= inverse_weight @ ws.resistance.block(j, i)
+        edge_sum[i * s : (i + 1) * s, :] = block
+    residual = linalg.max_norm(edge_sum - ws.deficit)
     tol = 1e-9 * (1.0 + linalg.max_norm(ws.deficit))
-    return residual, tol, "deficit blocks vs Laplacian expression"
+    return residual, tol, "Laplacian-expression deficit blocks vs their edge sum"
 
 
 def _check_tau_sum(ws: ResistanceWorkspace):
@@ -304,16 +334,14 @@ def _check_taurtau_form(ws: ResistanceWorkspace):
 
 
 def _check_det_formula(ws: ResistanceWorkspace):
-    closed = ws.determinant()
-    direct = linalg.det_lu(ws.resistance.body)
-    scale = max(abs(direct), abs(closed), 1e-300)
-    residual = abs(closed - direct) / scale
-    cofactor = ws.laplacian_cofactor_value
+    closed = ws.determinant_slog()
+    direct = linalg.slogdet_lu(ws.resistance.body)
     details = (
-        f"closed form {closed:.12e}, LU determinant {direct:.12e}, "
-        f"Laplacian cofactor {cofactor:.12e}"
+        f"closed form {_value_text(*closed)}, "
+        f"LU determinant {_value_text(*direct)}, "
+        f"Laplacian cofactor {_value_text(*ws.laplacian_cofactor_slog)}"
     )
-    return residual, 1e-8, details
+    return _log_ratio(closed, direct), 1e-8, details
 
 
 def _check_inv_formula(ws: ResistanceWorkspace):
@@ -352,7 +380,7 @@ def _check_interlace(ws: ResistanceWorkspace):
 
 def _check_cofactor_eq(ws: ResistanceWorkspace):
     g = ws.graph
-    reference = ws.laplacian_cofactor_value
+    reference = ws.laplacian_cofactor_slog
     rng = np.random.default_rng([g.n, g.s, g.m, 1201])
     worst = 0.0
     pairs = []
@@ -360,11 +388,10 @@ def _check_cofactor_eq(ws: ResistanceWorkspace):
         i = int(rng.integers(0, g.n))
         j = int(rng.integers(0, g.n))
         pairs.append((i + 1, j + 1))
-        value = linalg.block_cofactor(ws.laplacian.body, i, j, g.s)
-        worst = max(worst, abs(value - reference))
-    tol = 1e-8 * (1.0 + abs(reference))
-    details = f"blocks {pairs} vs reference {reference:.12e}"
-    return worst, tol, details
+        value = linalg.block_cofactor_slog(ws.laplacian.body, i, j, g.s)
+        worst = max(worst, _log_ratio(value, reference))
+    details = f"blocks {pairs} vs reference {_value_text(*reference)}"
+    return worst, 1e-8, details
 
 
 def _pinv_submatrix_sets(rng, order: int, max_size: int, matrix, count: int = 5):
@@ -519,7 +546,7 @@ _REGISTRY: tuple[_CheckDef, ...] = (
     ),
     _CheckDef(
         "TAUDEF",
-        "deficit blocks match their Laplacian expression",
+        "Laplacian-expression deficit blocks match their edge sum",
         _applies_always,
         _check_taudef,
     ),

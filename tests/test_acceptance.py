@@ -178,7 +178,17 @@ def test_criterion_06_identity_suite(corpus_workspaces):
             worst["COMMUTE"],
             ratio(max_norm(lx - ws.shifted_inverse.body @ lap), max_norm(lx)),
         )
-        taudef = lap @ ws.diag_stack + (2.0 / n) * ones
+        # The engine takes T from L xbar + (2/n)(1 (x) I_s); compare it
+        # with the defining edge sum T_i = 2 I - sum_{j ~ i} W_ij^-1 R_ji.
+        taudef = np.tile(2.0 * np.eye(s), (n, 1))
+        for e in g.edges:
+            inverse_weight = -ws.laplacian.block(e.u, e.v)
+            taudef[e.u * s : (e.u + 1) * s] -= inverse_weight @ ws.resistance.block(
+                e.v, e.u
+            )
+            taudef[e.v * s : (e.v + 1) * s] -= inverse_weight @ ws.resistance.block(
+                e.u, e.v
+            )
         worst["TAUDEF"] = max(
             worst["TAUDEF"],
             ratio(max_norm(taudef - ws.deficit), max_norm(ws.deficit)),

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import resmat
-from resmat.cli import EXIT_CHECK, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from resmat.cli import (
+    EXIT_CHECK,
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _matrix_output,
+    _slog_text,
+    main,
+)
 from resmat.graph import parse_graph, path_graph, serialize
 
 
@@ -240,7 +248,8 @@ class TestCompute:
 
 class TestOutOfRangeScalars:
     """Determinants beyond the double range: exact sign and log, no numpy
-    warnings."""
+    warnings, and a printed value built from the log (a mantissa/exponent
+    text form, ``null`` in JSON), never ``-0.0``, ``inf`` or ``Infinity``."""
 
     @pytest.fixture
     def tiny_path_file(self, tmp_path):
@@ -257,12 +266,94 @@ class TestOutOfRangeScalars:
                 capsys, "compute", tiny_path_file, what, "--format", "json"
             )
         assert code == EXIT_OK and err == ""
-        data = json.loads(out)
+        data = json.loads(out, parse_constant=_reject_constant)
         assert math.isfinite(data["log_abs"]) and abs(data["log_abs"]) > 709
+        assert data["value"] is None
         if what == "chi":
             assert data["sign"] == 1.0
             # Every spanning tree of a path is the path: c(G) = prod 1/w_e.
             assert data["log_abs"] == pytest.approx(39 * math.log(1e10), rel=1e-12)
+
+    @pytest.fixture
+    def long_path_file(self, tmp_path):
+        # Well conditioned: det R = -119 2^118 1e-360 = -e^-742.36.
+        path = tmp_path / "long.json"
+        path.write_text(serialize(path_graph(120, 1, np.array([[1e-3]]))))
+        return str(path)
+
+    def test_verify_json_is_rfc(self, capsys, tiny_path_file):
+        code, out, _ = run_cli(capsys, "verify", tiny_path_file, "--format", "json")
+        assert code in (EXIT_OK, EXIT_CHECK)
+        report = json.loads(out, parse_constant=_reject_constant)
+        cofactor = next(c for c in report["checks"] if c["id"] == "COFACTOR_EQ")
+        assert cofactor["tolerance"] == 1e-8 and cofactor["passed"]
+
+    def test_chi_text(self, capsys, tiny_path_file):
+        code, out, _ = run_cli(capsys, "compute", tiny_path_file, "chi")
+        assert code == EXIT_OK
+        assert out == "1.00000000000e+390\n"
+
+    def test_det_text(self, capsys, long_path_file):
+        code, out, _ = run_cli(capsys, "compute", long_path_file, "det")
+        assert code == EXIT_OK
+        mantissa, exponent = out.rstrip("\n").split("e")
+        assert len(mantissa) == len("-1.00000000000") and mantissa[0] == "-"
+        log_abs = math.log(-float(mantissa)) + int(exponent) * math.log(10.0)
+        exact = math.log(119.0) + 118 * math.log(2.0) + 120 * math.log(1e-3)
+        assert log_abs == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("value", [1.0, -2.5, 7.25, -9.5, 1e-300, 3.5e300])
+    def test_slog_text_matches_format_in_range(self, value):
+        sign = math.copysign(1.0, value)
+        assert _slog_text(sign, math.log(abs(value))) == "{:.11e}".format(value)
+
+    def test_slog_text_rounds_into_next_decade(self):
+        # A log one ulp below 500 ln 10 puts the mantissa at 9.9999999999998,
+        # which rounds to 10 and moves into the next decade.
+        centre = 500 * math.log(10.0)
+        for steps in (-1, 0, 1):
+            log_abs = centre + steps * math.ulp(centre)
+            assert _slog_text(1.0, log_abs) == "1.00000000000e+500"
+            assert _slog_text(-1.0, -log_abs) == "-1.00000000000e-500"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-RFC 8259 JSON constant {name}")
+
+
+def _per_entry_lines(a, s, sep, block_gaps):
+    """Reference printer: one ``{:.11e}`` format call per entry."""
+    lines = []
+    for r in range(a.shape[0]):
+        lines.append(sep.join("{:.11e}".format(x) for x in a[r]))
+        if block_gaps and (r + 1) % s == 0 and r + 1 < a.shape[0]:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixPrinting:
+    """Row-template printing gives the bytes of a per-entry format."""
+
+    SPECIAL = (
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308,
+        -1.7976931348623157e308, 2.2250738585072014e-308, 1.0 / 3.0, -2.5e-7,
+    )
+
+    @pytest.mark.parametrize("shape,s", [
+        ((6, 6), 1), ((6, 6), 3), ((12, 9), 3), ((1, 9), 1), ((9, 1), 1),
+        ((9, 1), 3),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_bytes_match_per_entry_format(self, shape, s, fmt):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = a.reshape(-1)
+        count = min(flat.size, len(self.SPECIAL))
+        flat[:count] = self.SPECIAL[:count]
+        rng.shuffle(flat)
+        sep, gaps = (" ", s > 1) if fmt == "text" else (",", False)
+        printed = "".join(_matrix_output(a, s, fmt))
+        assert printed == _per_entry_lines(a, s, sep, gaps)
 
 
 class TestFreshProcessDeterminism:

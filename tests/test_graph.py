@@ -160,6 +160,25 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             stored[0, 0] = 9.0
 
+    def test_weights_match_per_edge_symmetrization(self):
+        # The stacked symmetrization is bitwise the per-edge (W + W') / 2,
+        # and every edge gets its own weight back after sorting.
+        rng = np.random.default_rng(8)
+        pairs = [(2, 3), (0, 3), (1, 2), (0, 1), (1, 3)]
+        raw = []
+        for _ in pairs:
+            w = random_pd_weight(rng, 3)
+            w[0, 2] *= 1.0 + 1e-12
+            raw.append(w)
+        triples = [(u, v, w) for (u, v), w in zip(pairs, raw)]
+        triples[0] = (2, 3, raw[0].tolist())
+        g = from_edges(4, 3, triples)
+        expected = {(u, v): (w + w.T) / 2.0 for (u, v), w in zip(pairs, raw)}
+        assert [(e.u, e.v) for e in g.edges] == sorted(pairs)
+        for e in g.edges:
+            assert np.array_equal(e.weight, expected[(e.u, e.v)])
+            assert e.weight.shape == (3, 3) and not e.weight.flags.writeable
+
     def test_equality_is_structural(self):
         a = path_graph(3, 2, np.array([[2.0, 0.0], [0.0, 1.0]]))
         b = path_graph(3, 2, np.array([[2.0, 0.0], [0.0, 1.0]]))

@@ -30,7 +30,6 @@ from resmat.resistance import (
     CONDITION_CONFIDENCE_LIMIT,
     InterlaceRow,
     ResistanceWorkspace,
-    resistance_from_pseudoinverse,
 )
 
 
@@ -47,6 +46,20 @@ def p3():
 @pytest.fixture(scope="module")
 def k3():
     return ResistanceWorkspace(complete_graph(3))
+
+
+def resistance_from_pseudoinverse(pinv):
+    """Textbook definition route, block by block:
+    ``R_{ij} = K_ii + K_jj - 2 K_ij`` from pseudoinverse blocks."""
+    n, s = pinv.n, pinv.s
+    body = np.zeros_like(pinv.body)
+    for i in range(n):
+        kii = pinv.block(i, i)
+        for j in range(n):
+            body[i * s : (i + 1) * s, j * s : (j + 1) * s] = (
+                kii + pinv.block(j, j) - 2.0 * pinv.block(i, j)
+            )
+    return body
 
 
 def tree_path_blocks(g, start, goal):

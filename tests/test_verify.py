@@ -198,6 +198,55 @@ class TestRunCheck:
         ]
 
 
+class TestMutationsFail:
+    """A wrong engine value makes the check that covers it fail."""
+
+    def test_taudef_catches_perturbed_deficit(self):
+        g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "TAUDEF", workspace=ws).passed
+        ws.deficit = ws.deficit.copy()
+        ws.deficit[5, 1] += 1e-6
+        assert not run_check(g, "TAUDEF", workspace=ws).passed
+
+
+class TestOutOfRangeDeterminants:
+    """DET_FORMULA and COFACTOR_EQ compare ``(sign, log|.|)`` pairs, so they
+    still test values beyond the double range."""
+
+    @pytest.fixture
+    def long_path(self):
+        # det R = -e^-742.36 underflows and c(G) = e^822.02 overflows; the
+        # shifted Laplacian is well conditioned.
+        return path_graph(120, 1, np.array([[1e-3]]))
+
+    def test_checks_run_with_finite_tolerances(self, long_path):
+        ws = ResistanceWorkspace(long_path)
+        for check_id in ("DET_FORMULA", "COFACTOR_EQ"):
+            result = run_check(long_path, check_id, workspace=ws)
+            assert result.passed and result.tolerance == 1e-8
+            assert "exp(" in result.details
+        report = run_suite(long_path, ["DET_FORMULA", "COFACTOR_EQ"])
+        json.loads(report.to_json(), parse_constant=self._reject)
+
+    @staticmethod
+    def _reject(name):
+        raise ValueError(f"non-RFC 8259 JSON constant {name}")
+
+    def test_det_formula_catches_scaled_deficit_form(self, long_path):
+        ws = ResistanceWorkspace(long_path)
+        ws.deficit_form = 1.5 * ws.deficit_form
+        result = run_check(long_path, "DET_FORMULA", workspace=ws)
+        assert not result.passed
+        assert result.residual == pytest.approx(np.log(1.5), rel=1e-9)
+
+    def test_det_formula_catches_sign_flip(self, long_path):
+        ws = ResistanceWorkspace(long_path)
+        ws.deficit_form = -ws.deficit_form
+        result = run_check(long_path, "DET_FORMULA", workspace=ws)
+        assert not result.passed and result.residual >= np.pi
+
+
 class TestRunSuite:
     def test_all_checks_in_registry_order(self):
         report = run_suite(path_graph(2))
