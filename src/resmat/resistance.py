@@ -251,9 +251,7 @@ class ResistanceWorkspace:
         ``xbar`` the stacked diagonal blocks of the shifted inverse."""
         n, s = self.graph.n, self.graph.s
         xbar = self.diag_stack
-        total = np.zeros((s, s))
-        for i in range(n):
-            total += self.shifted_inverse.block(i, i)
+        total = xbar.reshape(n, s, s).sum(axis=0)
         return 2.0 * xbar.T @ self.laplacian.body @ xbar + (8.0 / n) * (
             total - np.eye(s)
         )

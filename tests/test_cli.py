@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import resmat
 from resmat.cli import (
@@ -331,8 +332,36 @@ def _per_entry_lines(a, s, sep, block_gaps):
     return "\n".join(lines) + "\n"
 
 
+def _padded_rows(values, cols):
+    """``values`` laid out ``cols`` to a row, the last row padded with 0."""
+    a = np.zeros(-(-len(values) // cols) * cols, dtype=values.dtype)
+    a[: len(values)] = values
+    return a.reshape(-1, cols)
+
+
+def _assert_prints_per_entry(a, s, fmt):
+    sep, gaps = (" ", s > 1) if fmt == "text" else (",", False)
+    assert "".join(_matrix_output(a, s, fmt)) == _per_entry_lines(a, s, sep, gaps)
+
+
+def _special_values():
+    """Inputs at the edges of the printing kernel's fast path, by name."""
+    ties = (123456789012.5, 123456789013.5)
+    powers_ten = [10.0**k for k in range(-307, 309)]
+    return {
+        "ties": [
+            np.nextafter(t, d) for t in ties for d in (-np.inf, np.inf)
+        ] + list(ties),
+        "carry": [9.999999999996e5, np.nextafter(9.999999999996e5, 0.0), 9.999999999995e5],
+        "powers_of_ten": [
+            v for p in powers_ten for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))
+        ],
+        "powers_of_two": [2.0**k for k in range(-1074, 1024)],
+    }
+
+
 class TestMatrixPrinting:
-    """Row-template printing gives the bytes of a per-entry format."""
+    """The printing kernel gives the bytes of a per-entry format."""
 
     SPECIAL = (
         0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308,
@@ -342,6 +371,10 @@ class TestMatrixPrinting:
     @pytest.mark.parametrize("shape,s", [
         ((6, 6), 1), ((6, 6), 3), ((12, 9), 3), ((1, 9), 1), ((9, 1), 1),
         ((9, 1), 3),
+        # Chunks of 88 rows: the first ends inside the block row 87..89.
+        ((93, 93), 3),
+        # One row wider than a chunk.
+        ((1, 20000), 1),
     ])
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_bytes_match_per_entry_format(self, shape, s, fmt):
@@ -354,6 +387,40 @@ class TestMatrixPrinting:
         sep, gaps = (" ", s > 1) if fmt == "text" else (",", False)
         printed = "".join(_matrix_output(a, s, fmt))
         assert printed == _per_entry_lines(a, s, sep, gaps)
+
+    @pytest.mark.parametrize("name", sorted(_special_values()))
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_special_values_match_per_entry_format(self, name, s, fmt):
+        values = np.array(_special_values()[name])
+        _assert_prints_per_entry(_padded_rows(np.concatenate([values, -values]), 6), s, fmt)
+
+    def test_ties_round_half_even_and_carry(self):
+        a = np.array([[123456789012.5, 123456789013.5, 9.999999999996e5]])
+        assert "".join(_matrix_output(a, 1, "csv")) == (
+            "1.23456789012e+11,1.23456789014e+11,1.00000000000e+06\n"
+        )
+
+    @pytest.mark.parametrize("error", [-1.0, 1.0, 2.5])
+    def test_exact_when_the_decade_estimate_is_off(self, monkeypatch, error):
+        """A wrong ``floor(log10|x|)`` is corrected or falls back."""
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((12, 9)) * 10.0 ** rng.integers(-30, 30, (12, 9))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + error)
+        _assert_prints_per_entry(a, 3, "text")
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60),
+        cols=st.integers(min_value=1, max_value=7),
+        s=st.sampled_from([1, 3]),
+        fmt=st.sampled_from(["text", "csv"]),
+    )
+    def test_any_bit_pattern_matches_per_entry_format(self, bits, cols, s, fmt):
+        """NaN payloads, signed zeros, subnormals, DBL_MAX: every float64."""
+        a = _padded_rows(np.array(bits, dtype=np.uint64), cols).view(np.float64)
+        _assert_prints_per_entry(a, s, fmt)
 
 
 class TestFreshProcessDeterminism:
