@@ -21,8 +21,10 @@ With ``X = M^{-1}``:
   always split ``(s, ns - s, 0)`` into positive/negative/zero, and the
   negated reciprocal Laplacian spectrum interlaces them.
 
-A :class:`ResistanceWorkspace` computes the cheap objects eagerly (a
-Cholesky test and an LU solve of ``M`` give ``X``) and caches the
+A :class:`ResistanceWorkspace` computes the cheap objects eagerly (one
+Cholesky factorization ``M = C C'`` both decides that ``M`` is usably
+nonsingular and gives ``X = Z' Z`` with ``Z = C^{-1}``; inputs with
+``ns <= 64`` still take an exact LU inverse of ``M``) and caches the
 spectral ones on first use, so determinant work never pays for an
 eigendecomposition.
 """
@@ -56,6 +58,11 @@ __all__ = [
 #: flagged low-confidence in reports (computation still proceeds).
 CONDITION_CONFIDENCE_LIMIT = 1e12
 
+#: Largest order inverted directly by LAPACK: the shifted Laplacian when
+#: ``ns`` is at most this, and the diagonal leaves of the recursive
+#: triangular inverse otherwise.
+_LEAF_ORDER = 64
+
 
 @dataclass(frozen=True)
 class InterlaceRow:
@@ -81,19 +88,44 @@ def _shift(body: np.ndarray, n: int, s: int, sign: float = 1.0) -> np.ndarray:
     return shifted
 
 
+def _invert_lower(c: np.ndarray) -> None:
+    """Overwrite the lower triangular ``C`` with ``Z = C^{-1}``, in place.
+
+    Recursive 2x2 blocking,
+    ``[[C11, 0], [C21, C22]]^{-1} = [[Z11, 0], [-Z22 C21 Z11, Z22]]``, puts
+    the work into matrix products; leaves of at most ``_LEAF_ORDER`` rows
+    are inverted by LAPACK and cut back to their lower triangle, so ``Z``
+    keeps exact zeros above the diagonal.
+    """
+    k = c.shape[0]
+    if k <= _LEAF_ORDER:
+        c[...] = np.tril(np.linalg.inv(c))
+        return
+    h = k // 2
+    _invert_lower(c[:h, :h])
+    _invert_lower(c[h:, h:])
+    product = c[h:, h:] @ c[h:, :h]
+    np.negative(product, out=product)
+    np.matmul(product, c[:h, :h], out=c[h:, :h])
+
+
 def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
     """``X = M^{-1}`` for the shifted Laplacian ``M = L + (1/n) J (x) I_s``.
 
-    The Cholesky factorization ``M = C C'`` decides nonsingularity: it
-    must succeed, and its smallest pivot ``min diag(C)^2`` must clear
-    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.  ``X``
-    itself comes from an LU solve: on small rational inputs it is exact
-    (the 2-vertex path gives ``[[3/4, 1/4], [1/4, 3/4]]``), where
-    ``C^{-T} C^{-1}`` is off in the last place.  It is returned symmetrized.
+    One Cholesky factorization ``M = C C'`` serves twice.  It decides
+    nonsingularity: it must succeed, and its smallest pivot
+    ``min diag(C)^2`` must clear ``default_rank_tol(ns) * max|M|``, else
+    :class:`NumericError`.  It then gives ``X = Z' Z`` with ``Z = C^{-1}``
+    from :func:`_invert_lower`, so the inverse runs as matrix products
+    (backward stable; Du Croz & Higham 1992).  Up to ``ns = _LEAF_ORDER``
+    ``X`` still comes from an LU inverse of ``M``: on small rational inputs
+    it is exact (the 2-vertex path gives ``[[3/4, 1/4], [1/4, 3/4]]``),
+    where ``Z' Z`` is off in the last place.  It is returned symmetrized.
     """
     shift_body = _shift(laplacian, n, s)
     try:
-        pivot = float(np.min(np.diag(np.linalg.cholesky(shift_body)))) ** 2
+        factor = np.linalg.cholesky(shift_body)
+        pivot = float(np.min(np.diag(factor))) ** 2
     except np.linalg.LinAlgError:
         pivot = 0.0
     if pivot <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
@@ -101,8 +133,13 @@ def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
             "shifted Laplacian is numerically singular; "
             "the graph is not usably connected"
         )
-    x = np.linalg.inv(shift_body)
-    del shift_body
+    if n * s <= _LEAF_ORDER:
+        x = np.linalg.inv(shift_body)
+    else:
+        del shift_body
+        _invert_lower(factor)  # factor now holds Z = C^{-1}
+        x = factor.T @ factor
+        del factor
     symmetric = x + x.T
     symmetric /= 2.0
     return symmetric
@@ -112,9 +149,11 @@ class ResistanceWorkspace:
     """Everything derived from one graph: Laplacian, shifted inverse,
     pseudoinverse, resistance blocks, deficit blocks, and closed forms.
 
-    Construction never eigendecomposes a full ``ns x ns`` matrix: it is a
-    Cholesky test and an LU solve of the shifted Laplacian, batched inverses
-    of the edge weights, and an ``s x s`` eigensolve of the deficit form.
+    Construction never eigendecomposes a full ``ns x ns`` matrix: it is one
+    Cholesky factorization of the shifted Laplacian, which both tests it
+    and yields its inverse through the inverse factor (an LU inverse when
+    ``ns <= 64``), batched inverses of the edge weights, and an ``s x s``
+    eigensolve of the deficit form.
     It keeps three ``ns x ns`` matrices: ``L``, ``X`` and ``R``.  The
     shifted Laplacian and the pseudoinverse (each one addition away), the
     large spectra (`laplacian_spectrum`, `resistance_spectrum`,

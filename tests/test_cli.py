@@ -246,6 +246,21 @@ class TestCompute:
         assert code == EXIT_INPUT
         assert "not connected" in err
 
+    @pytest.mark.parametrize("n", [20, 200, 201, 300])
+    @pytest.mark.parametrize("what", ["resistance", "det"])
+    def test_numerically_disconnected_path(self, capsys, tmp_path, n, what):
+        # Connected as a graph, but a 1e20 middle edge swamps the unit
+        # shift: the shifted Laplacian's Cholesky verdict must reject it,
+        # below and above the order where the inverse changes route.
+        weights = [np.eye(1)] * (n - 1)
+        weights[(n - 1) // 2] = np.array([[1e20]])
+        path = tmp_path / "stiff.json"
+        path.write_text(serialize(path_graph(n, 1, weights)))
+        code, out, err = run_cli(capsys, "compute", str(path), what)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "shifted Laplacian is numerically singular" in err
+
 
 class TestOutOfRangeScalars:
     """Determinants beyond the double range: exact sign and log, no numpy

@@ -30,7 +30,12 @@ from resmat.resistance import (
     CONDITION_CONFIDENCE_LIMIT,
     InterlaceRow,
     ResistanceWorkspace,
+    _LEAF_ORDER,
+    _invert_lower,
+    _shift,
+    _shifted_inverse,
 )
+from resmat.verify import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -519,3 +524,97 @@ class TestErrorPaths:
         g = from_edges(2, 2, [(0, 1, w)])
         ws = ResistanceWorkspace(g)
         assert max_norm(ws.resistance.block(0, 1) - w) <= 1e-9
+
+
+def lu_shifted_inverse(g):
+    """``M^{-1}`` by one LAPACK LU inverse, symmetrized as the engine does."""
+    x = np.linalg.inv(_shift(build_laplacian(g).body, g.n, g.s))
+    symmetric = x + x.T
+    symmetric /= 2.0
+    return symmetric
+
+
+def disjoint_paths_laplacian(first, second):
+    """Laplacian of two vertex-disjoint unit paths (a disconnected graph,
+    which graph validation would reject before any workspace sees it)."""
+    body = np.zeros((first + second, first + second))
+    body[:first, :first] = build_laplacian(path_graph(first)).body
+    body[first:, first:] = build_laplacian(path_graph(second)).body
+    return body
+
+
+# Graphs above the leaf order (ns > 64): the 33-vertex s = 3 tree puts the
+# first split (49 rows) inside a vertex block.
+ABOVE_LEAF = [
+    ("gnp", 40, 3, 0.3),
+    ("tree", 200, 1, None),
+    ("cycle", 65, 1, None),
+    ("tree", 33, 3, None),
+    ("gnp", 120, 2, 0.1),
+]
+
+
+def above_leaf_graph(model, n, s, p):
+    if model == "cycle":
+        return cycle_graph(n, s)
+    return random_graph(n, s, model, seed=1, p=p)
+
+
+class TestShiftedInverseKernel:
+    """The Cholesky verdict and the inverse built from its factor."""
+
+    @pytest.mark.parametrize("order", [64, 65, 129, 300, 601])
+    def test_lower_inverse_matches_lapack(self, order):
+        # Graded rows make entries below the diagonal outgrow the pivots,
+        # so LU with partial pivoting leaves roundoff above the diagonal.
+        rng = np.random.default_rng(order)
+        a = rng.standard_normal((order, order))
+        grade = np.geomspace(1.0, 100.0, order)
+        spd = (a @ a.T / order + np.eye(order)) * np.outer(grade, grade)
+        factor = np.linalg.cholesky(spd)
+        expected = np.linalg.inv(factor)
+        z = factor.copy()
+        _invert_lower(z)
+        assert not np.triu(z, 1).any()
+        assert max_norm(z - expected) <= 1e-13 * max_norm(expected)
+
+    @pytest.mark.parametrize("model,n,s,p", ABOVE_LEAF)
+    def test_matches_lu_inverse_above_leaf(self, model, n, s, p):
+        g = above_leaf_graph(model, n, s, p)
+        assert n * s > _LEAF_ORDER
+        laplacian = build_laplacian(g).body
+        assert np.linalg.cond(_shift(laplacian, n, s)) <= 1e5
+        x = _shifted_inverse(laplacian, n, s)
+        expected = lu_shifted_inverse(g)
+        assert max_norm(x - expected) <= 1e-12 * max_norm(expected)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            path_graph(2),
+            complete_graph(3, 2),
+            random_graph(12, 3, "gnp", seed=3, p=0.5),
+            random_graph(21, 3, "tree", seed=4),
+            random_graph(32, 2, "cycle", seed=5),
+            random_graph(64, 1, "tree", seed=6),
+        ],
+        ids=lambda g: f"n{g.n}s{g.s}",
+    )
+    def test_lu_route_bitwise_up_to_leaf(self, g):
+        assert g.n * g.s <= _LEAF_ORDER
+        x = _shifted_inverse(build_laplacian(g).body, g.n, g.s)
+        assert np.array_equal(x, lu_shifted_inverse(g))
+
+    @pytest.mark.parametrize("first,second", [(11, 12), (101, 102)])
+    def test_disconnected_laplacian_is_singular(self, first, second):
+        message = (
+            "shifted Laplacian is numerically singular; "
+            "the graph is not usably connected"
+        )
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            _shifted_inverse(disjoint_paths_laplacian(first, second), first + second, 1)
+
+    @pytest.mark.parametrize("model,n,s,p", ABOVE_LEAF)
+    def test_registry_passes_above_leaf(self, model, n, s, p):
+        report = run_suite(above_leaf_graph(model, n, s, p))
+        assert [c.check_id for c in report.checks if not c.passed] == []
