@@ -23,8 +23,7 @@ With ``X = M^{-1}``:
 
 A :class:`ResistanceWorkspace` computes the cheap objects eagerly (one
 Cholesky factorization ``M = C C'`` both decides that ``M`` is usably
-nonsingular and gives ``X = Z' Z`` with ``Z = C^{-1}``; inputs with
-``ns <= 64`` still take an exact LU inverse of ``M``) and caches the
+nonsingular and gives ``X = Z' Z`` with ``Z = C^{-1}``) and caches the
 spectral ones on first use, so determinant work never pays for an
 eigendecomposition.
 """
@@ -58,9 +57,8 @@ __all__ = [
 #: flagged low-confidence in reports (computation still proceeds).
 CONDITION_CONFIDENCE_LIMIT = 1e12
 
-#: Largest order inverted directly by LAPACK: the shifted Laplacian when
-#: ``ns`` is at most this, and the diagonal leaves of the recursive
-#: triangular inverse otherwise.
+#: Largest diagonal block of the recursive triangular inverse that LAPACK
+#: inverts directly.
 _LEAF_ORDER = 64
 
 
@@ -117,10 +115,8 @@ def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
     ``min diag(C)^2`` must clear ``default_rank_tol(ns) * max|M|``, else
     :class:`NumericError`.  It then gives ``X = Z' Z`` with ``Z = C^{-1}``
     from :func:`_invert_lower`, so the inverse runs as matrix products
-    (backward stable; Du Croz & Higham 1992).  Up to ``ns = _LEAF_ORDER``
-    ``X`` still comes from an LU inverse of ``M``: on small rational inputs
-    it is exact (the 2-vertex path gives ``[[3/4, 1/4], [1/4, 3/4]]``),
-    where ``Z' Z`` is off in the last place.  It is returned symmetrized.
+    (backward stable; Du Croz & Higham 1992).  numpy computes ``Z' Z`` on
+    one buffer as a symmetric rank-k update, so ``X`` is exactly symmetric.
     """
     shift_body = _shift(laplacian, n, s)
     try:
@@ -133,16 +129,9 @@ def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
             "shifted Laplacian is numerically singular; "
             "the graph is not usably connected"
         )
-    if n * s <= _LEAF_ORDER:
-        x = np.linalg.inv(shift_body)
-    else:
-        del shift_body
-        _invert_lower(factor)  # factor now holds Z = C^{-1}
-        x = factor.T @ factor
-        del factor
-    symmetric = x + x.T
-    symmetric /= 2.0
-    return symmetric
+    del shift_body
+    _invert_lower(factor)  # factor now holds Z = C^{-1}
+    return factor.T @ factor
 
 
 class ResistanceWorkspace:
@@ -151,9 +140,8 @@ class ResistanceWorkspace:
 
     Construction never eigendecomposes a full ``ns x ns`` matrix: it is one
     Cholesky factorization of the shifted Laplacian, which both tests it
-    and yields its inverse through the inverse factor (an LU inverse when
-    ``ns <= 64``), batched inverses of the edge weights, and an ``s x s``
-    eigensolve of the deficit form.
+    and yields its inverse through the inverse factor, batched inverses of
+    the edge weights, and an ``s x s`` eigensolve of the deficit form.
     It keeps three ``ns x ns`` matrices: ``L``, ``X`` and ``R``.  The
     shifted Laplacian and the pseudoinverse (each one addition away), the
     large spectra (`laplacian_spectrum`, `resistance_spectrum`,

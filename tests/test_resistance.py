@@ -527,7 +527,7 @@ class TestErrorPaths:
 
 
 def lu_shifted_inverse(g):
-    """``M^{-1}`` by one LAPACK LU inverse, symmetrized as the engine does."""
+    """``M^{-1}`` by one LAPACK LU inverse, symmetrized."""
     x = np.linalg.inv(_shift(build_laplacian(g).body, g.n, g.s))
     symmetric = x + x.T
     symmetric /= 2.0
@@ -553,10 +553,21 @@ ABOVE_LEAF = [
     ("gnp", 120, 2, 0.1),
 ]
 
+# Graphs whose whole factor is one leaf (ns <= 64).
+UP_TO_LEAF = [
+    ("path", 2, 1, None),
+    ("gnp", 12, 3, 0.5),
+    ("tree", 21, 3, None),
+    ("cycle", 32, 2, None),
+    ("tree", 64, 1, None),
+]
 
-def above_leaf_graph(model, n, s, p):
+
+def kernel_graph(model, n, s, p):
     if model == "cycle":
         return cycle_graph(n, s)
+    if model == "path":
+        return path_graph(n, s)
     return random_graph(n, s, model, seed=1, p=p)
 
 
@@ -578,32 +589,22 @@ class TestShiftedInverseKernel:
         assert not np.triu(z, 1).any()
         assert max_norm(z - expected) <= 1e-13 * max_norm(expected)
 
-    @pytest.mark.parametrize("model,n,s,p", ABOVE_LEAF)
-    def test_matches_lu_inverse_above_leaf(self, model, n, s, p):
-        g = above_leaf_graph(model, n, s, p)
-        assert n * s > _LEAF_ORDER
+    @pytest.mark.parametrize("model,n,s,p", UP_TO_LEAF + ABOVE_LEAF)
+    def test_matches_lu_inverse(self, model, n, s, p):
+        g = kernel_graph(model, n, s, p)
         laplacian = build_laplacian(g).body
         assert np.linalg.cond(_shift(laplacian, n, s)) <= 1e5
         x = _shifted_inverse(laplacian, n, s)
         expected = lu_shifted_inverse(g)
         assert max_norm(x - expected) <= 1e-12 * max_norm(expected)
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            path_graph(2),
-            complete_graph(3, 2),
-            random_graph(12, 3, "gnp", seed=3, p=0.5),
-            random_graph(21, 3, "tree", seed=4),
-            random_graph(32, 2, "cycle", seed=5),
-            random_graph(64, 1, "tree", seed=6),
-        ],
-        ids=lambda g: f"n{g.n}s{g.s}",
-    )
-    def test_lu_route_bitwise_up_to_leaf(self, g):
-        assert g.n * g.s <= _LEAF_ORDER
-        x = _shifted_inverse(build_laplacian(g).body, g.n, g.s)
-        assert np.array_equal(x, lu_shifted_inverse(g))
+    @pytest.mark.parametrize("model,n,s,p", UP_TO_LEAF + ABOVE_LEAF)
+    def test_exactly_symmetric(self, model, n, s, p):
+        # Z'Z on one buffer runs as a symmetric rank-k update (SYRK), which
+        # writes one triangle and mirrors it; the engine relies on this
+        # instead of symmetrizing X.
+        x = _shifted_inverse(build_laplacian(kernel_graph(model, n, s, p)).body, n, s)
+        assert np.array_equal(x, x.T)
 
     @pytest.mark.parametrize("first,second", [(11, 12), (101, 102)])
     def test_disconnected_laplacian_is_singular(self, first, second):
@@ -616,5 +617,6 @@ class TestShiftedInverseKernel:
 
     @pytest.mark.parametrize("model,n,s,p", ABOVE_LEAF)
     def test_registry_passes_above_leaf(self, model, n, s, p):
-        report = run_suite(above_leaf_graph(model, n, s, p))
+        assert n * s > _LEAF_ORDER
+        report = run_suite(kernel_graph(model, n, s, p))
         assert [c.check_id for c in report.checks if not c.passed] == []
