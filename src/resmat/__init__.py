@@ -14,7 +14,7 @@ Typical use::
 
     g = cycle_graph(4)
     ws = ResistanceWorkspace(g)
-    ws.resistance.block(0, 2)     # resistance between vertices 1 and 3
+    ws.resistance_block(0, 2)     # resistance between vertices 1 and 3
     ws.determinant()              # closed-form det of the resistance matrix
     run_suite(g).passed           # all identity checks
 """
@@ -43,9 +43,7 @@ from .linalg import (
     Inertia,
     NumericError,
     SpectralDecomposition,
-    block_cofactor,
     det_lu,
-    kron,
     pd_inverse,
     pd_inverse_sqrt,
     pseudo_inverse,
@@ -57,10 +55,8 @@ from .linalg import (
 # and generating graphs (``resmat gen``) do not import and execute them.
 _LAZY_MODULES = {
     "laplacian": (
-        "BlockMatrix",
         "build_incidence",
         "build_laplacian",
-        "laplacian_cofactor",
         "laplacian_cofactor_slog",
         "stacked_identity",
     ),
@@ -116,10 +112,8 @@ __all__ = [
     "validate",
     "validation_report",
     # laplacian
-    "BlockMatrix",
     "build_incidence",
     "build_laplacian",
-    "laplacian_cofactor",
     "laplacian_cofactor_slog",
     "stacked_identity",
     # linear algebra kernel
@@ -127,9 +121,7 @@ __all__ = [
     "Inertia",
     "NumericError",
     "SpectralDecomposition",
-    "block_cofactor",
     "det_lu",
-    "kron",
     "pd_inverse",
     "pd_inverse_sqrt",
     "pseudo_inverse",

@@ -349,7 +349,7 @@ def _cmd_compute(args) -> int:
         raise UsageError("--pair only applies to resistance output")
 
     if what == "laplacian":
-        sys.stdout.writelines(_matrix_output(build_laplacian(g).body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(build_laplacian(g), g.s, fmt))
         return EXIT_OK
     if what == "chi":
         sys.stdout.write(_scalar_output(*laplacian_cofactor_slog(g), fmt))
@@ -363,9 +363,9 @@ def _cmd_compute(args) -> int:
         block = ws.resistance_block(i - 1, j - 1)
         sys.stdout.writelines(_matrix_output(block, g.s, fmt))
     elif what == "resistance":
-        sys.stdout.writelines(_matrix_output(ws.resistance.body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.resistance, g.s, fmt))
     elif what == "pinv":
-        sys.stdout.writelines(_matrix_output(ws.pseudoinverse.body, g.s, fmt))
+        sys.stdout.writelines(_matrix_output(ws.pseudoinverse, g.s, fmt))
     elif what == "tau":
         sys.stdout.writelines(_matrix_output(ws.deficit, g.s, fmt))
     elif what == "inverse":

@@ -18,84 +18,27 @@ number of spanning trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .graph import MatrixWeightedGraph
 
 __all__ = [
-    "BlockMatrix",
     "stacked_identity",
     "build_laplacian",
     "build_incidence",
-    "laplacian_cofactor",
     "laplacian_cofactor_slog",
 ]
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only, so :class:`BlockMatrix` can
-    adopt it without a copy."""
+    """Mark a freshly built array read-only and return it.
+
+    Every matrix the engine builds is handed out this way, so no caller can
+    change a result that others have derived from.
+    """
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A dense matrix viewed as a grid of ``s x s`` blocks.
-
-    The body is stored read-only; :meth:`block` returns (read-only) views.
-    A body given as a read-only float64 array that owns its memory (see
-    :func:`frozen`) is adopted as is; any other body is copied.
-    Rectangular bodies are allowed as long as both dimensions are multiples
-    of ``s``.
-    """
-
-    body: np.ndarray
-    s: int
-
-    def __post_init__(self):
-        body = np.asarray(self.body, dtype=np.float64)
-        if body.ndim != 2:
-            raise linalg.DimensionError("block matrix body must be 2-D")
-        if self.s < 1:
-            raise linalg.DimensionError(f"block size must be >= 1, got {self.s}")
-        if body.shape[0] % self.s or body.shape[1] % self.s:
-            raise linalg.DimensionError(
-                f"body shape {body.shape} is not a multiple of block size {self.s}"
-            )
-        if body.flags.writeable or not body.flags.owndata:
-            body = frozen(body.copy())
-        object.__setattr__(self, "body", body)
-
-    @property
-    def row_blocks(self) -> int:
-        return self.body.shape[0] // self.s
-
-    @property
-    def col_blocks(self) -> int:
-        return self.body.shape[1] // self.s
-
-    @property
-    def n(self) -> int:
-        """Block order of a square block matrix."""
-        if self.row_blocks != self.col_blocks:
-            raise linalg.DimensionError(
-                f"block matrix is not square: {self.row_blocks} x {self.col_blocks}"
-            )
-        return self.row_blocks
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The ``(i, j)`` block (0-based), as a read-only view."""
-        if not (0 <= i < self.row_blocks and 0 <= j < self.col_blocks):
-            raise linalg.DimensionError(
-                f"block ({i}, {j}) out of range for "
-                f"{self.row_blocks} x {self.col_blocks} blocks"
-            )
-        s = self.s
-        return self.body[i * s : (i + 1) * s, j * s : (j + 1) * s]
 
 
 def stacked_identity(n: int, s: int) -> np.ndarray:
@@ -113,8 +56,9 @@ def _edge_arrays(g: MatrixWeightedGraph):
     return us, vs, weights
 
 
-def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
-    """Assemble the block Laplacian of a matrix-weighted graph.
+def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
+    """Assemble the block Laplacian of a matrix-weighted graph, as a
+    read-only ``ns x ns`` array.
 
     Off-diagonal blocks are the negated inverse weights, all inverted in
     one batched call; each diagonal block is the sum of the inverse weights
@@ -142,11 +86,12 @@ def build_laplacian(g: MatrixWeightedGraph) -> BlockMatrix:
     )
     vertices = np.arange(n)
     blocks[vertices, :, vertices, :] = diagonal
-    return BlockMatrix(frozen(body), s)
+    return frozen(body)
 
 
-def build_incidence(g: MatrixWeightedGraph) -> BlockMatrix:
-    """Assemble the weighted incidence matrix ``Q`` with ``L = Q Q'``.
+def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
+    """Assemble the weighted incidence matrix ``Q`` with ``L = Q Q'``, as a
+    read-only ``ns x ms`` array.
 
     Block column ``e`` carries ``+W_e^{-1/2}`` (batched over all edges) at
     the edge's origin (its smaller endpoint) and ``-W_e^{-1/2}`` at its
@@ -163,27 +108,20 @@ def build_incidence(g: MatrixWeightedGraph) -> BlockMatrix:
     columns = np.arange(m)
     blocks[us, :, columns, :] = roots
     blocks[vs, :, columns, :] = -roots
-    return BlockMatrix(frozen(body), s)
-
-
-def laplacian_cofactor(
-    g: MatrixWeightedGraph, laplacian: BlockMatrix | None = None
-) -> float:
-    """The block cofactor of the Laplacian's (0, 0) block.
-
-    Because the Laplacian has exactly vanishing block row and column sums,
-    every block cofactor of it takes this same value; the (0, 0) choice is
-    the canonical evaluation point.
-    """
-    if laplacian is None:
-        laplacian = build_laplacian(g)
-    return linalg.block_cofactor(laplacian.body, 0, 0, g.s)
+    return frozen(body)
 
 
 def laplacian_cofactor_slog(
-    g: MatrixWeightedGraph, laplacian: BlockMatrix | None = None
+    g: MatrixWeightedGraph, laplacian: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """Laplacian cofactor as ``(sign, log|value|)``; overflow-safe."""
+    """The block cofactor of the Laplacian's (0, 0) block, as
+    ``(sign, log|value|)``; overflow-safe.
+
+    Because the Laplacian has exactly vanishing block row and column sums,
+    every block cofactor of it takes this same value; the (0, 0) choice is
+    the canonical evaluation point.  A prebuilt ``laplacian`` of ``g`` is
+    used as given.
+    """
     if laplacian is None:
         laplacian = build_laplacian(g)
-    return linalg.block_cofactor_slog(laplacian.body, 0, 0, g.s)
+    return linalg.block_cofactor_slog(laplacian, 0, 0, g.s)

@@ -8,8 +8,8 @@ the checks LAPACK does not make: material asymmetry is rejected instead of
 averaged away, and definiteness and rank decisions are relative to scale.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
-read-only, and returns freshly allocated arrays.  Index sets and block
-indices are 0-based throughout this module.
+read-only, and returns freshly allocated arrays.  Block indices are
+0-based throughout this module.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "NumericError",
     "SpectralDecomposition",
     "Inertia",
-    "as_dense",
     "max_norm",
     "default_rank_tol",
     "symmetrize",
@@ -35,16 +34,12 @@ __all__ = [
     "pseudo_inverse_from",
     "pd_inverse",
     "pd_inverse_sqrt",
-    "kron",
     "value_from_slog",
     "slog_in_range",
     "det_lu",
     "slogdet_lu",
-    "block_cofactor",
     "block_cofactor_slog",
     "count_inertia",
-    "index_set",
-    "submatrix",
 ]
 
 #: Double precision machine epsilon.
@@ -67,11 +62,6 @@ class DimensionError(ValueError):
 
 class NumericError(ArithmeticError):
     """Numerical failure: lost definiteness or singularity."""
-
-
-def as_dense(values) -> np.ndarray:
-    """Coerce ``values`` to a freshly allocated 2-D float64 array."""
-    return _checked(np.array(values, dtype=np.float64, order="C"))
 
 
 def _checked(a: np.ndarray) -> np.ndarray:
@@ -117,7 +107,7 @@ def symmetrize(a, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         asymmetry means the caller is holding the wrong matrix, and averaging
         it away would mask the bug.
     """
-    a = as_dense(a)
+    a = _checked(np.asarray(a, dtype=np.float64))
     _require_square(a)
     return _symmetrized(a, rtol)
 
@@ -141,10 +131,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.eigenvalues.size
 
     def assemble(self, values) -> np.ndarray:
         """Build ``V diag(values) V'`` for an arbitrary diagonal vector."""
@@ -286,11 +272,6 @@ def pd_inverse_sqrt(w, rank_tol: float | None = None) -> np.ndarray:
     return (root + np.swapaxes(root, -1, -2)) / 2.0
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices."""
-    return np.kron(as_dense(a), as_dense(b))
-
-
 def value_from_slog(sign: float, log_abs: float) -> float:
     """The plain value ``sign * exp(log_abs)`` of a determinant pair.
 
@@ -351,15 +332,10 @@ def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
     return sign, a[np.ix_(keep_rows, keep_cols)]
 
 
-def block_cofactor(a, i: int, j: int, s: int) -> float:
-    """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
-    ``s x s`` blocks: the signed determinant of A with block row ``i`` and
-    block column ``j`` deleted."""
-    return value_from_slog(*block_cofactor_slog(a, i, j, s))
-
-
 def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
-    """Block cofactor as ``(sign, log|value|)``; overflow-safe."""
+    """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
+    ``s x s`` blocks, the signed determinant of A with block row ``i`` and
+    block column ``j`` deleted, as ``(sign, log|value|)``; overflow-safe."""
     sign, minor = _cofactor_pieces(a, i, j, s)
     if minor.size == 0:
         return (sign, 0.0)
@@ -382,25 +358,3 @@ def count_inertia(values, zero_tol: float | None = None) -> Inertia:
     positive = int(np.sum(values > band))
     negative = int(np.sum(values < -band))
     return Inertia(positive, negative, n - positive - negative)
-
-
-def index_set(indices, order: int) -> tuple[int, ...]:
-    """Validate a strictly increasing 0-based index set within ``[0, order)``."""
-    idx = tuple(int(i) for i in indices)
-    if not idx:
-        raise DimensionError("index set must be non-empty")
-    for a, b in zip(idx, idx[1:]):
-        if a >= b:
-            raise DimensionError(f"index set must be strictly increasing, got {idx}")
-    if idx[0] < 0 or idx[-1] >= order:
-        raise DimensionError(f"index set {idx} out of range for order {order}")
-    return idx
-
-
-def submatrix(a, rows, cols=None) -> np.ndarray:
-    """Select the submatrix on the given (strictly increasing, 0-based) row
-    and column index sets; ``cols`` defaults to ``rows``."""
-    a = as_dense(a)
-    rows = index_set(rows, a.shape[0])
-    cols = rows if cols is None else index_set(cols, a.shape[1])
-    return a[np.ix_(rows, cols)]

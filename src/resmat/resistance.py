@@ -39,7 +39,6 @@ import numpy as np
 from . import linalg
 from .graph import MatrixWeightedGraph
 from .laplacian import (
-    BlockMatrix,
     build_incidence,
     build_laplacian,
     frozen,
@@ -145,8 +144,13 @@ class ResistanceWorkspace:
     It keeps three ``ns x ns`` matrices: ``L``, ``X`` and ``R``.  The
     shifted Laplacian and the pseudoinverse (each one addition away), the
     large spectra (`laplacian_spectrum`, `resistance_spectrum`,
-    `shift_spectrum`), the block diagonal `diag_blocks` and the incidence
-    matrix are cached properties computed on first access.
+    `shift_spectrum`) and the incidence matrix are cached properties
+    computed on first access.
+
+    Every matrix attribute is a read-only float64 array, so an in-place
+    write raises ``ValueError`` instead of silently invalidating what was
+    derived from it.  Block ``(i, j)`` of an ``ns x ns`` attribute ``a`` is
+    the view ``a.reshape(n, s, n, s)[i, :, j, :]``.
 
     Raises
     ------
@@ -161,13 +165,12 @@ class ResistanceWorkspace:
         n, s = graph.n, graph.s
         ns = n * s
         self.laplacian = build_laplacian(graph)
-        x = _shifted_inverse(self.laplacian.body, n, s)
-        self.shifted_inverse = BlockMatrix(frozen(x), s)
+        self.shifted_inverse = x = frozen(_shifted_inverse(self.laplacian, n, s))
 
         # Diagonal blocks of X, stacked (n, s, s), then as an ns x s column.
         x_blocks = x.reshape(n, s, n, s)
         vertices = np.arange(n)
-        diagonal = x_blocks[vertices, :, vertices, :]
+        diagonal = frozen(x_blocks[vertices, :, vertices, :])
         self.diag_stack = diagonal.reshape(ns, s)
 
         # R_ij = X_ii + X_jj - 2 X_ij for all block pairs at once.
@@ -175,16 +178,16 @@ class ResistanceWorkspace:
         r_blocks = resistance.reshape(n, s, n, s)
         np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
         r_blocks -= 2.0 * x_blocks
-        self.resistance = BlockMatrix(frozen(resistance), s)
+        self.resistance = frozen(resistance)
 
         # T = L xbar + (2/n)(1 (x) I_s); TAUDEF checks it against the edge
         # sum that defines it.
-        deficit = self.laplacian.body @ self.diag_stack
+        deficit = self.laplacian @ self.diag_stack
         deficit += (2.0 / n) * stacked_identity(n, s)
-        self.deficit = deficit
+        self.deficit = frozen(deficit)
 
         form = deficit.T @ resistance @ deficit
-        self.deficit_form = (form + form.T) / 2.0
+        self.deficit_form = frozen((form + form.T) / 2.0)
         form_spectrum = linalg.sym_eigen(self.deficit_form)
         largest = float(form_spectrum.eigenvalues[0])
         smallest = float(form_spectrum.eigenvalues[-1])
@@ -199,24 +202,24 @@ class ResistanceWorkspace:
     @cached_property
     def shift_body(self) -> np.ndarray:
         """The shifted Laplacian ``M = L + (1/n) J (x) I_s``."""
-        return _shift(self.laplacian.body, self.graph.n, self.graph.s)
+        return frozen(_shift(self.laplacian, self.graph.n, self.graph.s))
 
     @cached_property
-    def pseudoinverse(self) -> BlockMatrix:
+    def pseudoinverse(self) -> np.ndarray:
         """Laplacian pseudoinverse ``X - (1/n) J (x) I_s``."""
         n, s = self.graph.n, self.graph.s
-        return BlockMatrix(frozen(_shift(self.shifted_inverse.body, n, s, -1.0)), s)
+        return frozen(_shift(self.shifted_inverse, n, s, -1.0))
 
     # ------------------------------------------------------------------
     # lazily computed spectral objects
 
     @cached_property
     def laplacian_spectrum(self) -> linalg.SpectralDecomposition:
-        return linalg.sym_eigen(self.laplacian.body)
+        return linalg.sym_eigen(self.laplacian)
 
     @cached_property
     def resistance_spectrum(self) -> linalg.SpectralDecomposition:
-        return linalg.sym_eigen(self.resistance.body)
+        return linalg.sym_eigen(self.resistance)
 
     @cached_property
     def shift_spectrum(self) -> linalg.SpectralDecomposition:
@@ -225,21 +228,10 @@ class ResistanceWorkspace:
     @cached_property
     def spectral_pseudoinverse(self) -> np.ndarray:
         """Laplacian pseudoinverse by the independent spectral route."""
-        return linalg.pseudo_inverse_from(self.laplacian_spectrum)
+        return frozen(linalg.pseudo_inverse_from(self.laplacian_spectrum))
 
     @cached_property
-    def diag_blocks(self) -> BlockMatrix:
-        """Block diagonal of the shifted inverse, as an ``ns x ns`` matrix."""
-        n, s = self.graph.n, self.graph.s
-        body = np.zeros((n * s, n * s))
-        vertices = np.arange(n)
-        body.reshape(n, s, n, s)[vertices, :, vertices, :] = self.diag_stack.reshape(
-            n, s, s
-        )
-        return BlockMatrix(frozen(body), s)
-
-    @cached_property
-    def incidence(self) -> BlockMatrix:
+    def incidence(self) -> np.ndarray:
         return build_incidence(self.graph)
 
     @cached_property
@@ -266,8 +258,17 @@ class ResistanceWorkspace:
     # block access
 
     def resistance_block(self, i: int, j: int) -> np.ndarray:
-        """The ``(i, j)`` resistance block (0-based), as a fresh array."""
-        return self.resistance.block(i, j).copy()
+        """The ``(i, j)`` resistance block (0-based), as a fresh array.
+
+        Raises :class:`DimensionError` for an index outside ``0..n-1``; a
+        negative one would otherwise wrap round to another block.
+        """
+        n, s = self.graph.n, self.graph.s
+        if not (0 <= i < n and 0 <= j < n):
+            raise linalg.DimensionError(
+                f"block ({i}, {j}) out of range for {n} x {n} blocks"
+            )
+        return self.resistance[i * s : (i + 1) * s, j * s : (j + 1) * s].copy()
 
     # ------------------------------------------------------------------
     # closed forms
@@ -279,7 +280,7 @@ class ResistanceWorkspace:
         n, s = self.graph.n, self.graph.s
         xbar = self.diag_stack
         total = xbar.reshape(n, s, s).sum(axis=0)
-        return 2.0 * xbar.T @ self.laplacian.body @ xbar + (8.0 / n) * (
+        return 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
             total - np.eye(s)
         )
 
@@ -315,7 +316,7 @@ class ResistanceWorkspace:
         """Inverse of the resistance matrix by the closed form
         ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve)."""
         middle = np.linalg.solve(self.deficit_form, self.deficit.T)
-        f = -0.5 * self.laplacian.body + self.deficit @ middle
+        f = -0.5 * self.laplacian + self.deficit @ middle
         return (f + f.T) / 2.0
 
     def inertia(self, zero_tol: float | None = None) -> linalg.Inertia:

@@ -1,4 +1,5 @@
-"""Tests for the block Laplacian, incidence matrix, and Laplacian cofactor."""
+"""Tests for the block Laplacian, incidence matrix, Laplacian cofactor, and
+the read-only arrays the engine hands out."""
 
 import numpy as np
 import pytest
@@ -12,105 +13,123 @@ from resmat.graph import (
     star_graph,
 )
 from resmat.laplacian import (
-    BlockMatrix,
     build_incidence,
     build_laplacian,
-    laplacian_cofactor,
     laplacian_cofactor_slog,
     stacked_identity,
 )
-from resmat.linalg import DimensionError, kron, max_norm, pd_inverse, sym_eigen
+from resmat.linalg import (
+    DimensionError,
+    max_norm,
+    pd_inverse,
+    sym_eigen,
+    value_from_slog,
+)
+from resmat.resistance import ResistanceWorkspace
+
+#: Every array a workspace holds or caches.
+WORKSPACE_ARRAYS = (
+    "laplacian",
+    "shifted_inverse",
+    "diag_stack",
+    "resistance",
+    "deficit",
+    "deficit_form",
+    "shift_body",
+    "pseudoinverse",
+    "spectral_pseudoinverse",
+    "incidence",
+)
+
+
+def laplacian_cofactor(g, laplacian=None):
+    return value_from_slog(*laplacian_cofactor_slog(g, laplacian))
 
 
 class TestBlockMatrix:
-    def test_block_views(self):
-        bm = BlockMatrix(np.arange(16.0).reshape(4, 4), 2)
-        assert np.array_equal(bm.block(0, 1), [[2.0, 3.0], [6.0, 7.0]])
-        assert (bm.row_blocks, bm.col_blocks, bm.n) == (2, 2, 2)
+    """The engine's block matrices are plain read-only float64 arrays."""
 
     def test_body_read_only(self):
-        bm = BlockMatrix(np.eye(2), 1)
-        with pytest.raises(ValueError):
-            bm.body[0, 0] = 5.0
-
-    def test_body_copied(self):
-        src = np.eye(2)
-        bm = BlockMatrix(src, 1)
-        src[0, 0] = 9.0
-        assert bm.body[0, 0] == 1.0
-
-    def test_rectangular_allowed(self):
-        bm = BlockMatrix(np.zeros((4, 6)), 2)
-        assert (bm.row_blocks, bm.col_blocks) == (2, 3)
-        with pytest.raises(DimensionError, match="not square"):
-            bm.n
-
-    def test_rejects_indivisible_shape(self):
-        with pytest.raises(DimensionError, match="multiple"):
-            BlockMatrix(np.zeros((3, 3)), 2)
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(DimensionError):
-            BlockMatrix(np.zeros((2, 2)), 0)
+        g = cycle_graph(5, 2)
+        for built in (build_laplacian(g), build_incidence(g)):
+            with pytest.raises(ValueError):
+                built[0, 0] += 1.0
+        ws = ResistanceWorkspace(g)
+        for name in WORKSPACE_ARRAYS:
+            a = getattr(ws, name)
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64, name
+            with pytest.raises(ValueError):
+                a[0, 0] += 1.0
+            with pytest.raises(ValueError):
+                a.reshape(a.shape)[0, 0] = 0.0
 
     def test_block_out_of_range(self):
-        bm = BlockMatrix(np.eye(2), 1)
-        with pytest.raises(DimensionError, match="out of range"):
-            bm.block(2, 0)
+        # A negative index must not wrap round to another block.
+        ws = ResistanceWorkspace(cycle_graph(5, 2))
+        for pair in ((-1, 0), (5, 0), (0, -1), (0, 5)):
+            with pytest.raises(DimensionError, match="out of range"):
+                ws.resistance_block(*pair)
+
+    def test_block_is_reshape_view(self):
+        g = cycle_graph(5, 2)
+        ws = ResistanceWorkspace(g)
+        blocks = ws.resistance.reshape(g.n, g.s, g.n, g.s)
+        assert np.array_equal(ws.resistance_block(1, 3), blocks[1, :, 3, :])
+        assert np.array_equal(ws.resistance_block(1, 3), ws.resistance[2:4, 6:8])
 
 
 class TestStackedIdentity:
     def test_shape_and_content(self):
         ones = stacked_identity(3, 2)
         assert ones.shape == (6, 2)
-        assert np.array_equal(ones, kron(np.ones((3, 1)), np.eye(2)))
+        assert np.array_equal(ones, np.kron(np.ones((3, 1)), np.eye(2)))
 
 
 class TestBuildLaplacian:
     def test_two_vertex_unit(self):
         lap = build_laplacian(path_graph(2))
-        assert np.array_equal(lap.body, [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_path3_unit(self):
         lap = build_laplacian(path_graph(3))
         expected = np.array(
             [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
         )
-        assert np.array_equal(lap.body, expected)
+        assert np.array_equal(lap, expected)
 
     def test_off_diagonal_is_negated_inverse_weight(self):
         w = np.array([[2.0, 1.0], [1.0, 2.0]])
         lap = build_laplacian(path_graph(2, 2, w))
-        assert max_norm(lap.block(0, 1) + pd_inverse(w)) <= 1e-15
+        assert max_norm(lap[0:2, 2:4] + pd_inverse(w)) <= 1e-15
 
     def test_diagonal_is_bitwise_negated_row_sum(self):
         g = random_graph(6, 3, "complete", seed=99)
         s = g.s
-        lap = build_laplacian(g)
+        blocks = build_laplacian(g).reshape(g.n, s, g.n, s)
         for i in range(g.n):
             total = np.zeros((s, s))
             for j in range(g.n):
                 if j != i:
-                    total -= lap.block(i, j)
-            assert np.array_equal(lap.block(i, i), total)
+                    total -= blocks[i, :, j, :]
+            assert np.array_equal(blocks[i, :, i, :], total)
 
     def test_block_row_sums_vanish(self):
         g = random_graph(6, 3, "complete", seed=99)
         lap = build_laplacian(g)
         ones = stacked_identity(g.n, g.s)
-        tol = 1e-13 * (1.0 + max_norm(lap.body))
-        assert max_norm(lap.body @ ones) <= tol
-        assert max_norm(ones.T @ lap.body) <= tol
+        tol = 1e-13 * (1.0 + max_norm(lap))
+        assert max_norm(lap @ ones) <= tol
+        assert max_norm(ones.T @ lap) <= tol
 
     def test_symmetric(self):
         g = random_graph(5, 2, "gnp", seed=3, p=0.7)
         lap = build_laplacian(g)
-        assert np.array_equal(lap.body, lap.body.T)
+        assert np.array_equal(lap, lap.T)
 
     def test_positive_semidefinite_with_s_dim_kernel(self):
         g = random_graph(5, 2, "tree", seed=21)
         lap = build_laplacian(g)
-        values = sym_eigen(lap.body).eigenvalues
+        values = sym_eigen(lap).eigenvalues
         scale = float(values[0])
         assert float(values[-1]) >= -1e-12 * scale
         near_zero = np.sum(np.abs(values) <= 1e-10 * scale)
@@ -118,40 +137,39 @@ class TestBuildLaplacian:
 
     def test_unit_weights_reduce_to_scalar_laplacian(self):
         g = cycle_graph(4, 3)
-        scalar = build_laplacian(cycle_graph(4)).body
+        scalar = build_laplacian(cycle_graph(4))
         lap = build_laplacian(g)
-        assert np.array_equal(lap.body, kron(scalar, np.eye(3)))
+        assert np.array_equal(lap, np.kron(scalar, np.eye(3)))
 
 
 class TestBuildIncidence:
     def test_shape(self):
         g = complete_graph(4, 2)
         q = build_incidence(g)
-        assert q.body.shape == (8, 12)
-        assert (q.row_blocks, q.col_blocks) == (4, 6)
+        assert q.shape == (8, 12)
 
     def test_two_vertex_unit(self):
         q = build_incidence(path_graph(2))
-        assert np.array_equal(q.body, [[1.0], [-1.0]])
+        assert np.array_equal(q, [[1.0], [-1.0]])
 
     def test_column_blocks_carry_inverse_sqrt(self):
         w = np.array([[4.0]])
         q = build_incidence(path_graph(2, 1, w))
-        assert np.array_equal(q.body, [[0.5], [-0.5]])
+        assert np.array_equal(q, [[0.5], [-0.5]])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l_equals_q_qt(self, seed):
         g = random_graph(6, 2, "gnp", seed=seed, p=0.6)
         lap = build_laplacian(g)
         q = build_incidence(g)
-        gap = max_norm(q.body @ q.body.T - lap.body)
-        assert gap <= 1e-12 * (1.0 + max_norm(lap.body))
+        gap = max_norm(q @ q.T - lap)
+        assert gap <= 1e-12 * (1.0 + max_norm(lap))
 
     def test_column_sums_vanish(self):
         g = random_graph(5, 3, "tree", seed=8)
         q = build_incidence(g)
         ones = stacked_identity(g.n, g.s)
-        assert max_norm(ones.T @ q.body) <= 1e-13
+        assert max_norm(ones.T @ q) <= 1e-13
 
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -159,8 +177,8 @@ class TestBuildIncidence:
         g = random_graph(5, 2, "tree", seed=seed)
         lap = build_laplacian(g)
         q = build_incidence(g)
-        gap = max_norm(q.body @ q.body.T - lap.body)
-        assert gap <= 1e-12 * (1.0 + max_norm(lap.body))
+        gap = max_norm(q @ q.T - lap)
+        assert gap <= 1e-12 * (1.0 + max_norm(lap))
 
 
 class TestLaplacianCofactor:
@@ -188,14 +206,14 @@ class TestLaplacianCofactor:
         assert laplacian_cofactor(g, lap) == laplacian_cofactor(g)
 
     def test_all_block_cofactors_equal(self):
-        from resmat.linalg import block_cofactor
+        from resmat.linalg import block_cofactor_slog
 
         g = random_graph(5, 2, "gnp", seed=17, p=0.7)
         lap = build_laplacian(g)
-        reference = block_cofactor(lap.body, 0, 0, g.s)
+        reference = value_from_slog(*block_cofactor_slog(lap, 0, 0, g.s))
         for i in range(g.n):
             for j in range(g.n):
-                value = block_cofactor(lap.body, i, j, g.s)
+                value = value_from_slog(*block_cofactor_slog(lap, i, j, g.s))
                 assert value == pytest.approx(reference, rel=1e-9)
 
     def test_slog_matches_plain(self):
@@ -203,7 +221,8 @@ class TestLaplacianCofactor:
 
         g = random_graph(6, 2, "complete", seed=31)
         sign, log_abs = laplacian_cofactor_slog(g)
-        plain = laplacian_cofactor(g)
+        # The minor left by deleting block row and column 0 (s = 2).
+        plain = np.linalg.det(build_laplacian(g)[2:, 2:])
         assert sign * math.exp(log_abs) == pytest.approx(plain, rel=1e-10)
 
     def test_positive_for_valid_graphs(self):

@@ -10,23 +10,19 @@ from resmat.linalg import (
     EPS,
     DimensionError,
     NumericError,
-    as_dense,
-    block_cofactor,
     block_cofactor_slog,
     count_inertia,
     default_rank_tol,
     det_lu,
-    index_set,
-    kron,
     max_norm,
     pd_inverse,
     pd_inverse_sqrt,
     pseudo_inverse,
     pseudo_inverse_from,
     slogdet_lu,
-    submatrix,
     sym_eigen,
     symmetrize,
+    value_from_slog,
 )
 
 
@@ -45,30 +41,32 @@ orders = st.integers(min_value=1, max_value=8)
 
 
 class TestAsDense:
+    """:func:`symmetrize` takes any array-like as a dense float64 matrix."""
+
     def test_copies_input(self):
         src = np.eye(2)
-        out = as_dense(src)
+        out = symmetrize(src)
         out[0, 0] = 5.0
         assert src[0, 0] == 1.0
 
     def test_accepts_nested_lists(self):
-        out = as_dense([[1, 2], [3, 4]])
+        out = symmetrize([[1, 2], [2, 4]])
         assert out.dtype == np.float64
         assert out.shape == (2, 2)
 
     @pytest.mark.parametrize("bad", [[1.0, 2.0], np.zeros((2, 2, 2)), 3.0])
     def test_rejects_non_2d(self, bad):
         with pytest.raises(DimensionError):
-            as_dense(bad)
+            symmetrize(bad)
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
-            as_dense(np.zeros((0, 3)))
+            symmetrize(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
         with pytest.raises(NumericError):
-            as_dense([[1.0, value], [0.0, 1.0]])
+            symmetrize([[1.0, value], [value, 1.0]])
 
 
 class TestMaxNorm:
@@ -272,25 +270,6 @@ class TestPdInverseSqrt:
             pd_inverse_sqrt(stack)
 
 
-class TestKron:
-    def test_hand_value(self):
-        out = kron([[1.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]])
-        expected = np.array([[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 2.0, 0.0]])
-        assert np.array_equal(out, expected)
-
-    @settings(deadline=None, max_examples=20)
-    @given(seed=seeds)
-    def test_mixed_product(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(3, 2))
-        c = rng.normal(size=(2, 2))
-        d = rng.normal(size=(2, 3))
-        left = kron(a, c) @ kron(b, d)
-        right = kron(a @ b, c @ d)
-        assert max_norm(left - right) <= 1e-12 * (1.0 + max_norm(left))
-
-
 class TestLU:
     def test_identity_det_exact(self):
         assert det_lu(np.eye(5)) == 1.0
@@ -339,27 +318,31 @@ class TestLU:
         )
 
 
+def block_cofactor_value(a, i, j, s):
+    return value_from_slog(*block_cofactor_slog(a, i, j, s))
+
+
 class TestBlockCofactor:
     def test_scalar_blocks_match_classical_cofactor(self):
         a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])
         # Classical cofactor C_{01} = -det [[4, 6], [7, 10]] = -(40 - 42) = 2.
-        assert block_cofactor(a, 0, 1, 1) == pytest.approx(2.0, rel=1e-14)
+        assert block_cofactor_value(a, 0, 1, 1) == pytest.approx(2.0, rel=1e-14)
 
     def test_expansion_recovers_determinant(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-1.0, 1.0, size=(5, 5))
-        expansion = sum(a[0, j] * block_cofactor(a, 0, j, 1) for j in range(5))
+        expansion = sum(a[0, j] * block_cofactor_value(a, 0, j, 1) for j in range(5))
         assert expansion == pytest.approx(det_lu(a), rel=1e-11)
 
     def test_full_deletion_gives_sign(self):
         # Deleting the only block leaves the empty minor with determinant 1.
-        assert block_cofactor(np.ones((2, 2)), 0, 0, 2) == 1.0
+        assert block_cofactor_value(np.ones((2, 2)), 0, 0, 2) == 1.0
 
     def test_two_by_two_blocks(self):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         # Deleting block row 0 and block column 0 (s = 2) leaves diag(3, 4);
         # the deleted 1-based indices sum to (1 + 2) + (1 + 2) = 6, so +1.
-        assert block_cofactor(a, 0, 0, 2) == pytest.approx(12.0, rel=1e-14)
+        assert block_cofactor_value(a, 0, 0, 2) == pytest.approx(12.0, rel=1e-14)
 
     def test_off_diagonal_block_sign(self):
         a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -367,22 +350,24 @@ class TestBlockCofactor:
         # rows {1, 2} and columns {3, 4} (1-based), exponent 10, sign +1;
         # the minor is [[0, 0], [a_50 a_51], rows 5,6 x cols 1,2 ...] -- for a
         # diagonal matrix this minor is singular, so the cofactor is 0.
-        assert block_cofactor(a, 0, 1, 2) == 0.0
+        assert block_cofactor_value(a, 0, 1, 2) == 0.0
 
     def test_slog_matches_plain(self):
         rng = np.random.default_rng(9)
         a = rng.uniform(-1.0, 1.0, size=(6, 6))
         sign, log_abs = block_cofactor_slog(a, 1, 2, 2)
-        plain = block_cofactor(a, 1, 2, 2)
+        # Block (1, 2) of s = 2 deletes 1-based rows {3, 4} and columns
+        # {5, 6}: exponent 18, sign +1.
+        plain = np.linalg.det(np.delete(np.delete(a, [2, 3], 0), [4, 5], 1))
         assert sign * math.exp(log_abs) == pytest.approx(plain, rel=1e-12)
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(DimensionError):
-            block_cofactor(np.eye(4), 0, 0, 3)
+            block_cofactor_value(np.eye(4), 0, 0, 3)
 
     def test_rejects_out_of_range_block(self):
         with pytest.raises(DimensionError):
-            block_cofactor(np.eye(4), 2, 0, 2)
+            block_cofactor_value(np.eye(4), 2, 0, 2)
 
 
 class TestInertia:
@@ -409,26 +394,6 @@ class TestInertia:
 
     def test_explicit_zero_tol(self):
         assert count_inertia([1.0, 1e-6], zero_tol=1e-3).as_tuple() == (1, 0, 1)
-
-
-class TestIndexing:
-    def test_index_set_valid(self):
-        assert index_set([0, 2, 5], 6) == (0, 2, 5)
-
-    @pytest.mark.parametrize("bad", [[], [2, 1], [1, 1], [-1, 0], [0, 9]])
-    def test_index_set_invalid(self, bad):
-        with pytest.raises(DimensionError):
-            index_set(bad, 6)
-
-    def test_submatrix_square(self):
-        a = np.arange(16.0).reshape(4, 4)
-        out = submatrix(a, [1, 3])
-        assert np.array_equal(out, [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_submatrix_rectangular_selection(self):
-        a = np.arange(16.0).reshape(4, 4)
-        out = submatrix(a, [0], [1, 2])
-        assert np.array_equal(out, [[1.0, 2.0]])
 
 
 class TestDefaults:

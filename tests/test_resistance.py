@@ -22,7 +22,6 @@ from resmat.laplacian import build_laplacian, stacked_identity
 from resmat.linalg import (
     NumericError,
     det_lu,
-    kron,
     max_norm,
     sym_eigen,
 )
@@ -53,16 +52,17 @@ def k3():
     return ResistanceWorkspace(complete_graph(3))
 
 
-def resistance_from_pseudoinverse(pinv):
+def resistance_from_pseudoinverse(pinv, s):
     """Textbook definition route, block by block:
     ``R_{ij} = K_ii + K_jj - 2 K_ij`` from pseudoinverse blocks."""
-    n, s = pinv.n, pinv.s
-    body = np.zeros_like(pinv.body)
+    n = pinv.shape[0] // s
+    k = pinv.reshape(n, s, n, s)
+    body = np.zeros_like(pinv)
     for i in range(n):
-        kii = pinv.block(i, i)
+        kii = k[i, :, i, :]
         for j in range(n):
             body[i * s : (i + 1) * s, j * s : (j + 1) * s] = (
-                kii + pinv.block(j, j) - 2.0 * pinv.block(i, j)
+                kii + k[j, :, j, :] - 2.0 * k[i, :, j, :]
             )
     return body
 
@@ -87,15 +87,15 @@ class TestHandValuesP2:
 
     def test_shifted_inverse(self, p2):
         expected = np.array([[0.75, 0.25], [0.25, 0.75]])
-        assert max_norm(p2.shifted_inverse.body - expected) <= 1e-14
+        assert max_norm(p2.shifted_inverse - expected) <= 1e-14
 
     def test_pseudoinverse(self, p2):
         expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-        assert max_norm(p2.pseudoinverse.body - expected) <= 1e-14
+        assert max_norm(p2.pseudoinverse - expected) <= 1e-14
 
     def test_resistance(self, p2):
         expected = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert max_norm(p2.resistance.body - expected) <= 1e-14
+        assert max_norm(p2.resistance - expected) <= 1e-14
 
     def test_deficit(self, p2):
         assert max_norm(p2.deficit - np.array([[1.0], [1.0]])) <= 1e-14
@@ -106,7 +106,7 @@ class TestHandValuesP2:
     def test_determinant(self, p2):
         # n = 2, s = 1: (-1)^1 2^{-1} det([2]) / 1 = -1.
         assert p2.determinant() == pytest.approx(-1.0, rel=1e-14)
-        assert det_lu(p2.resistance.body) == pytest.approx(-1.0, rel=1e-14)
+        assert det_lu(p2.resistance) == pytest.approx(-1.0, rel=1e-14)
 
     def test_determinant_slog(self, p2):
         sign, log_abs = p2.determinant_slog()
@@ -142,7 +142,7 @@ class TestHandValuesP3:
 
     def test_resistance_is_distance(self, p3):
         expected = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        assert max_norm(p3.resistance.body - expected) <= 1e-13
+        assert max_norm(p3.resistance - expected) <= 1e-13
 
     def test_deficit(self, p3):
         assert max_norm(p3.deficit - np.array([[1.0], [0.0], [1.0]])) <= 1e-13
@@ -153,7 +153,7 @@ class TestHandValuesP3:
     def test_determinant(self, p3):
         # (-1)^2 2^0 det([4]) / 1 = 4.
         assert p3.determinant() == pytest.approx(4.0, rel=1e-13)
-        assert det_lu(p3.resistance.body) == pytest.approx(4.0, rel=1e-12)
+        assert det_lu(p3.resistance) == pytest.approx(4.0, rel=1e-12)
 
     def test_inertia(self, p3):
         assert p3.inertia().as_tuple() == (1, 2, 0)
@@ -163,7 +163,7 @@ class TestHandValuesK3:
     """Unit triangle: fully symmetric, everything known in closed form."""
 
     def test_resistance(self, k3):
-        r = k3.resistance.body
+        r = k3.resistance
         expected = (2.0 / 3.0) * (np.ones((3, 3)) - np.eye(3))
         assert max_norm(r - expected) <= 1e-13
 
@@ -179,7 +179,7 @@ class TestHandValuesK3:
     def test_determinant(self, k3):
         # (-1)^2 2^0 (16/9) / 3 = 16/27.
         assert k3.determinant() == pytest.approx(16.0 / 27.0, rel=1e-13)
-        assert det_lu(k3.resistance.body) == pytest.approx(16.0 / 27.0, rel=1e-12)
+        assert det_lu(k3.resistance) == pytest.approx(16.0 / 27.0, rel=1e-12)
 
     def test_inverse(self, k3):
         inverse = k3.inverse()
@@ -196,48 +196,48 @@ class TestWorkspaceStructure:
     def test_resistance_diag_blocks_vanish(self):
         ws = ResistanceWorkspace(random_graph(5, 3, "complete", seed=40))
         for i in range(5):
-            assert max_norm(ws.resistance.block(i, i)) <= 1e-12
+            assert max_norm(ws.resistance_block(i, i)) <= 1e-12
 
     def test_resistance_symmetric_blockwise(self):
         ws = ResistanceWorkspace(random_graph(6, 2, "gnp", seed=41, p=0.6))
-        r = ws.resistance.body
+        r = ws.resistance
         assert max_norm(r - r.T) <= 1e-12 * (1.0 + max_norm(r))
         # Block symmetry too: R_ij = R_ji' (each block is symmetric here
         # because X is symmetric, so R_ij' = R_ij as well).
         for i in range(6):
             for j in range(6):
-                gap = max_norm(ws.resistance.block(i, j) - ws.resistance.block(j, i).T)
+                gap = max_norm(ws.resistance_block(i, j) - ws.resistance_block(j, i).T)
                 assert gap <= 1e-12 * (1.0 + max_norm(r))
 
     def test_resistance_matches_blockwise_definition_bitwise(self):
         # The broadcast assembly computes X_ii + X_jj - 2 X_ij in the same
         # order as a block-by-block loop over the same X.
         ws = ResistanceWorkspace(random_graph(7, 2, "gnp", seed=47, p=0.6))
-        x = ws.shifted_inverse
-        expected = np.zeros_like(ws.resistance.body)
+        x = ws.shifted_inverse.reshape(7, 2, 7, 2)
+        expected = np.zeros_like(ws.resistance)
         for i in range(7):
             for j in range(7):
                 expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = (
-                    x.block(i, i) + x.block(j, j) - 2.0 * x.block(i, j)
+                    x[i, :, i, :] + x[j, :, j, :] - 2.0 * x[i, :, j, :]
                 )
-        assert np.array_equal(ws.resistance.body, expected)
+        assert np.array_equal(ws.resistance, expected)
 
     def test_resistance_block_returns_copy(self):
         ws = ResistanceWorkspace(path_graph(3))
         block = ws.resistance_block(0, 1)
         block[0, 0] = 77.0
-        assert ws.resistance.block(0, 1)[0, 0] != 77.0
+        assert ws.resistance_block(0, 1)[0, 0] != 77.0
 
     def test_pseudoinverse_matches_spectral_route(self):
         ws = ResistanceWorkspace(random_graph(6, 2, "tree", seed=42))
-        gap = max_norm(ws.pseudoinverse.body - ws.spectral_pseudoinverse)
+        gap = max_norm(ws.pseudoinverse - ws.spectral_pseudoinverse)
         assert gap <= 1e-9 * (1.0 + max_norm(ws.spectral_pseudoinverse))
 
     def test_definition_route_matches_workspace(self):
         ws = ResistanceWorkspace(random_graph(5, 2, "gnp", seed=43, p=0.7))
-        direct = resistance_from_pseudoinverse(ws.pseudoinverse)
-        assert max_norm(direct - ws.resistance.body) <= 1e-10 * (
-            1.0 + max_norm(ws.resistance.body)
+        direct = resistance_from_pseudoinverse(ws.pseudoinverse, ws.graph.s)
+        assert max_norm(direct - ws.resistance) <= 1e-10 * (
+            1.0 + max_norm(ws.resistance)
         )
 
     def test_diag_stack_assembly_expression(self):
@@ -246,20 +246,21 @@ class TestWorkspaceStructure:
         # agree with this matrix-level expression.
         ws = ResistanceWorkspace(random_graph(5, 2, "complete", seed=46))
         n, s = ws.graph.n, ws.graph.s
-        ones_kron = kron(np.ones((n, n)), np.eye(s))
-        xbar = ws.diag_blocks.body
-        expression = xbar @ ones_kron + ones_kron @ xbar - 2.0 * ws.shifted_inverse.body
-        gap = max_norm(expression - ws.resistance.body)
-        assert gap <= 1e-10 * (1.0 + max_norm(ws.resistance.body))
+        ones_kron = np.kron(np.ones((n, n)), np.eye(s))
+        xbar = np.zeros((n * s, n * s))
+        vertices = np.arange(n)
+        xbar.reshape(n, s, n, s)[vertices, :, vertices, :] = ws.diag_stack.reshape(
+            n, s, s
+        )
+        expression = xbar @ ones_kron + ones_kron @ xbar - 2.0 * ws.shifted_inverse
+        gap = max_norm(expression - ws.resistance)
+        assert gap <= 1e-10 * (1.0 + max_norm(ws.resistance))
 
     def test_definition_route_from_spectral_pinv(self):
-        from resmat.laplacian import BlockMatrix
-
         ws = ResistanceWorkspace(random_graph(5, 2, "cycle", seed=44))
-        spectral = BlockMatrix(ws.spectral_pseudoinverse, ws.graph.s)
-        direct = resistance_from_pseudoinverse(spectral)
-        assert max_norm(direct - ws.resistance.body) <= 1e-9 * (
-            1.0 + max_norm(ws.resistance.body)
+        direct = resistance_from_pseudoinverse(ws.spectral_pseudoinverse, ws.graph.s)
+        assert max_norm(direct - ws.resistance) <= 1e-9 * (
+            1.0 + max_norm(ws.resistance)
         )
 
     def test_deficit_blocks_sum_to_two_identity(self):
@@ -293,8 +294,8 @@ class TestLaplacianAnnihilation:
     ])
     def test_sandwich(self, seed, model, n, s, p):
         ws = ResistanceWorkspace(random_graph(n, s, model, seed=seed, p=p))
-        lap = ws.laplacian.body
-        gap = max_norm(lap @ ws.resistance.body @ lap + 2.0 * lap)
+        lap = ws.laplacian
+        gap = max_norm(lap @ ws.resistance @ lap + 2.0 * lap)
         assert gap <= 1e-8 * (1.0 + max_norm(lap))
 
     @pytest.mark.parametrize("seed", [54, 55])
@@ -303,7 +304,7 @@ class TestLaplacianAnnihilation:
         ws = ResistanceWorkspace(random_graph(6, 2, "gnp", seed=seed, p=0.6))
         n, s = ws.graph.n, ws.graph.s
         ones = stacked_identity(n, s)
-        left = ws.laplacian.body @ ws.resistance.body + 2.0 * np.eye(n * s)
+        left = ws.laplacian @ ws.resistance + 2.0 * np.eye(n * s)
         right = ws.deficit @ ones.T
         scale = 1.0 + max_norm(left)
         assert max_norm(left - right) <= 1e-8 * scale
@@ -312,8 +313,8 @@ class TestLaplacianAnnihilation:
     def test_lr_annihilates_deficit(self, seed):
         # (L R + 2 I) T = 2 T, equivalently L R T = 0.
         ws = ResistanceWorkspace(random_graph(5, 3, "tree", seed=seed))
-        product = ws.laplacian.body @ ws.resistance.body @ ws.deficit
-        scale = 1.0 + max_norm(ws.resistance.body) * max_norm(ws.laplacian.body)
+        product = ws.laplacian @ ws.resistance @ ws.deficit
+        scale = 1.0 + max_norm(ws.resistance) * max_norm(ws.laplacian)
         assert max_norm(product) <= 1e-8 * scale
 
 
@@ -328,7 +329,7 @@ class TestClosedForms:
     def test_determinant_matches_lu(self, seed, model, n, s, p):
         ws = ResistanceWorkspace(random_graph(n, s, model, seed=seed, p=p))
         closed = ws.determinant()
-        brute = det_lu(ws.resistance.body)
+        brute = det_lu(ws.resistance)
         assert closed == pytest.approx(brute, rel=1e-9)
 
     def test_determinant_slog_matches(self):
@@ -346,14 +347,14 @@ class TestClosedForms:
     ])
     def test_inverse_against_identity(self, seed, model, n, s, p):
         ws = ResistanceWorkspace(random_graph(n, s, model, seed=seed, p=p))
-        product = ws.inverse() @ ws.resistance.body
+        product = ws.inverse() @ ws.resistance
         assert max_norm(product - np.eye(n * s)) <= 1e-8
 
     @pytest.mark.parametrize("seed", [68, 69])
     def test_inverse_against_lu_inversion(self, seed):
         ws = ResistanceWorkspace(random_graph(6, 2, "cycle", seed=seed))
         closed = ws.inverse()
-        brute = np.linalg.solve(ws.resistance.body, np.eye(12))
+        brute = np.linalg.solve(ws.resistance, np.eye(12))
         assert max_norm(closed - brute) <= 1e-7 * (1.0 + max_norm(closed))
 
     @pytest.mark.parametrize("seed,model,n,s,p", [
@@ -411,7 +412,7 @@ class TestTreeResistance:
         ws = ResistanceWorkspace(path_graph(5))
         for i in range(5):
             for j in range(5):
-                assert ws.resistance.block(i, j)[0, 0] == pytest.approx(
+                assert ws.resistance_block(i, j)[0, 0] == pytest.approx(
                     abs(i - j), abs=1e-12
                 )
 
@@ -422,7 +423,7 @@ class TestTreeResistance:
         for i in range(n):
             for j in range(n):
                 expected = tree_path_blocks(g, i, j)
-                gap = max_norm(ws.resistance.block(i, j) - expected)
+                gap = max_norm(ws.resistance_block(i, j) - expected)
                 assert gap <= 1e-10 * (1.0 + max_norm(expected))
 
     def test_series_law_two_edges(self):
@@ -431,7 +432,7 @@ class TestTreeResistance:
         w2 = np.array([[3.0, -1.0], [-1.0, 2.0]])
         g = from_edges(3, 2, [(0, 1, w1), (1, 2, w2)])
         ws = ResistanceWorkspace(g)
-        assert max_norm(ws.resistance.block(0, 2) - (w1 + w2)) <= 1e-12
+        assert max_norm(ws.resistance_block(0, 2) - (w1 + w2)) <= 1e-12
 
 
 class TestScalarSpecialization:
@@ -439,8 +440,8 @@ class TestScalarSpecialization:
         # With unit weights everything is the scalar object (x) I_s.
         scalar = ResistanceWorkspace(cycle_graph(5))
         blocked = ResistanceWorkspace(cycle_graph(5, 3))
-        expected = kron(scalar.resistance.body, np.eye(3))
-        assert max_norm(blocked.resistance.body - expected) <= 1e-12
+        expected = np.kron(scalar.resistance, np.eye(3))
+        assert max_norm(blocked.resistance - expected) <= 1e-12
 
     def test_effective_resistance_parallel_edges(self):
         # Triangle with one heavy edge: r_12 = w (w + w) / (w + 2w) series
@@ -451,7 +452,7 @@ class TestScalarSpecialization:
         ws = ResistanceWorkspace(g)
         # Paths between 1 and 2 (0-based 0,1): direct 4, detour 1 + 1 = 2;
         # parallel: 4 * 2 / 6 = 4/3.
-        assert ws.resistance.block(0, 1)[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert ws.resistance_block(0, 1)[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 class TestPropertyBased:
@@ -463,8 +464,8 @@ class TestPropertyBased:
     )
     def test_random_tree_invariants(self, seed, n, s):
         ws = ResistanceWorkspace(random_graph(n, s, "tree", seed=seed))
-        lap = ws.laplacian.body
-        r = ws.resistance.body
+        lap = ws.laplacian
+        r = ws.resistance
         scale = 1.0 + max_norm(lap) * max_norm(r)
         assert max_norm(lap @ r @ lap + 2.0 * lap) <= 1e-8 * scale
         assert ws.inertia().as_tuple() == (s, n * s - s, 0)
@@ -478,7 +479,7 @@ class TestPropertyBased:
         except Exception:
             return
         ws = ResistanceWorkspace(g)
-        assert ws.determinant() == pytest.approx(det_lu(ws.resistance.body), rel=1e-8)
+        assert ws.determinant() == pytest.approx(det_lu(ws.resistance), rel=1e-8)
 
 
 class TestTreeIncidence:
@@ -488,8 +489,8 @@ class TestTreeIncidence:
         for seed in (95, 96):
             g = random_graph(6, 2, "tree", seed=seed)
             ws = ResistanceWorkspace(g)
-            q = ws.incidence.body
-            product = q.T @ ws.resistance.body @ q
+            q = ws.incidence
+            product = q.T @ ws.resistance @ q
             gap = max_norm(product + 2.0 * np.eye(q.shape[1]))
             assert gap <= 1e-8
 
@@ -497,8 +498,8 @@ class TestTreeIncidence:
         # The triangle is the smallest counterexample: Q has a kernel, and
         # Q' R Q has it too, so it cannot equal -2 I.
         ws = ResistanceWorkspace(complete_graph(3))
-        q = ws.incidence.body
-        product = q.T @ ws.resistance.body @ q
+        q = ws.incidence
+        product = q.T @ ws.resistance @ q
         assert max_norm(product + 2.0 * np.eye(3)) > 0.5
 
 
@@ -523,12 +524,12 @@ class TestErrorPaths:
         w = np.array([[1.0, 0.0], [0.0, 1e-6]])
         g = from_edges(2, 2, [(0, 1, w)])
         ws = ResistanceWorkspace(g)
-        assert max_norm(ws.resistance.block(0, 1) - w) <= 1e-9
+        assert max_norm(ws.resistance_block(0, 1) - w) <= 1e-9
 
 
 def lu_shifted_inverse(g):
     """``M^{-1}`` by one LAPACK LU inverse, symmetrized."""
-    x = np.linalg.inv(_shift(build_laplacian(g).body, g.n, g.s))
+    x = np.linalg.inv(_shift(build_laplacian(g), g.n, g.s))
     symmetric = x + x.T
     symmetric /= 2.0
     return symmetric
@@ -538,8 +539,8 @@ def disjoint_paths_laplacian(first, second):
     """Laplacian of two vertex-disjoint unit paths (a disconnected graph,
     which graph validation would reject before any workspace sees it)."""
     body = np.zeros((first + second, first + second))
-    body[:first, :first] = build_laplacian(path_graph(first)).body
-    body[first:, first:] = build_laplacian(path_graph(second)).body
+    body[:first, :first] = build_laplacian(path_graph(first))
+    body[first:, first:] = build_laplacian(path_graph(second))
     return body
 
 
@@ -592,7 +593,7 @@ class TestShiftedInverseKernel:
     @pytest.mark.parametrize("model,n,s,p", UP_TO_LEAF + ABOVE_LEAF)
     def test_matches_lu_inverse(self, model, n, s, p):
         g = kernel_graph(model, n, s, p)
-        laplacian = build_laplacian(g).body
+        laplacian = build_laplacian(g)
         assert np.linalg.cond(_shift(laplacian, n, s)) <= 1e5
         x = _shifted_inverse(laplacian, n, s)
         expected = lu_shifted_inverse(g)
@@ -603,7 +604,7 @@ class TestShiftedInverseKernel:
         # Z'Z on one buffer runs as a symmetric rank-k update (SYRK), which
         # writes one triangle and mirrors it; the engine relies on this
         # instead of symmetrizing X.
-        x = _shifted_inverse(build_laplacian(kernel_graph(model, n, s, p)).body, n, s)
+        x = _shifted_inverse(build_laplacian(kernel_graph(model, n, s, p)), n, s)
         assert np.array_equal(x, x.T)
 
     @pytest.mark.parametrize("first,second", [(11, 12), (101, 102)])
