@@ -10,6 +10,13 @@ Vertices are 1-based in JSON and on the command line, and 0-based
 everywhere in code.  Each JSON edge must satisfy ``u < v``; weights are
 row-major nested lists.  Serialization round-trips weights bit-for-bit.
 
+A graph is its arrays: the ``(m, 2)`` endpoint pairs and the ``(m, s, s)``
+weight stack, both read-only and sorted lexicographically by endpoint pair.
+A valid document goes from JSON to these arrays in bulk: one loop of type
+checks collects the fields, a single conversion makes the weight stack, and
+validation runs on the arrays.  The per-edge :class:`Edge` records are built
+only when ``edges`` is first read.
+
 Generation is fully deterministic: every random quantity flows from an
 explicit integer seed through ``numpy.random.default_rng``.
 """
@@ -19,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +62,10 @@ GNP_MAX_ATTEMPTS = 1000
 #: Models accepted by :func:`random_graph`.
 RANDOM_MODELS = ("tree", "cycle", "complete", "gnp")
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+_EDGE_KEYS = {"u", "v", "w"}
+
 
 class GraphError(ValueError):
     """Malformed, invalid, or otherwise unusable graph input."""
@@ -80,17 +92,32 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
-    """Immutable validated graph: ``n`` vertices, ``s x s`` weights, edges
-    sorted lexicographically by endpoint pair."""
+    """Immutable validated graph, held as arrays.
+
+    ``endpoints`` is the read-only ``(m, 2)`` intp array of 0-based endpoint
+    pairs ``(u, v)``, ``u < v``, sorted lexicographically; ``weights`` is
+    the read-only ``(m, s, s)`` float64 stack of the edge weights in the
+    same order.  :attr:`edges` presents the same data as :class:`Edge`
+    records, built on first access.
+    """
 
     n: int
     s: int
-    edges: tuple[Edge, ...]
+    endpoints: np.ndarray
+    weights: np.ndarray
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return self.weights.shape[0]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in canonical order, each holding a view of its weight."""
+        return tuple(
+            Edge(u, v, self.weights[index], index)
+            for index, (u, v) in enumerate(self.endpoints.tolist())
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixWeightedGraph):
@@ -98,11 +125,8 @@ class MatrixWeightedGraph:
         return (
             self.n == other.n
             and self.s == other.s
-            and self.m == other.m
-            and all(
-                a.u == b.u and a.v == b.v and np.array_equal(a.weight, b.weight)
-                for a, b in zip(self.edges, other.edges)
-            )
+            and np.array_equal(self.endpoints, other.endpoints)
+            and np.array_equal(self.weights, other.weights)
         )
 
     __hash__ = None  # mutable-content semantics: not hashable
@@ -139,73 +163,112 @@ def _is_connected(n: int, pairs) -> bool:
     return count == n
 
 
-def validation_report(n, s, edges) -> ValidationReport:
-    """Validate raw graph data and list every violation found.
+def _columns(edges, endpoint=lambda x: x):
+    """Split ``(u, v, weight)`` triples into endpoint and weight lists."""
+    us, vs, ws = [], [], []
+    for u, v, w in edges:
+        us.append(endpoint(u))
+        vs.append(endpoint(v))
+        ws.append(w)
+    return us, vs, ws
 
-    ``edges`` is an iterable of ``(u, v, weight)`` with 0-based endpoints;
-    problems are reported with 1-based vertex labels to match the external
-    convention.  Checks: vertex/block counts, endpoint ranges and ordering,
-    duplicate edges, weight shape, finiteness, symmetry (relative tolerance
-    1e-10), positive definiteness, and connectivity.
+
+def _weight_stack(weights: list):
+    """All weights as one float64 ``(m, a, b)`` stack, made by a single
+    conversion, or the list itself when they do not convert to one 2-D
+    shape."""
+    try:
+        stack = np.array(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return weights
+    return stack if stack.ndim == 3 else weights
+
+
+def _endpoint_pairs(n: int, us, vs) -> np.ndarray:
+    """0-based endpoints as one ``(m, 2)`` array: intp, or exact Python ints
+    in an object array when ``n`` or some endpoint does not fit intp."""
+    if n <= _INTP_MAX:
+        try:
+            return np.array([us, vs], dtype=np.intp).T
+        except OverflowError:
+            pass
+    return np.array([us, vs], dtype=object).T
+
+
+def _checked(n, s, us, vs, weights):
+    """Validate graph data given as endpoint columns and weights.
+
+    ``weights`` is one float64 ``(m, a, b)`` stack, or a list of per-edge
+    weights when they do not share one 2-D shape; a listed weight is only
+    converted once its edge has passed the endpoint checks.  Returns the
+    problems in edge order and, when there are none, the ``(m, 2)``
+    endpoint pairs and ``(m, s, s)`` weights, both sorted lexicographically
+    by endpoint pair (None otherwise).
     """
-    problems: list[str] = []
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        problems.append(f"vertex count n must be an integer >= 2, got {n!r}")
-        return ValidationReport(tuple(problems))
+        return [f"vertex count n must be an integer >= 2, got {n!r}"], None, None
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        problems.append(f"block size s must be an integer >= 1, got {s!r}")
-        return ValidationReport(tuple(problems))
+        return [f"block size s must be an integer >= 1, got {s!r}"], None, None
 
-    # Problems in edge order; an edge whose weight still needs the batched
-    # checks holds a None slot until they have run.
-    slots: list[str | None] = []
-    candidates: list[tuple[str, int, np.ndarray]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    usable_pairs: list[tuple[int, int]] = []
-    for position, (u, v, weight) in enumerate(edges, start=1):
-        label = f"edge #{position}"
-        if not (0 <= u < n and 0 <= v < n):
-            slots.append(f"{label} ({u + 1}, {v + 1}): endpoints out of range 1..{n}")
-            continue
-        if u == v:
-            slots.append(f"{label}: self-loop at vertex {u + 1}")
-            continue
-        if u > v:
-            slots.append(f"{label} ({u + 1}, {v + 1}): endpoints must satisfy u < v")
-            continue
-        if (u, v) in seen_pairs:
-            slots.append(f"{label} ({u + 1}, {v + 1}): duplicate edge")
-            continue
-        seen_pairs.add((u, v))
-        w = np.asarray(weight, dtype=np.float64)
-        if w.shape != (s, s):
-            slots.append(
-                f"{label} ({u + 1}, {v + 1}): weight shape {w.shape} != ({s}, {s})"
-            )
-            continue
-        candidates.append((f"{label} ({u + 1}, {v + 1})", len(slots), w))
-        slots.append(None)
-        usable_pairs.append((u, v))
+    pairs = _endpoint_pairs(n, us, vs)
+    u, v = pairs[:, 0], pairs[:, 1]
 
-    messages = _weight_problems(s, [w for _, _, w in candidates])
-    for (label, slot, _), message in zip(candidates, messages):
-        if message is not None:
-            slots[slot] = f"{label}: {message}"
-    problems = [p for p in slots if p is not None]
-    if not problems:
-        if len(usable_pairs) < n - 1 or not _is_connected(n, usable_pairs):
-            problems.append("graph is not connected")
-    return ValidationReport(tuple(problems))
+    def label(k) -> str:
+        return f"edge #{k + 1} ({int(u[k]) + 1}, {int(v[k]) + 1})"
+
+    # Each edge reports the first problem it has, in the order checked
+    # here; messages are built for failing edges only.
+    found: dict[int, str] = {}
+    outside = ~((u >= 0) & (u < n) & (v >= 0) & (v < n))
+    for k in np.flatnonzero(outside):
+        found[k] = f"{label(k)}: endpoints out of range 1..{n}"
+    loop = ~outside & (u == v)
+    for k in np.flatnonzero(loop):
+        found[k] = f"edge #{k + 1}: self-loop at vertex {int(u[k]) + 1}"
+    reverse = ~outside & (u > v)
+    for k in np.flatnonzero(reverse):
+        found[k] = f"{label(k)}: endpoints must satisfy u < v"
+    # The stable sort puts the first occurrence of a pair ahead of its
+    # repeats, which are the duplicates.
+    kept = np.flatnonzero(~(outside | loop | reverse))
+    order = np.lexsort((v[kept], u[kept]))
+    su, sv = u[kept][order], v[kept][order]
+    repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
+    for k in kept[repeats]:
+        found[k] = f"{label(k)}: duplicate edge"
+    usable = np.delete(kept, repeats)
+
+    if isinstance(weights, np.ndarray):
+        fits = weights.shape[1:] == (s, s)
+        wrong = {} if fits else dict.fromkeys(usable.tolist(), weights.shape[1:])
+        stack = weights[usable if fits else usable[:0]]
+    else:
+        arrays = [np.asarray(weights[k], dtype=np.float64) for k in usable.tolist()]
+        wrong = {
+            k: w.shape for k, w in zip(usable.tolist(), arrays) if w.shape != (s, s)
+        }
+        stack = np.array([w for w in arrays if w.shape == (s, s)]).reshape(-1, s, s)
+    for k, shape in wrong.items():
+        found[k] = f"{label(k)}: weight shape {shape} != ({s}, {s})"
+    usable = usable[~np.isin(usable, list(wrong))]
+    for position, message in _weight_problems(stack).items():
+        k = usable[position]
+        found[k] = f"{label(k)}: {message}"
+
+    if found:
+        return [found[k] for k in sorted(found)], None, None
+    if len(pairs) < n - 1 or not _is_connected(n, pairs.tolist()):
+        return ["graph is not connected"], None, None
+    return [], pairs[order], stack[order]
 
 
-def _weight_problems(s: int, weights: list[np.ndarray]) -> list[str | None]:
+def _weight_problems(stack: np.ndarray) -> dict[int, str]:
     """The first finiteness, symmetry or definiteness problem of each
-    ``s x s`` weight (None when it has none), checked on the whole stack at
-    once: one batched eigensolve makes the definiteness test."""
-    found: list[str | None] = [None] * len(weights)
-    if not weights:
+    weight of an ``(k, s, s)`` stack that has one, keyed by its position;
+    one batched eigensolve makes the definiteness test."""
+    found: dict[int, str] = {}
+    if not len(stack):
         return found
-    stack = np.stack(weights)
     finite = np.isfinite(stack).all(axis=(1, 2))
     for k in np.flatnonzero(~finite):
         found[k] = "weight has non-finite entries"
@@ -221,46 +284,100 @@ def _weight_problems(s: int, weights: list[np.ndarray]) -> list[str | None]:
     spectra = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2.0)
     largest = spectra[:, -1]
     smallest = spectra[:, 0]
-    lost = (largest <= 0.0) | (smallest <= linalg.default_rank_tol(s) * largest)
+    lost = (largest <= 0.0) | (smallest <= linalg.default_rank_tol(stack.shape[1]) * largest)
     for k, low in zip(checked[lost], smallest[lost]):
         found[k] = f"weight is not positive definite (smallest eigenvalue {low:.6e})"
     return found
 
 
+def validation_report(n, s, edges) -> ValidationReport:
+    """Validate raw graph data and list every violation found.
+
+    ``edges`` is an iterable of ``(u, v, weight)`` with 0-based endpoints;
+    problems are reported in edge order, with 1-based vertex labels to
+    match the external convention.  Checks: vertex/block counts, endpoint
+    ranges and ordering, duplicate edges, weight shape, finiteness,
+    symmetry (relative tolerance 1e-10), positive definiteness, and
+    connectivity.
+    """
+    us, vs, ws = _columns(edges)
+    problems, _, _ = _checked(n, s, us, vs, _weight_stack(ws))
+    return ValidationReport(tuple(problems))
+
+
 def validate(g: MatrixWeightedGraph) -> ValidationReport:
     """Re-run full validation on an already constructed graph."""
-    return validation_report(g.n, g.s, [(e.u, e.v, e.weight) for e in g.edges])
+    problems, _, _ = _checked(
+        g.n, g.s, g.endpoints[:, 0], g.endpoints[:, 1], g.weights
+    )
+    return ValidationReport(tuple(problems))
+
+
+def _graph(n, s, us, vs, weights) -> MatrixWeightedGraph:
+    """Validate, raising :class:`GraphError` listing every problem, then
+    build the graph: edges sorted, weights exactly symmetrized
+    (``(W + W') / 2``) and both arrays read-only."""
+    problems, endpoints, stack = _checked(n, s, us, vs, weights)
+    if problems:
+        raise GraphError("; ".join(problems))
+    symmetric = stack + stack.transpose(0, 2, 1)
+    symmetric /= 2.0
+    return MatrixWeightedGraph(
+        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric)
+    )
 
 
 def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
     """Build a validated graph from ``(u, v, weight)`` triples (0-based).
 
-    Raises :class:`GraphError` listing every validation problem.  Weights
-    are exactly symmetrized (``(W + W') / 2``), frozen read-only, and edges
-    are sorted lexicographically by endpoint pair.  All weights live in one
-    read-only ``(m, s, s)`` stack, and each edge holds a view of its slice.
+    Raises :class:`GraphError` listing every validation problem.  Edges are
+    sorted lexicographically by endpoint pair; the weights are exactly
+    symmetrized (``(W + W') / 2``) into one read-only ``(m, s, s)`` stack.
     """
-    triples = [(int(u), int(v), w) for u, v, w in edges]
-    report = validation_report(n, s, triples)
-    if not report.ok:
-        raise GraphError("; ".join(report.problems))
-    triples.sort(key=lambda t: (t[0], t[1]))
-    stack = np.array([w for _, _, w in triples], dtype=np.float64)
-    weights = stack + stack.transpose(0, 2, 1)
-    weights /= 2.0
-    weights.setflags(write=False)
-    built = tuple(
-        Edge(u, v, weights[index], index)
-        for index, (u, v, _) in enumerate(triples)
-    )
-    return MatrixWeightedGraph(int(n), int(s), built)
+    us, vs, ws = _columns(edges, int)
+    return _graph(n, s, us, vs, _weight_stack(ws))
+
+
+def _entry_problem(position: int, entry) -> str | None:
+    """The structural problem of one JSON edge entry, if any."""
+    if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
+        return f"edge #{position} must be an object with exactly the keys u, v, w"
+    for name in ("u", "v"):
+        value = entry[name]
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"edge #{position}: {name} must be an integer, got {value!r}"
+    w = entry["w"]
+    if not isinstance(w, list) or not all(isinstance(row, list) for row in w):
+        return f"edge #{position}: w must be a nested list"
+    return None
+
+
+def _parsed_weights(ws: list):
+    """The JSON weights as one float64 stack, converted in a single call when
+    they share a 2-D shape, else as a list of per-edge 2-D arrays.  Raises
+    :class:`GraphError` for the first weight that does not convert or is
+    not 2-D."""
+    stack = _weight_stack(ws)
+    if isinstance(stack, np.ndarray):
+        return stack
+    weights = []
+    for position, w in enumerate(ws, start=1):
+        try:
+            weight = np.array(w, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edge #{position}: malformed weight: {exc}") from exc
+        if weight.ndim != 2:
+            raise GraphError(f"edge #{position}: weight must be 2-D")
+        weights.append(weight)
+    return weights
 
 
 def parse_graph(text) -> MatrixWeightedGraph:
     """Parse and validate a graph from its JSON interchange form.
 
     Accepts ``str`` or ``bytes``.  Raises :class:`GraphError` on JSON syntax
-    errors, structural problems, or validation failures.
+    errors, structural problems, or validation failures; of the structural
+    and weight conversion problems, the first in edge order is raised.
     """
     try:
         data = json.loads(text)
@@ -280,30 +397,20 @@ def parse_graph(text) -> MatrixWeightedGraph:
             raise GraphError(f"{name} must be an integer, got {value!r}")
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list")
-    triples = []
+    us, vs, ws = [], [], []
+    problem = None
     for position, entry in enumerate(raw_edges, start=1):
-        if not isinstance(entry, dict) or set(entry) != {"u", "v", "w"}:
-            raise GraphError(
-                f"edge #{position} must be an object with exactly "
-                "the keys u, v, w"
-            )
-        u, v = entry["u"], entry["v"]
-        for name, value in (("u", u), ("v", v)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise GraphError(
-                    f"edge #{position}: {name} must be an integer, got {value!r}"
-                )
-        w = entry["w"]
-        if not isinstance(w, list) or not all(isinstance(row, list) for row in w):
-            raise GraphError(f"edge #{position}: w must be a nested list")
-        try:
-            weight = np.array(w, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"edge #{position}: malformed weight: {exc}") from exc
-        if weight.ndim != 2:
-            raise GraphError(f"edge #{position}: weight must be 2-D")
-        triples.append((u - 1, v - 1, weight))
-    return from_edges(n, s, triples)
+        problem = _entry_problem(position, entry)
+        if problem is not None:
+            break
+        us.append(entry["u"] - 1)
+        vs.append(entry["v"] - 1)
+        ws.append(entry["w"])
+    # The edges before a structural problem may hold an earlier one.
+    weights = _parsed_weights(ws)
+    if problem is not None:
+        raise GraphError(problem)
+    return _graph(n, s, us, vs, weights)
 
 
 def serialize(g: MatrixWeightedGraph) -> str:
@@ -316,7 +423,8 @@ def serialize(g: MatrixWeightedGraph) -> str:
         "n": g.n,
         "s": g.s,
         "edges": [
-            {"u": e.u + 1, "v": e.v + 1, "w": e.weight.tolist()} for e in g.edges
+            {"u": u + 1, "v": v + 1, "w": w}
+            for (u, v), w in zip(g.endpoints.tolist(), g.weights.tolist())
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -340,8 +448,7 @@ def is_tree(g: MatrixWeightedGraph) -> bool:
 
 def has_unit_weights(g: MatrixWeightedGraph) -> bool:
     """True when every edge weight is exactly the identity matrix."""
-    eye = np.eye(g.s)
-    return all(np.array_equal(e.weight, eye) for e in g.edges)
+    return bool((g.weights == np.eye(g.s)).all())
 
 
 def random_pd_weight(rng: np.random.Generator, s: int) -> np.ndarray:

@@ -31,29 +31,10 @@ __all__ = [
 ]
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only and return it.
-
-    Every matrix the engine builds is handed out this way, so no caller can
-    change a result that others have derived from.
-    """
-    a.setflags(write=False)
-    return a
-
-
 def stacked_identity(n: int, s: int) -> np.ndarray:
     """The ``ns x s`` block column of ``n`` stacked identity blocks
     (the all-ones vector Kronecker the ``s x s`` identity)."""
     return np.tile(np.eye(s), (n, 1))
-
-
-def _edge_arrays(g: MatrixWeightedGraph):
-    """Origins, termini and the stacked ``(m, s, s)`` weights of all edges,
-    in canonical edge order."""
-    us = np.array([e.u for e in g.edges], dtype=np.intp)
-    vs = np.array([e.v for e in g.edges], dtype=np.intp)
-    weights = np.stack([e.weight for e in g.edges])
-    return us, vs, weights
 
 
 def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
@@ -70,8 +51,8 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     downstream).
     """
     n, s = g.n, g.s
-    us, vs, weights = _edge_arrays(g)
-    inverse_weights = linalg.pd_inverse(weights)
+    us, vs = g.endpoints.T
+    inverse_weights = linalg.pd_inverse(g.weights)
     body = np.zeros((n * s, n * s))
     blocks = body.reshape(n, s, n, s)
     blocks[us, :, vs, :] = -inverse_weights
@@ -79,14 +60,10 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     # Interleave each edge's two endpoints so ``add.at`` (which applies its
     # updates in order) sums every vertex's blocks in canonical edge order.
     diagonal = np.zeros((n, s, s))
-    np.add.at(
-        diagonal,
-        np.column_stack([us, vs]).ravel(),
-        np.repeat(inverse_weights, 2, axis=0),
-    )
+    np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
     vertices = np.arange(n)
     blocks[vertices, :, vertices, :] = diagonal
-    return frozen(body)
+    return linalg.frozen(body)
 
 
 def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
@@ -101,14 +78,14 @@ def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
     orientation-independent.
     """
     n, s, m = g.n, g.s, g.m
-    us, vs, weights = _edge_arrays(g)
-    roots = linalg.pd_inverse_sqrt(weights)
+    us, vs = g.endpoints.T
+    roots = linalg.pd_inverse_sqrt(g.weights)
     body = np.zeros((n * s, m * s))
     blocks = body.reshape(n, s, m, s)
     columns = np.arange(m)
     blocks[us, :, columns, :] = roots
     blocks[vs, :, columns, :] = -roots
-    return frozen(body)
+    return linalg.frozen(body)
 
 
 def laplacian_cofactor_slog(

@@ -154,16 +154,26 @@ class Inertia:
         return (self.positive, self.negative, self.zero)
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only and return it.
+
+    Every matrix the engine builds is handed out this way, so no caller can
+    change a result that others have derived from.
+    """
+    a.setflags(write=False)
+    return a
+
+
 def sym_eigen(a) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     The input is symmetrized via :func:`symmetrize`, which rejects material
     asymmetry.  Eigenvalues are returned in descending order with
-    eigenvectors in matching columns.
+    eigenvectors in matching columns, both read-only.
     """
     values, vectors = np.linalg.eigh(symmetrize(a))
     return SpectralDecomposition(
-        values[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
+        frozen(values[::-1].copy()), frozen(np.ascontiguousarray(vectors[:, ::-1]))
     )
 
 

@@ -41,10 +41,10 @@ from .graph import MatrixWeightedGraph
 from .laplacian import (
     build_incidence,
     build_laplacian,
-    frozen,
     laplacian_cofactor_slog,
     stacked_identity,
 )
+from .linalg import frozen
 
 __all__ = [
     "CONDITION_CONFIDENCE_LIMIT",

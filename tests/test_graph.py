@@ -272,6 +272,135 @@ class TestParseSerialize:
         assert list(data) == ["edges", "n", "s"]
 
 
+def _document(n, s, edges):
+    return json.dumps({"n": n, "s": s, "edges": edges})
+
+
+def _parse_error(text) -> str:
+    with pytest.raises(GraphError) as exc:
+        parse_graph(text)
+    return str(exc.value)
+
+
+class TestParseErrorsPinned:
+    """The exact error of each kind of bad document: the first problem in
+    edge order wins, whether it is structural or a weight conversion."""
+
+    RAGGED = [[1.0], [1.0, 2.0]]
+
+    def test_ragged_weight_before_missing_key(self):
+        text = _document(3, 2, [
+            {"u": 1, "v": 2, "w": [[1.0, 0.0], [0.0, 1.0]]},
+            {"u": 2, "v": 3, "w": self.RAGGED},
+            {"u": 1, "v": 3},
+        ])
+        assert _parse_error(text).startswith("edge #2: malformed weight: ")
+
+    def test_missing_key_before_ragged_weight(self):
+        text = _document(3, 2, [
+            {"u": 1, "v": 2, "w": [[1.0, 0.0], [0.0, 1.0]]},
+            {"u": 2, "v": 3},
+            {"u": 1, "v": 3, "w": self.RAGGED},
+        ])
+        assert _parse_error(text) == (
+            "edge #2 must be an object with exactly the keys u, v, w"
+        )
+
+    def test_unconvertible_entry_after_good_edges(self):
+        text = _document(2, 1, [
+            {"u": 1, "v": 2, "w": [[1.0]]},
+            {"u": 1, "v": 2, "w": [["x"]]},
+        ])
+        assert _parse_error(text) == (
+            "edge #2: malformed weight: could not convert string to float: 'x'"
+        )
+
+    @pytest.mark.parametrize("w", [[], [[[1.0]]]])
+    def test_weight_not_two_dimensional(self, w):
+        text = _document(2, 1, [{"u": 1, "v": 2, "w": w}])
+        assert _parse_error(text) == "edge #1: weight must be 2-D"
+
+    def test_endpoint_beyond_int64(self):
+        text = _document(2, 1, [{"u": 1, "v": 10**23, "w": [[1.0]]}])
+        assert _parse_error(text) == (
+            "edge #1 (1, 100000000000000000000000): endpoints out of range 1..2"
+        )
+
+    def test_negative_endpoint_beyond_int64(self):
+        text = _document(2, 1, [{"u": -(10**23), "v": 2, "w": [[1.0]]}])
+        assert _parse_error(text) == (
+            "edge #1 (-100000000000000000000000, 2): endpoints out of range 1..2"
+        )
+
+    def test_endpoint_at_int64_limit(self):
+        text = _document(3, 1, [
+            {"u": 1, "v": 2**63, "w": [[1.0]]},
+            {"u": -(2**63), "v": 2, "w": [[1.0]]},
+        ])
+        assert _parse_error(text) == (
+            f"edge #1 (1, {2**63}): endpoints out of range 1..3; "
+            f"edge #2 ({-(2**63)}, 2): endpoints out of range 1..3"
+        )
+
+    def test_vertex_count_beyond_int64(self):
+        text = _document(10**23, 1, [{"u": 1, "v": 2, "w": [[1.0]]}])
+        assert _parse_error(text) == "graph is not connected"
+
+    def test_huge_vertex_count_keeps_edge_checks(self):
+        big = 10**23
+        text = _document(big, 1, [
+            {"u": 1, "v": big, "w": [[1.0]]},
+            {"u": big, "v": big, "w": [[1.0]]},
+            {"u": big, "v": 1, "w": [[1.0]]},
+            {"u": 1, "v": big, "w": [[2.0]]},
+            {"u": 1, "v": big + 1, "w": [[1.0]]},
+        ])
+        assert _parse_error(text) == (
+            f"edge #2: self-loop at vertex {big}; "
+            f"edge #3 ({big}, 1): endpoints must satisfy u < v; "
+            f"edge #4 (1, {big}): duplicate edge; "
+            f"edge #5 (1, {big + 1}): endpoints out of range 1..{big}"
+        )
+
+    def test_mixed_weight_shapes(self):
+        text = _document(3, 2, [
+            {"u": 1, "v": 2, "w": [[1.0]]},
+            {"u": 2, "v": 3, "w": [[1.0, 0.0], [0.0, 1.0]]},
+            {"u": 1, "v": 3, "w": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        ])
+        assert _parse_error(text) == (
+            "edge #1 (1, 2): weight shape (1, 1) != (2, 2); "
+            "edge #3 (1, 3): weight shape (3, 3) != (2, 2)"
+        )
+
+    def test_one_wrong_shape_for_all_edges(self):
+        text = _document(3, 2, [
+            {"u": 1, "v": 2, "w": [[1.0]]},
+            {"u": 3, "v": 2, "w": [[1.0]]},
+            {"u": 2, "v": 3, "w": [[1.0]]},
+        ])
+        assert _parse_error(text) == (
+            "edge #1 (1, 2): weight shape (1, 1) != (2, 2); "
+            "edge #2 (3, 2): endpoints must satisfy u < v; "
+            "edge #3 (2, 3): weight shape (1, 1) != (2, 2)"
+        )
+
+    def test_empty_rows_are_a_shape_problem(self):
+        text = _document(2, 1, [{"u": 1, "v": 2, "w": [[]]}])
+        assert _parse_error(text) == "edge #1 (1, 2): weight shape (1, 0) != (1, 1)"
+
+    def test_parse_error_precedes_size_check(self):
+        text = _document(2, 0, [{"u": 1, "v": 2, "w": []}])
+        assert _parse_error(text) == "edge #1: weight must be 2-D"
+
+    def test_no_edges(self):
+        assert _parse_error(_document(2, 1, [])) == "graph is not connected"
+
+    def test_null_entry_is_non_finite(self):
+        text = _document(2, 1, [{"u": 1, "v": 2, "w": [[None]]}])
+        assert _parse_error(text) == "edge #1 (1, 2): weight has non-finite entries"
+
+
 class TestStructure:
     def test_adjacency(self):
         g = star_graph(3)
@@ -428,6 +557,164 @@ class TestRandom:
         assert validate(g).ok
 
 
+def reference_problems(n, s, edges) -> tuple[str, ...]:
+    """Validation one edge at a time: the reference the array checks of
+    :func:`validation_report` must reproduce problem for problem."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        return (f"vertex count n must be an integer >= 2, got {n!r}",)
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        return (f"block size s must be an integer >= 1, got {s!r}",)
+    problems = []
+    seen_pairs = set()
+    usable_pairs = []
+    for position, (u, v, weight) in enumerate(edges, start=1):
+        label = f"edge #{position}"
+        if not (0 <= u < n and 0 <= v < n):
+            problems.append(f"{label} ({u + 1}, {v + 1}): endpoints out of range 1..{n}")
+            continue
+        if u == v:
+            problems.append(f"{label}: self-loop at vertex {u + 1}")
+            continue
+        if u > v:
+            problems.append(f"{label} ({u + 1}, {v + 1}): endpoints must satisfy u < v")
+            continue
+        if (u, v) in seen_pairs:
+            problems.append(f"{label} ({u + 1}, {v + 1}): duplicate edge")
+            continue
+        seen_pairs.add((u, v))
+        label = f"{label} ({u + 1}, {v + 1})"
+        w = np.asarray(weight, dtype=np.float64)
+        if w.shape != (s, s):
+            problems.append(f"{label}: weight shape {w.shape} != ({s}, {s})")
+            continue
+        if not np.isfinite(w).all():
+            problems.append(f"{label}: weight has non-finite entries")
+            continue
+        gap = np.abs(w - w.T).max()
+        if gap > 1e-10 * (1.0 + np.abs(w).max()):
+            problems.append(f"{label}: weight is not symmetric (max asymmetry {gap:.3e})")
+            continue
+        values = np.linalg.eigvalsh((w + w.T) / 2.0)
+        if values[-1] <= 0.0 or values[0] <= s * np.finfo(np.float64).eps * values[-1]:
+            problems.append(
+                f"{label}: weight is not positive definite "
+                f"(smallest eigenvalue {values[0]:.6e})"
+            )
+            continue
+        usable_pairs.append((u, v))
+    if not problems:
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for u, v in usable_pairs:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        if len(reached) < n:
+            problems.append("graph is not connected")
+    return tuple(problems)
+
+
+FAULTS = (
+    "out_of_range",
+    "self_loop",
+    "reversed",
+    "duplicate",
+    "shape",
+    "nan",
+    "asymmetric",
+    "indefinite",
+)
+
+
+def _faulty_edge(fault, n, s, edges, rng):
+    u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+    w = random_pd_weight(rng, s)
+    if fault == "out_of_range":
+        return (u, n + int(rng.integers(0, 3)), w) if rng.random() < 0.5 else (-1, v, w)
+    if fault == "self_loop":
+        return (u, u, w)
+    if fault == "reversed":
+        return (v, u, w)
+    if fault == "duplicate" and edges:
+        u, v, _ = edges[int(rng.integers(0, len(edges)))]
+    elif fault == "shape":
+        w = np.eye(s + 1)
+    elif fault == "nan":
+        w[0, -1] = np.nan
+    elif fault == "asymmetric":
+        w[0, -1] += 1.0
+    elif fault == "indefinite":
+        w = -w
+    return (u, v, w)
+
+
+@st.composite
+def faulty_graphs(draw):
+    """A graph's ``(n, s, edges)`` with injected faults; without faults the
+    edges are a random subset of the complete graph's, in random order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    s = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+    pairs = draw(st.permutations(pairs))
+    pairs = pairs[: draw(st.integers(min_value=0, max_value=len(pairs)))]
+    edges = [(u, v, random_pd_weight(rng, s)) for u, v in pairs]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        position = draw(st.integers(min_value=0, max_value=len(edges)))
+        edges.insert(position, _faulty_edge(fault, n, s, edges, rng))
+    if draw(st.booleans()):
+        edges = [(u, v, w.tolist()) for u, v, w in edges]
+    return n, s, edges
+
+
+class TestArrayValidationOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(graph=faulty_graphs())
+    def test_problems_match_per_edge_reference(self, graph):
+        n, s, edges = graph
+        expected = reference_problems(n, s, edges)
+        assert validation_report(n, s, edges).problems == expected
+        document = _document(n, s, [
+            {"u": u + 1, "v": v + 1, "w": np.asarray(w).tolist()} for u, v, w in edges
+        ])
+        if expected:
+            with pytest.raises(GraphError) as exc:
+                from_edges(n, s, edges)
+            assert str(exc.value) == "; ".join(expected)
+            assert _parse_error(document) == "; ".join(expected)
+            return
+        g = from_edges(n, s, edges)
+        for array, dtype, shape in (
+            (g.endpoints, np.intp, (len(edges), 2)),
+            (g.weights, np.float64, (len(edges), s, s)),
+        ):
+            assert array.dtype == dtype and array.shape == shape
+            assert not array.flags.writeable
+        assert parse_graph(document) == g
+        again = parse_graph(serialize(g))
+        assert again == g
+        assert not again.endpoints.flags.writeable
+        assert not again.weights.flags.writeable
+        assert validate(g).ok
+        # The per-edge build: sort the triples, symmetrize each weight.
+        ordered = sorted(edges, key=lambda e: (e[0], e[1]))
+        assert [(e.u, e.v, e.index) for e in g.edges] == [
+            (u, v, index) for index, (u, v, _) in enumerate(ordered)
+        ]
+        for e, (_, _, w) in zip(g.edges, ordered):
+            w = np.asarray(w, dtype=np.float64)
+            assert e.weight.tobytes() == ((w + w.T) / 2.0).tobytes()
+
+    def test_edges_built_on_first_read(self):
+        g = parse_graph(serialize(cycle_graph(4, 2)))
+        assert "edges" not in vars(g)
+        assert g.edges is g.edges
+        assert g.edges[1].weight.base is not None
+
+
 class TestEdgeDataclass:
     def test_edges_are_identity_compared(self):
         a = Edge(0, 1, np.eye(1), 0)
@@ -436,5 +723,5 @@ class TestEdgeDataclass:
         assert a == a
 
     def test_graph_m_property(self):
-        g = MatrixWeightedGraph(2, 1, (Edge(0, 1, np.eye(1), 0),))
+        g = MatrixWeightedGraph(2, 1, np.array([[0, 1]]), np.eye(1)[None])
         assert g.m == 1

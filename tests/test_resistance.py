@@ -193,6 +193,21 @@ class TestHandValuesK3:
 
 
 class TestWorkspaceStructure:
+    @pytest.mark.parametrize("name", [
+        "laplacian_spectrum",
+        "resistance_spectrum",
+        "shift_spectrum",
+        "deficit_form_spectrum",
+    ])
+    def test_cached_spectra_are_read_only(self, name):
+        ws = ResistanceWorkspace(cycle_graph(5, 2))
+        spectrum = getattr(ws, name)
+        with pytest.raises(ValueError):
+            spectrum.eigenvalues[:] = 1.0
+        with pytest.raises(ValueError):
+            spectrum.eigenvectors[:] = 1.0
+        assert ws.inertia().as_tuple() == (2, 8, 0)
+
     def test_resistance_diag_blocks_vanish(self):
         ws = ResistanceWorkspace(random_graph(5, 3, "complete", seed=40))
         for i in range(5):
