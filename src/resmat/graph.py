@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -98,13 +98,17 @@ class MatrixWeightedGraph:
     pairs ``(u, v)``, ``u < v``, sorted lexicographically; ``weights`` is
     the read-only ``(m, s, s)`` float64 stack of the edge weights in the
     same order.  :attr:`edges` presents the same data as :class:`Edge`
-    records, built on first access.
+    records, built on first access.  A graph built by :func:`from_edges`,
+    :func:`parse_graph` or a generator has had its weights tested for
+    definiteness, so the Laplacian does not test them again; one
+    constructed directly is tested there.
     """
 
     n: int
     s: int
     endpoints: np.ndarray
     weights: np.ndarray
+    _validated: bool = field(default=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -323,7 +327,7 @@ def _graph(n, s, us, vs, weights) -> MatrixWeightedGraph:
     symmetric = stack + stack.transpose(0, 2, 1)
     symmetric /= 2.0
     return MatrixWeightedGraph(
-        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric)
+        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric), _validated=True
     )
 
 
@@ -364,7 +368,7 @@ def _parsed_weights(ws: list):
     for position, w in enumerate(ws, start=1):
         try:
             weight = np.array(w, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"edge #{position}: malformed weight: {exc}") from exc
         if weight.ndim != 2:
             raise GraphError(f"edge #{position}: weight must be 2-D")

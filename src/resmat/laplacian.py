@@ -13,10 +13,15 @@ its own transpose do not depend on the chosen orientations.
 
 The Laplacian cofactor (the common value of every block cofactor of ``L``)
 generalizes the spanning tree count: for ``s = 1`` unit weights it *is* the
-number of spanning trees.
+number of spanning trees.  It is read from the Cholesky pivots of the
+shifted Laplacian ``M = L + alpha P``, where ``P = (1/n) J (x) I_s`` is the
+projector onto the kernel of ``L`` and ``alpha = tr(L)/ns`` scales the
+shift to the Laplacian: ``det M = alpha^s n^s c(G)``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "stacked_identity",
     "build_laplacian",
     "build_incidence",
+    "shifted_cholesky",
     "laplacian_cofactor_slog",
 ]
 
@@ -42,17 +48,21 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     read-only ``ns x ns`` array.
 
     Off-diagonal blocks are the negated inverse weights, all inverted in
-    one batched call; each diagonal block is the sum of the inverse weights
-    of its incident edges, accumulated in ascending neighbor order (the
-    canonical edge order visits every vertex's neighbors that way).  That
-    makes the diagonal reproducible bitwise, and block row and column sums
-    cancel up to a reordering of identical floating-point terms (residuals
-    at the level of the last place, far below any tolerance used
-    downstream).
+    one batched call (which tests definiteness unless the graph was
+    validated when it was built); each diagonal block is the sum of the
+    inverse weights of its incident edges, accumulated in ascending
+    neighbor order (the canonical edge order visits every vertex's
+    neighbors that way).  That makes the diagonal reproducible bitwise,
+    and block row and column sums cancel up to a reordering of identical
+    floating-point terms (residuals at the level of the last place, far
+    below any tolerance used downstream).
     """
     n, s = g.n, g.s
     us, vs = g.endpoints.T
-    inverse_weights = linalg.pd_inverse(g.weights)
+    # Validation has already tested the weights of a validated graph for
+    # definiteness, on the same symmetrized stack.
+    invert = linalg._symmetric_inverse if g._validated else linalg.pd_inverse
+    inverse_weights = invert(g.weights)
     body = np.zeros((n * s, n * s))
     blocks = body.reshape(n, s, n, s)
     blocks[us, :, vs, :] = -inverse_weights
@@ -88,17 +98,59 @@ def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
     return linalg.frozen(body)
 
 
+def _shift(body: np.ndarray, n: int, s: int, scale: float = 1.0) -> np.ndarray:
+    """``body + scale P`` with ``P = (1/n) J (x) I_s``, as a new array."""
+    shifted = body.copy()
+    blocks = shifted.reshape(n, s, n, s)
+    blocks += (scale / n) * np.eye(s)[:, np.newaxis, :]
+    return shifted
+
+
+def shifted_cholesky(
+    laplacian: np.ndarray, n: int, s: int
+) -> tuple[np.ndarray, float, tuple[float, float]]:
+    """Factor the shifted Laplacian ``M = L + alpha P = C C'``.
+
+    Returns the lower triangular factor ``C`` (a new writable array), the
+    shift ``alpha = tr(L)/ns`` and the Laplacian cofactor as
+    ``(sign, log|value|)`` from the pivots, since
+    ``log c(G) = 2 sum log diag(C) - s log(alpha n)``.  Any ``alpha > 0``
+    makes ``M`` positive definite for a connected graph; scaling it to the
+    Laplacian keeps the conditioning of ``M`` independent of the weight
+    scale.
+
+    The factorization also decides nonsingularity: it must succeed, and
+    its smallest pivot ``min diag(C)^2`` must clear
+    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.
+    """
+    alpha = float(np.trace(laplacian)) / (n * s)
+    shift_body = _shift(laplacian, n, s, alpha)
+    try:
+        factor = np.linalg.cholesky(shift_body)
+        pivots = np.diag(factor)
+        smallest = float(np.min(pivots)) ** 2
+    except np.linalg.LinAlgError:
+        smallest = 0.0
+    if smallest <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
+        raise linalg.NumericError(
+            "shifted Laplacian is numerically singular; "
+            "the graph is not usably connected"
+        )
+    log_det = 2.0 * float(np.sum(np.log(pivots)))
+    return factor, alpha, (1.0, log_det - s * math.log(alpha * n))
+
+
 def laplacian_cofactor_slog(
     g: MatrixWeightedGraph, laplacian: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """The block cofactor of the Laplacian's (0, 0) block, as
-    ``(sign, log|value|)``; overflow-safe.
+    """The Laplacian cofactor as ``(sign, log|value|)``; overflow-safe.
 
     Because the Laplacian has exactly vanishing block row and column sums,
-    every block cofactor of it takes this same value; the (0, 0) choice is
-    the canonical evaluation point.  A prebuilt ``laplacian`` of ``g`` is
-    used as given.
+    every block cofactor of it takes this same value.  It comes from the
+    pivots of :func:`shifted_cholesky`, so it raises :class:`NumericError`
+    where that factorization finds the graph numerically disconnected.  A
+    prebuilt ``laplacian`` of ``g`` is used as given.
     """
     if laplacian is None:
         laplacian = build_laplacian(g)
-    return linalg.block_cofactor_slog(laplacian, 0, 0, g.s)
+    return shifted_cholesky(laplacian, g.n, g.s)[2]

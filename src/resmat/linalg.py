@@ -261,6 +261,12 @@ def pd_inverse(w, rank_tol: float | None = None) -> np.ndarray:
     """
     w = _pd_checked(w)
     _require_pd(np.linalg.eigvalsh(w), rank_tol)
+    return _symmetric_inverse(w)
+
+
+def _symmetric_inverse(w: np.ndarray) -> np.ndarray:
+    """:func:`pd_inverse` of an exactly symmetric float64 stack already
+    known to be positive definite: the batched inverse, symmetrized."""
     v = np.linalg.inv(w)
     return (v + np.swapaxes(v, -1, -2)) / 2.0
 

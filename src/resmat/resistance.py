@@ -1,31 +1,37 @@
 """Resistance matrices of matrix-weighted graphs and their closed forms.
 
 The computational route runs through the shifted Laplacian
-``M = L + (1/n) J (x) I_s`` (``J`` all-ones, ``(x)`` the Kronecker
-product), which is positive definite exactly when the graph is connected.
+``M = L + alpha P``, where ``P = (1/n) J (x) I_s`` (``J`` all-ones,
+``(x)`` the Kronecker product) projects onto the kernel of ``L`` and
+``alpha = tr(L)/ns`` scales the shift to the Laplacian.  ``M`` is positive
+definite exactly when the graph is connected, and ``M^{-1} = L^+ + P/alpha``.
 With ``X = M^{-1}``:
 
-* the Laplacian pseudoinverse is ``X - (1/n) J (x) I_s``,
-* the block resistance matrix is ``R_{ij} = X_ii + X_jj - 2 X_ij``,
+* the Laplacian pseudoinverse is ``X - (1/alpha) P``,
+* the block resistance matrix is ``R_{ij} = X_ii + X_jj - 2 X_ij`` (the
+  shift cancels),
 * the vertex deficit blocks ``T_i = 2 I_s - sum_{j ~ i} W_ij^{-1} R_ji``
   stack into an ``ns x s`` matrix ``T``, which the engine takes from its
   closed expression ``T = L xbar + (2/n)(1 (x) I_s)`` (``xbar`` the
   stacked diagonal blocks of ``X``) with one product, not an edge loop;
   the ``TAUDEF`` check compares it with the edge sum.  The quadratic form
-  ``T' R T`` is positive definite and drives two closed forms:
+  ``T' R T`` is positive definite, equals
+  ``2 xbar' L xbar + (8/n)(sum_i X_ii - I_s/alpha)``, and drives two
+  closed forms:
 
     det R   = (-1)^{(n-1)s} 2^{(n-3)s} det(T' R T) / c(G)
     R^{-1}  = -(1/2) L + T (T' R T)^{-1} T'
 
-  where ``c(G)`` is the Laplacian cofactor.  The eigenvalues of ``R``
-  always split ``(s, ns - s, 0)`` into positive/negative/zero, and the
-  negated reciprocal Laplacian spectrum interlaces them.
+  where ``c(G)`` is the Laplacian cofactor, read from the Cholesky pivots
+  since ``det M = alpha^s n^s c(G)``.  The eigenvalues of ``R`` always
+  split ``(s, ns - s, 0)`` into positive/negative/zero, and the negated
+  reciprocal Laplacian spectrum interlaces them.
 
-A :class:`ResistanceWorkspace` computes the cheap objects eagerly (one
-Cholesky factorization ``M = C C'`` both decides that ``M`` is usably
-nonsingular and gives ``X = Z' Z`` with ``Z = C^{-1}``) and caches the
-spectral ones on first use, so determinant work never pays for an
-eigendecomposition.
+A :class:`ResistanceWorkspace` pays for one Cholesky factorization
+``M = C C'``: it decides that ``M`` is usably nonsingular, its pivots give
+the cofactor, and ``Z = C^{-1}`` gives ``xbar`` (the diagonal blocks of
+``X = Z' Z`` are Grams of block columns of ``Z``).  So the closed forms
+never form ``X`` or ``R``; those, and the spectra, are built on first use.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ import numpy as np
 from . import linalg
 from .graph import MatrixWeightedGraph
 from .laplacian import (
+    _shift,
     build_incidence,
     build_laplacian,
-    laplacian_cofactor_slog,
+    shifted_cholesky,
     stacked_identity,
 )
 from .linalg import frozen
@@ -77,14 +84,6 @@ class InterlaceRow:
     holds: bool
 
 
-def _shift(body: np.ndarray, n: int, s: int, sign: float = 1.0) -> np.ndarray:
-    """``body + sign (1/n) J (x) I_s`` as a new ``ns x ns`` array."""
-    shifted = body.copy()
-    blocks = shifted.reshape(n, s, n, s)
-    blocks += (sign / n) * np.eye(s)[:, np.newaxis, :]
-    return shifted
-
-
 def _invert_lower(c: np.ndarray) -> None:
     """Overwrite the lower triangular ``C`` with ``Z = C^{-1}``, in place.
 
@@ -107,28 +106,15 @@ def _invert_lower(c: np.ndarray) -> None:
 
 
 def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
-    """``X = M^{-1}`` for the shifted Laplacian ``M = L + (1/n) J (x) I_s``.
+    """``X = M^{-1}`` for the shifted Laplacian ``M = L + alpha P``.
 
-    One Cholesky factorization ``M = C C'`` serves twice.  It decides
-    nonsingularity: it must succeed, and its smallest pivot
-    ``min diag(C)^2`` must clear ``default_rank_tol(ns) * max|M|``, else
-    :class:`NumericError`.  It then gives ``X = Z' Z`` with ``Z = C^{-1}``
-    from :func:`_invert_lower`, so the inverse runs as matrix products
+    The Cholesky factor from :func:`shifted_cholesky` (which raises
+    :class:`NumericError` when ``M`` is numerically singular) is inverted in
+    place by :func:`_invert_lower`, so the inverse runs as matrix products
     (backward stable; Du Croz & Higham 1992).  numpy computes ``Z' Z`` on
     one buffer as a symmetric rank-k update, so ``X`` is exactly symmetric.
     """
-    shift_body = _shift(laplacian, n, s)
-    try:
-        factor = np.linalg.cholesky(shift_body)
-        pivot = float(np.min(np.diag(factor))) ** 2
-    except np.linalg.LinAlgError:
-        pivot = 0.0
-    if pivot <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
-        raise linalg.NumericError(
-            "shifted Laplacian is numerically singular; "
-            "the graph is not usably connected"
-        )
-    del shift_body
+    factor = shifted_cholesky(laplacian, n, s)[0]
     _invert_lower(factor)  # factor now holds Z = C^{-1}
     return factor.T @ factor
 
@@ -137,15 +123,18 @@ class ResistanceWorkspace:
     """Everything derived from one graph: Laplacian, shifted inverse,
     pseudoinverse, resistance blocks, deficit blocks, and closed forms.
 
-    Construction never eigendecomposes a full ``ns x ns`` matrix: it is one
-    Cholesky factorization of the shifted Laplacian, which both tests it
-    and yields its inverse through the inverse factor, batched inverses of
-    the edge weights, and an ``s x s`` eigensolve of the deficit form.
-    It keeps three ``ns x ns`` matrices: ``L``, ``X`` and ``R``.  The
-    shifted Laplacian and the pseudoinverse (each one addition away), the
-    large spectra (`laplacian_spectrum`, `resistance_spectrum`,
-    `shift_spectrum`) and the incidence matrix are cached properties
-    computed on first access.
+    Construction never eigendecomposes a full ``ns x ns`` matrix and never
+    forms ``X`` or ``R``: it is batched inverses of the edge weights, one
+    Cholesky factorization ``M = C C'`` of the shifted Laplacian (which
+    tests it, gives the cofactor and, inverted in place, ``Z = C^{-1}``),
+    one batched product for the diagonal blocks of ``X = Z' Z``, and an
+    ``s x s`` eigensolve of the deficit form.  It keeps two ``ns x ns``
+    matrices, ``L`` and ``Z``, which is all that the determinant, the
+    inverse, ``T`` and single resistance blocks need.  The shifted
+    inverse ``X`` and the resistance matrix ``R``, the shifted Laplacian
+    and the pseudoinverse, the large spectra (`laplacian_spectrum`,
+    `resistance_spectrum`, `shift_spectrum`) and the incidence matrix are
+    cached properties computed on first access.
 
     Every matrix attribute is a read-only float64 array, so an in-place
     write raises ``ValueError`` instead of silently invalidating what was
@@ -165,20 +154,17 @@ class ResistanceWorkspace:
         n, s = graph.n, graph.s
         ns = n * s
         self.laplacian = build_laplacian(graph)
-        self.shifted_inverse = x = frozen(_shifted_inverse(self.laplacian, n, s))
+        factor, self.shift_scale, self.laplacian_cofactor_slog = shifted_cholesky(
+            self.laplacian, n, s
+        )
+        _invert_lower(factor)  # factor now holds Z = C^{-1}
+        self._inverse_factor = frozen(factor)
 
-        # Diagonal blocks of X, stacked (n, s, s), then as an ns x s column.
-        x_blocks = x.reshape(n, s, n, s)
-        vertices = np.arange(n)
-        diagonal = frozen(x_blocks[vertices, :, vertices, :])
-        self.diag_stack = diagonal.reshape(ns, s)
-
-        # R_ij = X_ii + X_jj - 2 X_ij for all block pairs at once.
-        resistance = np.empty((ns, ns))
-        r_blocks = resistance.reshape(n, s, n, s)
-        np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
-        r_blocks -= 2.0 * x_blocks
-        self.resistance = frozen(resistance)
+        # X_ii = Z_i' Z_i for the block columns Z_i of Z, in one batched
+        # product, stacked (n, s, s) and then as an ns x s column.
+        columns = factor.reshape(ns, n, s).transpose(1, 0, 2)
+        diagonal = columns.transpose(0, 2, 1) @ columns
+        self.diag_stack = frozen(diagonal.reshape(ns, s))
 
         # T = L xbar + (2/n)(1 (x) I_s); TAUDEF checks it against the edge
         # sum that defines it.
@@ -186,7 +172,9 @@ class ResistanceWorkspace:
         deficit += (2.0 / n) * stacked_identity(n, s)
         self.deficit = frozen(deficit)
 
-        form = deficit.T @ resistance @ deficit
+        # T' R T from its closed expression; TAURTAU_FORM checks it against
+        # the product with R.
+        form = self.deficit_form_closed()
         self.deficit_form = frozen((form + form.T) / 2.0)
         form_spectrum = linalg.sym_eigen(self.deficit_form)
         largest = float(form_spectrum.eigenvalues[0])
@@ -199,16 +187,45 @@ class ResistanceWorkspace:
             )
         self.deficit_form_spectrum = form_spectrum
 
+    def _gram(self) -> np.ndarray:
+        """``X = Z' Z``, exactly symmetric: numpy runs the product on one
+        buffer as a symmetric rank-k update."""
+        z = self._inverse_factor
+        return z.T @ z
+
+    @cached_property
+    def shifted_inverse(self) -> np.ndarray:
+        """The shifted inverse ``X = M^{-1} = Z' Z``."""
+        return frozen(self._gram())
+
+    @cached_property
+    def resistance(self) -> np.ndarray:
+        """The block resistance matrix ``R_ij = X_ii + X_jj - 2 X_ij``,
+        assembled for all block pairs at once from ``X`` itself.  A
+        workspace that has not built ``X`` builds it for this alone and lets
+        it go, so it holds ``L``, ``Z`` and ``R``, not ``X`` as well."""
+        n, s = self.graph.n, self.graph.s
+        x = self.__dict__.get("shifted_inverse")
+        x_blocks = (self._gram() if x is None else x).reshape(n, s, n, s)
+        vertices = np.arange(n)
+        diagonal = x_blocks[vertices, :, vertices, :]
+        resistance = np.empty((n * s, n * s))
+        r_blocks = resistance.reshape(n, s, n, s)
+        np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
+        r_blocks -= 2.0 * x_blocks
+        return frozen(resistance)
+
     @cached_property
     def shift_body(self) -> np.ndarray:
-        """The shifted Laplacian ``M = L + (1/n) J (x) I_s``."""
-        return frozen(_shift(self.laplacian, self.graph.n, self.graph.s))
+        """The shifted Laplacian ``M = L + alpha P``."""
+        n, s = self.graph.n, self.graph.s
+        return frozen(_shift(self.laplacian, n, s, self.shift_scale))
 
     @cached_property
     def pseudoinverse(self) -> np.ndarray:
-        """Laplacian pseudoinverse ``X - (1/n) J (x) I_s``."""
+        """Laplacian pseudoinverse ``X - (1/alpha) P``."""
         n, s = self.graph.n, self.graph.s
-        return frozen(_shift(self.shifted_inverse, n, s, -1.0))
+        return frozen(_shift(self.shifted_inverse, n, s, -1.0 / self.shift_scale))
 
     # ------------------------------------------------------------------
     # lazily computed spectral objects
@@ -235,10 +252,6 @@ class ResistanceWorkspace:
         return build_incidence(self.graph)
 
     @cached_property
-    def laplacian_cofactor_slog(self) -> tuple[float, float]:
-        return laplacian_cofactor_slog(self.graph, self.laplacian)
-
-    @cached_property
     def laplacian_cofactor_value(self) -> float:
         return linalg.value_from_slog(*self.laplacian_cofactor_slog)
 
@@ -258,7 +271,9 @@ class ResistanceWorkspace:
     # block access
 
     def resistance_block(self, i: int, j: int) -> np.ndarray:
-        """The ``(i, j)`` resistance block (0-based), as a fresh array.
+        """The ``(i, j)`` resistance block (0-based), as a fresh array:
+        ``X_ii + X_jj - 2 Z_i' Z_j`` from block columns of ``Z``, without
+        forming ``X`` or ``R``.
 
         Raises :class:`DimensionError` for an index outside ``0..n-1``; a
         negative one would otherwise wrap round to another block.
@@ -268,20 +283,23 @@ class ResistanceWorkspace:
             raise linalg.DimensionError(
                 f"block ({i}, {j}) out of range for {n} x {n} blocks"
             )
-        return self.resistance[i * s : (i + 1) * s, j * s : (j + 1) * s].copy()
+        z = self._inverse_factor
+        cross = z[:, i * s : (i + 1) * s].T @ z[:, j * s : (j + 1) * s]
+        xbar = self.diag_stack
+        return xbar[i * s : (i + 1) * s] + xbar[j * s : (j + 1) * s] - 2.0 * cross
 
     # ------------------------------------------------------------------
     # closed forms
 
     def deficit_form_closed(self) -> np.ndarray:
-        """The deficit quadratic form by its non-obvious closed expression
-        ``2 xbar' L xbar + (8/n) (sum_i X_ii - I_s)`` with
+        """The deficit quadratic form ``T' R T`` by its non-obvious closed
+        expression ``2 xbar' L xbar + (8/n) (sum_i X_ii - I_s/alpha)`` with
         ``xbar`` the stacked diagonal blocks of the shifted inverse."""
         n, s = self.graph.n, self.graph.s
         xbar = self.diag_stack
         total = xbar.reshape(n, s, s).sum(axis=0)
         return 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
-            total - np.eye(s)
+            total - np.eye(s) / self.shift_scale
         )
 
     def determinant(self) -> float:
@@ -314,10 +332,15 @@ class ResistanceWorkspace:
 
     def inverse(self) -> np.ndarray:
         """Inverse of the resistance matrix by the closed form
-        ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve)."""
+        ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve).
+
+        The sums run in place, so three ``ns x ns`` temporaries suffice."""
         middle = np.linalg.solve(self.deficit_form, self.deficit.T)
-        f = -0.5 * self.laplacian + self.deficit @ middle
-        return (f + f.T) / 2.0
+        f = -0.5 * self.laplacian
+        f += self.deficit @ middle
+        symmetric = f + f.T
+        symmetric /= 2.0
+        return symmetric
 
     def inertia(self, zero_tol: float | None = None) -> linalg.Inertia:
         """Eigenvalue sign counts of the resistance matrix (always

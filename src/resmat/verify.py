@@ -8,11 +8,13 @@ and skipped checks never flip a suite's overall result.
 
 Checks never reuse the quantity they are checking: each one recomputes its
 right-hand side through an independent route (spectral pseudoinverse vs
-shifted-inverse algebra, LU determinants vs closed forms, breadth-first
-path sums vs resistance blocks, the defining edge sum of the deficit blocks
-vs the engine's ``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants
-and cofactors are compared as exact ``(sign, log|.|)`` pairs, so values
-beyond the double range are still compared, not two infinities or zeros.
+shifted-inverse algebra, LU determinants vs closed forms, LU minors vs the
+cofactor from Cholesky pivots, ``T' R T`` from the resistance matrix vs the
+engine's ``R``-free expression, breadth-first path sums vs resistance
+blocks, the defining edge sum of the deficit blocks vs the engine's
+``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants and cofactors
+are compared as exact ``(sign, log|.|)`` pairs, so values beyond the
+double range are still compared, not two infinities or zeros.
 
 Reports are deterministic: the same graph yields a byte-identical JSON
 report, including the randomized checks, whose index samples are drawn
@@ -43,8 +45,8 @@ from .graph import (
     random_pd_weight,
     star_graph,
 )
-from .laplacian import stacked_identity
-from .resistance import ResistanceWorkspace, _shift
+from .laplacian import _shift, stacked_identity
+from .resistance import ResistanceWorkspace
 
 __all__ = [
     "UnknownCheckError",
@@ -332,10 +334,10 @@ def _check_taurtau_pd(ws: ResistanceWorkspace):
 
 
 def _check_taurtau_form(ws: ResistanceWorkspace):
-    closed = ws.deficit_form_closed()
-    residual = linalg.max_norm(ws.deficit_form - closed)
+    direct = ws.deficit.T @ ws.resistance @ ws.deficit
+    residual = linalg.max_norm(ws.deficit_form - direct)
     tol = 1e-9 * (1.0 + linalg.max_norm(ws.deficit_form))
-    return residual, tol, "deficit quadratic form vs closed expression"
+    return residual, tol, "closed-expression deficit form vs T' R T"
 
 
 def _check_det_formula(ws: ResistanceWorkspace):
@@ -395,7 +397,7 @@ def _check_cofactor_eq(ws: ResistanceWorkspace):
         pairs.append((i + 1, j + 1))
         value = linalg.block_cofactor_slog(ws.laplacian, i, j, g.s)
         worst = max(worst, _log_ratio(value, reference))
-    details = f"blocks {pairs} vs reference {_value_text(*reference)}"
+    details = f"blocks {pairs} vs Cholesky-pivot reference {_value_text(*reference)}"
     return worst, 1e-8, details
 
 
@@ -582,7 +584,7 @@ _REGISTRY: tuple[_CheckDef, ...] = (
     ),
     _CheckDef(
         "TAURTAU_FORM",
-        "deficit quadratic form matches its closed expression",
+        "closed-expression deficit form matches T' R T",
         _applies_always,
         _check_taurtau_form,
     ),
@@ -612,7 +614,7 @@ _REGISTRY: tuple[_CheckDef, ...] = (
     ),
     _CheckDef(
         "COFACTOR_EQ",
-        "all Laplacian block cofactors agree",
+        "Laplacian block cofactors agree with the Cholesky-pivot cofactor",
         _applies_always,
         _check_cofactor_eq,
     ),

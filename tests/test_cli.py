@@ -105,10 +105,27 @@ class TestCompute:
         assert out == "-1.00000000000e+00\n"
 
     def test_det_json(self, capsys, p2_file):
+        # The cofactor comes from Cholesky pivots, which are irrational even
+        # here (M = [[1.5, -0.5], [-0.5, 1.5]]), so -1 is met to roundoff.
         code, out, _ = run_cli(capsys, "compute", p2_file, "det", "--format", "json")
         assert code == EXIT_OK
         data = json.loads(out)
-        assert data == {"log_abs": 0.0, "sign": -1.0, "value": -1.0}
+        assert data.keys() == {"log_abs", "sign", "value"}
+        assert data["sign"] == -1.0
+        assert abs(data["value"] + 1.0) <= 4e-15
+        assert abs(data["log_abs"]) <= 4e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_det_json_unit_paths(self, capsys, tmp_path, n):
+        path = tmp_path / "path.json"
+        path.write_text(serialize(path_graph(n)))
+        code, out, _ = run_cli(capsys, "compute", str(path), "det", "--format", "json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        exact = (-1) ** (n - 1) * (n - 1) * 2 ** (n - 2)
+        assert data["sign"] == math.copysign(1.0, exact)
+        assert abs(data["value"] - exact) <= 4e-15 * abs(exact)
+        assert abs(data["log_abs"] - math.log(abs(exact))) <= 4e-15
 
     def test_chi_json(self, capsys, k3_file):
         code, out, _ = run_cli(capsys, "compute", k3_file, "chi", "--format", "json")
@@ -261,6 +278,63 @@ class TestCompute:
         assert out == ""
         assert "shifted Laplacian is numerically singular" in err
 
+    def test_weight_beyond_float_range(self, tmp_path):
+        # json reads the literal as a Python int that float64 cannot hold.
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"n": 2, "s": 1, "edges": [{"u": 1, "v": 2, "w": [[1' + "0" * 400 + "]]}]}"
+        )
+        src = str(Path(resmat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "resmat.cli", "compute", str(path), "det"]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_INPUT
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: edge #1: malformed weight: ")
+        assert run.stdout == ""
+
+
+class TestClosedFormsSkipXAndR:
+    """``det``, ``inverse``, ``tau`` and ``--pair`` never form the shifted
+    inverse ``X`` or ``R``, and ``det`` and ``chi`` take no LU of a cofactor
+    minor: the only LU they run is of the ``s x s`` deficit form."""
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        from resmat import linalg
+        from resmat.resistance import ResistanceWorkspace
+
+        def refuse(self):
+            raise AssertionError("X or R was built")
+
+        for name in ("shifted_inverse", "resistance"):
+            monkeypatch.setattr(ResistanceWorkspace, name, property(refuse))
+        orders = []
+        slogdet_lu = linalg.slogdet_lu
+
+        def recording(a):
+            orders.append(np.shape(a))
+            return slogdet_lu(a)
+
+        monkeypatch.setattr(linalg, "slogdet_lu", recording)
+        return orders
+
+    @pytest.mark.parametrize("argv", [
+        ("det",),
+        ("det", "--format", "json"),
+        ("inverse",),
+        ("tau",),
+        ("chi",),
+        ("resistance", "--pair", "1", "4"),
+    ])
+    def test_no_x_r_or_minor(self, capsys, block_file, guarded, argv):
+        code, out, err = run_cli(capsys, "compute", block_file, *argv)
+        assert code == EXIT_OK and err == "" and out
+        assert set(guarded) <= {(2, 2)}
+
 
 class TestOutOfRangeScalars:
     """Determinants beyond the double range: exact sign and log, no numpy
@@ -299,7 +373,7 @@ class TestOutOfRangeScalars:
 
     def test_verify_json_is_rfc(self, capsys, tiny_path_file):
         code, out, _ = run_cli(capsys, "verify", tiny_path_file, "--format", "json")
-        assert code in (EXIT_OK, EXIT_CHECK)
+        assert code == EXIT_OK
         report = json.loads(out, parse_constant=_reject_constant)
         cofactor = next(c for c in report["checks"] if c["id"] == "COFACTOR_EQ")
         assert cofactor["tolerance"] == 1e-8 and cofactor["passed"]

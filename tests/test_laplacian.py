@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resmat.graph import (
+    MatrixWeightedGraph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -20,6 +21,7 @@ from resmat.laplacian import (
 )
 from resmat.linalg import (
     DimensionError,
+    NumericError,
     max_norm,
     pd_inverse,
     sym_eigen,
@@ -134,6 +136,25 @@ class TestBuildLaplacian:
         assert float(values[-1]) >= -1e-12 * scale
         near_zero = np.sum(np.abs(values) <= 1e-10 * scale)
         assert near_zero == g.s
+
+    def test_validated_graph_skips_second_definiteness_test(self, monkeypatch):
+        g = random_graph(6, 3, "gnp", seed=5, p=0.6)
+        direct = MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights)
+        expected = build_laplacian(direct)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated weights tested for definiteness again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert np.array_equal(build_laplacian(g), expected)
+        with pytest.raises(AssertionError, match="again"):
+            build_laplacian(direct)
+
+    def test_directly_built_graph_is_tested(self):
+        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        g = MatrixWeightedGraph(2, 2, np.array([[0, 1]]), indefinite)
+        with pytest.raises(NumericError, match="not positive definite"):
+            build_laplacian(g)
 
     def test_unit_weights_reduce_to_scalar_laplacian(self):
         g = cycle_graph(4, 3)

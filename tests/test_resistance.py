@@ -543,8 +543,11 @@ class TestErrorPaths:
 
 
 def lu_shifted_inverse(g):
-    """``M^{-1}`` by one LAPACK LU inverse, symmetrized."""
-    x = np.linalg.inv(_shift(build_laplacian(g), g.n, g.s))
+    """``M^{-1}`` for ``M = L + alpha P`` with ``alpha = tr(L)/ns``, by one
+    LAPACK LU inverse, symmetrized."""
+    laplacian = build_laplacian(g)
+    alpha = np.trace(laplacian) / (g.n * g.s)
+    x = np.linalg.inv(_shift(laplacian, g.n, g.s, alpha))
     symmetric = x + x.T
     symmetric /= 2.0
     return symmetric
@@ -636,3 +639,78 @@ class TestShiftedInverseKernel:
         assert n * s > _LEAF_ORDER
         report = run_suite(kernel_graph(model, n, s, p))
         assert [c.check_id for c in report.checks if not c.passed] == []
+
+
+def lu_minor_cofactor_slog(laplacian, s):
+    """The Laplacian cofactor from the LU of the minor left by deleting
+    block row and column 0."""
+    return np.linalg.slogdet(laplacian[s:, s:])
+
+
+class TestRFreeRoute:
+    """The closed forms come from the Cholesky factor alone; ``X`` and
+    ``R`` are built only when asked for, and agree with them."""
+
+    @pytest.mark.parametrize("model,n,s,p", UP_TO_LEAF + ABOVE_LEAF)
+    def test_matches_routes_through_r(self, model, n, s, p):
+        g = kernel_graph(model, n, s, p)
+        ws = ResistanceWorkspace(g)
+        lap, t = ws.laplacian, ws.deficit
+        r = ws.resistance
+
+        def close(a, b):
+            return max_norm(a - b) <= 1e-12 * max_norm(b)
+
+        form = t.T @ r @ t
+        assert close(ws.deficit_form, form)
+        x = ws.shifted_inverse.reshape(n, s, n, s)
+        xbar = x[np.arange(n), :, np.arange(n), :].reshape(n * s, s)
+        assert close(t, lap @ xbar + (2.0 / n) * stacked_identity(n, s))
+
+        cof_sign, cof_log = lu_minor_cofactor_slog(lap, s)
+        sign, got = ws.laplacian_cofactor_slog
+        assert sign == cof_sign == 1.0
+        assert abs(got - cof_log) <= 1e-12 * max(1.0, abs(cof_log))
+
+        form_sign, form_log = np.linalg.slogdet(form)
+        expected = (n - 3) * s * np.log(2.0) + form_log - cof_log
+        sign, got = ws.determinant_slog()
+        assert sign == (-1.0) ** ((n - 1) * s) * form_sign
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+        assert close(ws.inverse(), -0.5 * lap + t @ np.linalg.solve(form, t.T))
+        blocks = r.reshape(n, s, n, s)
+        for i, j in ((0, n - 1), (n - 1, 0), (n // 2, n // 3), (1, 1)):
+            assert max_norm(ws.resistance_block(i, j) - blocks[i, :, j, :]) <= (
+                1e-12 * max_norm(r)
+            )
+
+    @pytest.mark.parametrize("model,n,s,p", [UP_TO_LEAF[1], ABOVE_LEAF[0]])
+    def test_closed_forms_leave_x_and_r_unbuilt(self, model, n, s, p):
+        ws = ResistanceWorkspace(kernel_graph(model, n, s, p))
+        ws.determinant_slog()
+        ws.determinant()
+        ws.inverse()
+        ws.resistance_block(0, n - 1)
+        ws.laplacian_cofactor_value
+        assert "resistance" not in ws.__dict__
+        assert "shifted_inverse" not in ws.__dict__
+        # R lets go of the X it was built from; X built later is the same.
+        r = ws.resistance
+        assert "shifted_inverse" not in ws.__dict__
+        x = ws.shifted_inverse.reshape(n, s, n, s)
+        diagonal = x[np.arange(n), :, np.arange(n), :]
+        expected = diagonal[:, :, np.newaxis, :] + diagonal.transpose(1, 0, 2) - 2.0 * x
+        assert np.array_equal(r, expected.reshape(n * s, n * s))
+
+    def test_scale_invariant_objects(self):
+        # alpha cancels from R and T; scaling every weight by c scales R
+        # by c and leaves T alone.
+        g = random_graph(9, 2, "gnp", seed=3, p=0.5)
+        scaled = from_edges(g.n, g.s, [(e.u, e.v, 1e6 * e.weight) for e in g.edges])
+        ws, big = ResistanceWorkspace(g), ResistanceWorkspace(scaled)
+        assert big.shift_scale == pytest.approx(1e-6 * ws.shift_scale, rel=1e-14)
+        assert max_norm(big.resistance - 1e6 * ws.resistance) <= 1e-9 * max_norm(
+            big.resistance
+        )
+        assert max_norm(big.deficit - ws.deficit) <= 1e-12

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from resmat.graph import (
     complete_graph,
@@ -401,3 +402,76 @@ class TestEveryCheckOnCorpus:
                 if not result.skipped and result.tolerance > 0.0:
                     worst = max(worst, result.residual / result.tolerance)
         assert worst <= 1e-2
+
+
+def ill_conditioned_graphs():
+    """Twelve graphs whose weight scale or weight conditioning is extreme."""
+    graphs = {}
+    for w in (1e-6, 1e-3, 1e3, 1e6):
+        graphs[f"path200 w={w:g}"] = path_graph(200, 1, np.array([[w]]))
+    for w in (1e-6, 1e-3, 1e3, 1e6):
+        graphs[f"cycle70 w={w:g}"] = cycle_graph(70, 3, w * np.eye(3))
+    base = random_graph(60, 3, "gnp", seed=9, p=0.15)
+    for c in (4, 6, 8):
+        # Each weight Q diag(1, 10^(-c/2), 10^(-c)) Q', Q drawn per edge.
+        rng = np.random.default_rng(5)
+        edges = []
+        for e in base.edges:
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            spectrum = np.diag([1.0, 10.0 ** (-c / 2), 10.0**-c])
+            edges.append((e.u, e.v, q @ spectrum @ q.T))
+        graphs[f"gnp60 c={c}"] = from_edges(60, 3, edges)
+    graphs["path40 w=1e-10"] = path_graph(40, 1, np.array([[1e-10]]))
+    return graphs
+
+
+class TestIllConditioning:
+    """The scale-aware shift keeps the registry's verdicts independent of
+    the weight scale."""
+
+    #: The failures that remain, each at one and at two BLAS threads.
+    #: SCALAR_REDUCTION's tolerance is absolute (1e-10) while R reaches
+    #: 2e8 on path200 at w=1e6; L_EQ_QQT squares weight roots of condition
+    #: 1e8 at c=8.
+    KNOWN = {
+        ("path200 w=1000", "SCALAR_REDUCTION"),
+        ("path200 w=1e+06", "SCALAR_REDUCTION"),
+        ("gnp60 c=8", "L_EQ_QQT"),
+    }
+
+    def test_failures_at_most_known(self):
+        failing = set()
+        for name, g in ill_conditioned_graphs().items():
+            report = run_suite(g)
+            failing |= {(name, c.check_id) for c in report.checks if not c.passed}
+        assert failing <= self.KNOWN
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        model=st.sampled_from(["gnp", "tree"]),
+        n=st.integers(min_value=3, max_value=10),
+        s=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10**6),
+        k=st.integers(min_value=-6, max_value=6),
+    )
+    # Two graphs on which the unit shift failed TAU_SUM and TAURTAU_FORM.
+    @example(model="gnp", n=5, s=2, seed=0, k=-6)
+    @example(model="gnp", n=5, s=1, seed=1, k=-6)
+    def test_registry_passes_at_any_weight_scale(self, model, n, s, seed, k):
+        g = random_graph(n, s, model, seed=seed, p=0.5 if model == "gnp" else None)
+        scale = 10.0**k
+        scaled = from_edges(n, s, [(e.u, e.v, scale * e.weight) for e in g.edges])
+        # PINV_SUBMATRIX is left out: its pre-screen is an absolute
+        # |det| > 1e-8 and its third instance adds a unit shift, so at
+        # weight scales 1e2 and beyond it fails and at 1e-6 it can raise,
+        # at any shift of the engine.  SCALAR_REDUCTION runs, but its
+        # tolerance is an absolute 1e-10 on R, which scales with the
+        # weights, so its verdict is not asserted.
+        selection = [c for c in CHECK_IDS if c != "PINV_SUBMATRIX"]
+        report = run_suite(scaled, selection)
+        failing = [
+            c.check_id
+            for c in report.checks
+            if not c.passed and c.check_id != "SCALAR_REDUCTION"
+        ]
+        assert failing == []
