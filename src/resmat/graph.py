@@ -101,14 +101,14 @@ class MatrixWeightedGraph:
     records, built on first access.  A graph built by :func:`from_edges`,
     :func:`parse_graph` or a generator has had its weights tested for
     definiteness, so the Laplacian does not test them again; one
-    constructed directly is tested there.
+    constructed directly or by :func:`dataclasses.replace` is tested there.
     """
 
     n: int
     s: int
     endpoints: np.ndarray
     weights: np.ndarray
-    _validated: bool = field(default=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -326,9 +326,11 @@ def _graph(n, s, us, vs, weights) -> MatrixWeightedGraph:
         raise GraphError("; ".join(problems))
     symmetric = stack + stack.transpose(0, 2, 1)
     symmetric /= 2.0
-    return MatrixWeightedGraph(
-        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric), _validated=True
+    graph = MatrixWeightedGraph(
+        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric)
     )
+    object.__setattr__(graph, "_validated", True)
+    return graph
 
 
 def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:

@@ -105,20 +105,6 @@ def _invert_lower(c: np.ndarray) -> None:
     np.matmul(product, c[:h, :h], out=c[h:, :h])
 
 
-def _shifted_inverse(laplacian: np.ndarray, n: int, s: int) -> np.ndarray:
-    """``X = M^{-1}`` for the shifted Laplacian ``M = L + alpha P``.
-
-    The Cholesky factor from :func:`shifted_cholesky` (which raises
-    :class:`NumericError` when ``M`` is numerically singular) is inverted in
-    place by :func:`_invert_lower`, so the inverse runs as matrix products
-    (backward stable; Du Croz & Higham 1992).  numpy computes ``Z' Z`` on
-    one buffer as a symmetric rank-k update, so ``X`` is exactly symmetric.
-    """
-    factor = shifted_cholesky(laplacian, n, s)[0]
-    _invert_lower(factor)  # factor now holds Z = C^{-1}
-    return factor.T @ factor
-
-
 class ResistanceWorkspace:
     """Everything derived from one graph: Laplacian, shifted inverse,
     pseudoinverse, resistance blocks, deficit blocks, and closed forms.

@@ -224,13 +224,14 @@ def test_criterion_07_oracle_agreement(corpus_workspaces):
 
 
 def test_criterion_08_deficit_form(corpus_workspaces):
-    """Deficit form: direct vs closed (1e-9 * scale) and strictly PD on every
-    corpus graph; hand values [[2]], [[4]], [[16/9]] to 1e-12."""
+    """Deficit form: direct ``T'RT`` vs the engine's closed form
+    (1e-9 * scale) and strictly PD on every corpus graph; hand values
+    [[2]], [[4]], [[16/9]] to 1e-12."""
     worst_ratio = 0.0
     margin_failures = 0
     for _, g, ws in corpus_workspaces:
-        direct = ws.deficit_form
-        closed = ws.deficit_form_closed()
+        direct = ws.deficit.T @ ws.resistance @ ws.deficit
+        closed = ws.deficit_form
         tol = 1e-9 * (1.0 + max_norm(direct))
         worst_ratio = max(worst_ratio, max_norm(direct - closed) / tol)
         values = ws.deficit_form_spectrum.eigenvalues

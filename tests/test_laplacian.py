@@ -1,6 +1,8 @@
 """Tests for the block Laplacian, incidence matrix, Laplacian cofactor, and
 the read-only arrays the engine hands out."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,20 @@ class TestBuildLaplacian:
         g = MatrixWeightedGraph(2, 2, np.array([[0, 1]]), indefinite)
         with pytest.raises(NumericError, match="not positive definite"):
             build_laplacian(g)
+
+    def test_replaced_weights_are_tested(self):
+        g = path_graph(2, 2)
+        assert g._validated
+        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        replaced = dataclasses.replace(g, weights=indefinite)
+        assert not replaced._validated
+        with pytest.raises(NumericError, match="not positive definite"):
+            build_laplacian(replaced)
+
+    def test_validated_flag_is_not_a_constructor_argument(self):
+        g = path_graph(2)
+        with pytest.raises(TypeError):
+            MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights, _validated=True)
 
     def test_unit_weights_reduce_to_scalar_laplacian(self):
         g = cycle_graph(4, 3)

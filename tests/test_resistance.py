@@ -18,7 +18,7 @@ from resmat.graph import (
     random_graph,
     random_pd_weight,
 )
-from resmat.laplacian import build_laplacian, stacked_identity
+from resmat.laplacian import build_laplacian, shifted_cholesky, stacked_identity
 from resmat.linalg import (
     NumericError,
     det_lu,
@@ -32,7 +32,6 @@ from resmat.resistance import (
     _LEAF_ORDER,
     _invert_lower,
     _shift,
-    _shifted_inverse,
 )
 from resmat.verify import run_suite
 
@@ -379,8 +378,8 @@ class TestClosedForms:
     ])
     def test_deficit_form_closed_expression(self, seed, model, n, s, p):
         ws = ResistanceWorkspace(random_graph(n, s, model, seed=seed, p=p))
-        direct = ws.deficit_form
-        closed = ws.deficit_form_closed()
+        direct = ws.deficit.T @ ws.resistance @ ws.deficit
+        closed = ws.deficit_form
         assert max_norm(direct - closed) <= 1e-9 * (1.0 + max_norm(direct))
 
     def test_deficit_form_positive_definite(self):
@@ -612,8 +611,9 @@ class TestShiftedInverseKernel:
     def test_matches_lu_inverse(self, model, n, s, p):
         g = kernel_graph(model, n, s, p)
         laplacian = build_laplacian(g)
-        assert np.linalg.cond(_shift(laplacian, n, s)) <= 1e5
-        x = _shifted_inverse(laplacian, n, s)
+        alpha = np.trace(laplacian) / (n * s)
+        assert np.linalg.cond(_shift(laplacian, n, s, alpha)) <= 1e5
+        x = ResistanceWorkspace(g).shifted_inverse
         expected = lu_shifted_inverse(g)
         assert max_norm(x - expected) <= 1e-12 * max_norm(expected)
 
@@ -622,7 +622,7 @@ class TestShiftedInverseKernel:
         # Z'Z on one buffer runs as a symmetric rank-k update (SYRK), which
         # writes one triangle and mirrors it; the engine relies on this
         # instead of symmetrizing X.
-        x = _shifted_inverse(build_laplacian(kernel_graph(model, n, s, p)), n, s)
+        x = ResistanceWorkspace(kernel_graph(model, n, s, p)).shifted_inverse
         assert np.array_equal(x, x.T)
 
     @pytest.mark.parametrize("first,second", [(11, 12), (101, 102)])
@@ -632,7 +632,9 @@ class TestShiftedInverseKernel:
             "the graph is not usably connected"
         )
         with pytest.raises(NumericError, match=f"^{message}$"):
-            _shifted_inverse(disjoint_paths_laplacian(first, second), first + second, 1)
+            shifted_cholesky(
+                disjoint_paths_laplacian(first, second), first + second, 1
+            )
 
     @pytest.mark.parametrize("model,n,s,p", ABOVE_LEAF)
     def test_registry_passes_above_leaf(self, model, n, s, p):
