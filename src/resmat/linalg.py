@@ -338,14 +338,17 @@ def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
         raise DimensionError(
             f"block index ({i}, {j}) out of range for {blocks} blocks"
         )
-    rows = np.arange(i * s, (i + 1) * s)
-    cols = np.arange(j * s, (j + 1) * s)
-    # Sign from the sum of the deleted 1-based absolute row and column indices.
-    exponent = int(rows.sum() + rows.size + cols.sum() + cols.size)
-    sign = -1.0 if exponent % 2 else 1.0
-    keep_rows = np.delete(np.arange(n), rows)
-    keep_cols = np.delete(np.arange(n), cols)
-    return sign, a[np.ix_(keep_rows, keep_cols)]
+    # The deleted 1-based row and column indices sum to
+    # s^2 (i + j) + s (s + 1), whose parity is that of s (i + j).
+    sign = -1.0 if (s * (i + j)) % 2 else 1.0
+    # Copy the four blocks of A around block row i and block column j.
+    view = a.reshape(blocks, s, blocks, s)
+    minor = np.empty((blocks - 1, s, blocks - 1, s))
+    minor[:i, :, :j] = view[:i, :, :j]
+    minor[:i, :, j:] = view[:i, :, j + 1 :]
+    minor[i:, :, :j] = view[i + 1 :, :, :j]
+    minor[i:, :, j:] = view[i + 1 :, :, j + 1 :]
+    return sign, minor.reshape(n - s, n - s)
 
 
 def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:

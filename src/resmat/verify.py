@@ -268,19 +268,40 @@ def _check_commute(ws: ResistanceWorkspace):
     return residual, tol, "Laplacian and shifted inverse commutator"
 
 
-def _check_taudef(ws: ResistanceWorkspace):
+def _edge_terms(ws: ResistanceWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ``W_ij^{-1} R_ji`` of the defining edge sums, one for each
+    ordered pair of adjacent vertices, in one batched product.
+
+    Returns the vertex ``i`` of each term and the ``(2m, s, s)`` stack of
+    terms, sorted by ``(i, j)`` so that each vertex's neighbours come in
+    ascending order.
+    """
     g = ws.graph
     n, s = g.n, g.s
+    us, vs = g.endpoints.T
+    rows = np.concatenate([us, vs])
+    cols = np.concatenate([vs, us])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
     lap = ws.laplacian.reshape(n, s, n, s)
     r = ws.resistance.reshape(n, s, n, s)
-    edge_sum = np.empty_like(ws.deficit)
-    for i, incident in enumerate(adjacency(g)):
-        block = 2.0 * np.eye(s)
-        for j, _ in incident:
-            # -L_{ij} is the inverse weight of edge {i, j}.
-            inverse_weight = -lap[i, :, j, :]
-            block -= inverse_weight @ r[j, :, i, :]
-        edge_sum[i * s : (i + 1) * s, :] = block
+    # -L_{ij} is the inverse weight of edge {i, j}.
+    return rows, -lap[rows, :, cols, :] @ r[cols, :, rows, :]
+
+
+def _deficit_edge_sum(ws: ResistanceWorkspace) -> np.ndarray:
+    """The deficit blocks ``T_i = 2 I - sum_j W_ij^{-1} R_ji`` by their
+    defining edge sum, stacked ``ns x s``; each vertex subtracts its terms
+    in ascending neighbour order."""
+    g = ws.graph
+    rows, terms = _edge_terms(ws)
+    blocks = np.tile(2.0 * np.eye(g.s), (g.n, 1, 1))
+    np.subtract.at(blocks, rows, terms)
+    return blocks.reshape(g.n * g.s, g.s)
+
+
+def _check_taudef(ws: ResistanceWorkspace):
+    edge_sum = _deficit_edge_sum(ws)
     residual = linalg.max_norm(edge_sum - ws.deficit)
     tol = 1e-9 * (1.0 + linalg.max_norm(ws.deficit))
     return residual, tol, "Laplacian-expression deficit blocks vs their edge sum"
@@ -295,14 +316,7 @@ def _check_tau_sum(ws: ResistanceWorkspace):
 
 def _check_rwiden(ws: ResistanceWorkspace):
     g = ws.graph
-    n, s = g.n, g.s
-    lap = ws.laplacian.reshape(n, s, n, s)
-    r = ws.resistance.reshape(n, s, n, s)
-    total = np.zeros((s, s))
-    for i, incident in enumerate(adjacency(g)):
-        for j, _ in incident:
-            inverse_weight = -lap[i, :, j, :]
-            total += inverse_weight @ r[j, :, i, :]
+    total = _edge_terms(ws)[1].sum(axis=0)
     target = 2.0 * (g.n - 1) * np.eye(g.s)
     residual = linalg.max_norm(total - target)
     tol = 1e-8 * (1.0 + 2.0 * (g.n - 1))
@@ -401,15 +415,33 @@ def _check_cofactor_eq(ws: ResistanceWorkspace):
     return worst, 1e-8, details
 
 
-def _pinv_submatrix_sets(rng, order: int, max_size: int, matrix, count: int = 5):
-    """Sample index sets with numerically invertible principal submatrices
-    (absolute determinant pre-screen: |det| > 1e-8)."""
+#: Index sets each ``PINV_SUBMATRIX`` instance aims to sample.
+_PINV_SETS_PER_INSTANCE = 5
+
+
+def _pinv_submatrix_sets(rng, a: np.ndarray, max_size: int):
+    """Sample index sets ``S`` whose principal submatrix ``A[S, S]`` of the
+    positive semidefinite ``a`` is numerically invertible.
+
+    A draw is accepted when the Cholesky factorization of ``A[S, S]``
+    succeeds and its smallest squared pivot clears ``1e-10`` times the
+    largest diagonal entry of ``A[S, S]`` (the largest entry of a positive
+    semidefinite matrix), the relative scale of
+    :func:`numerically_nonsingular`.  Up to ``_PINV_SETS_PER_INSTANCE``
+    sets are returned, each after at most 40 draws.
+    """
+    order = a.shape[0]
     sets = []
-    for _ in range(count):
+    for _ in range(_PINV_SETS_PER_INSTANCE):
         for _ in range(40):
             size = int(rng.integers(1, max_size + 1))
             rows = np.sort(rng.choice(order, size=size, replace=False))
-            if abs(linalg.det_lu(matrix[np.ix_(rows, rows)])) > 1e-8:
+            block = a[rows[:, np.newaxis], rows]
+            try:
+                pivots = np.diag(np.linalg.cholesky(block))
+            except np.linalg.LinAlgError:
+                continue
+            if float(pivots.min()) ** 2 > 1e-10 * float(block.diagonal().max()):
                 sets.append(rows)
                 break
     return sets
@@ -419,36 +451,43 @@ def numerically_nonsingular(b, rtol: float = 1e-10) -> bool:
     """Scale-aware nonsingularity of a symmetric matrix: the smallest
     singular value must exceed ``rtol`` times the largest.
 
-    Equivalently, ``|det B|`` must exceed ``rtol`` times the largest
-    singular value times the adjugate norm — the determinant's natural
-    scale.  A fixed absolute cutoff on the raw determinant would be wrong:
-    a perfectly conditioned 14 x 14 matrix with entries of size 0.05 has a
-    determinant around 1e-15.
+    The singular values are the absolute eigenvalues, taken by one
+    ``eigvalsh`` (no eigenvectors) after :func:`linalg.symmetrize`, which
+    rejects material asymmetry.  Equivalently, ``|det B|`` must exceed
+    ``rtol`` times the largest singular value times the adjugate norm, the
+    determinant's natural scale.  A fixed absolute cutoff on the raw
+    determinant would be wrong: a perfectly conditioned 14 x 14 matrix with
+    entries of size 0.05 has a determinant around 1e-15.
     """
-    singular_values = np.abs(linalg.sym_eigen(b).eigenvalues)
+    singular_values = np.abs(np.linalg.eigvalsh(linalg.symmetrize(b)))
     return float(singular_values.min()) > rtol * float(singular_values.max())
 
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
     g = ws.graph
     ns = g.n * g.s
+    # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and
+    # P act on complementary subspaces.
     instances = [
-        ("pseudoinverse", ws.pseudoinverse, ws.laplacian),
-        ("shifted Laplacian", ws.shift_body, ws.shifted_inverse),
-        ("shifted pseudoinverse", _shift(ws.pseudoinverse, g.n, g.s), None),
+        (ws.pseudoinverse, ws.laplacian),
+        (ws.shift_body, ws.shifted_inverse),
+        (_shift(ws.pseudoinverse, g.n, g.s), _shift(ws.laplacian, g.n, g.s)),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0
     sampled = 0
-    for name, a, a_pinv in instances:
-        if a_pinv is None:
-            a_pinv = np.linalg.inv(a)
-        for rows in _pinv_submatrix_sets(rng, ns, ns - g.s, a):
+    for a, a_pinv in instances:
+        for rows in _pinv_submatrix_sets(rng, a, ns - g.s):
             sampled += 1
-            if not numerically_nonsingular(a_pinv[np.ix_(rows, rows)]):
+            if not numerically_nonsingular(a_pinv[rows[:, np.newaxis], rows]):
                 violations += 1
-    details = f"{sampled} invertible principal submatrices over 3 instances"
-    return float(violations), 0.0, details
+    targeted = len(instances) * _PINV_SETS_PER_INSTANCE
+    details = (
+        f"sampled {sampled} of {targeted} targeted invertible principal "
+        f"submatrices over {len(instances)} instances"
+    )
+    # A check that sampled nothing has tested nothing, so it fails.
+    return float(violations if sampled else 1), 0.0, details
 
 
 def _check_scalar_reduction(ws: ResistanceWorkspace):
@@ -466,11 +505,15 @@ def _check_tree_distance(ws: ResistanceWorkspace):
 
 def _check_tree_det(ws: ResistanceWorkspace):
     n = ws.graph.n
-    expected = float((-1) ** (n - 1) * (n - 1) * 2 ** (n - 2))
-    direct = linalg.det_lu(ws.resistance)
-    residual = abs(direct - expected) / abs(expected)
-    details = f"LU determinant {direct:.12e}, expected {expected:.1f}"
-    return residual, 1e-10, details
+    # (-1)^(n-1) (n-1) 2^(n-2) as a (sign, log|.|) pair: the plain value
+    # overflows a double from n = 1017 on.
+    sign = -1.0 if (n - 1) % 2 else 1.0
+    expected = (sign, math.log(n - 1) + (n - 2) * math.log(2.0))
+    direct = linalg.slogdet_lu(ws.resistance)
+    details = (
+        f"LU determinant {_value_text(*direct)}, expected {_value_text(*expected)}"
+    )
+    return _log_ratio(direct, expected), 1e-10, details
 
 
 def _applies_always(g: MatrixWeightedGraph) -> str | None:

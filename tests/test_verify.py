@@ -14,7 +14,8 @@ from resmat.graph import (
     random_graph,
     star_graph,
 )
-from resmat.linalg import DimensionError, max_norm
+from resmat import verify
+from resmat.linalg import DimensionError, NumericError, max_norm
 from resmat.resistance import ResistanceWorkspace
 from resmat.verify import (
     CHECK_IDS,
@@ -137,6 +138,10 @@ class TestNumericallyNonsingular:
         assert numerically_nonsingular(b, rtol=1e-8)
         assert not numerically_nonsingular(b, rtol=1e-3)
 
+    def test_rejects_material_asymmetry(self):
+        with pytest.raises(NumericError, match="not symmetric"):
+            numerically_nonsingular(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
 
 class TestRunCheck:
     def test_single_check_passes(self):
@@ -175,6 +180,27 @@ class TestRunCheck:
         result = run_check(star_graph(4), "TREE_DET")
         assert not result.skipped and result.passed
 
+    def test_tree_det_beyond_double_range(self):
+        # (n-1) 2^(n-2) overflows a double from n = 1017 on; the check
+        # compares (sign, log|.|) pairs and prints both sides in range-safe
+        # form instead of raising OverflowError.  The 1030-vertex star is
+        # well conditioned, so its verdict does not hang on rounding.
+        result = run_check(star_graph(1029), "TREE_DET")
+        assert not result.skipped and result.passed
+        assert result.tolerance == 1e-10
+        assert result.details.count("-exp(") == 2
+
+    def test_tree_det_long_path_reports(self):
+        # The same size on a path, where the check used to raise
+        # OverflowError.  Its residual sits at the tolerance (2.8e-11 at
+        # two OpenBLAS threads, 1.3e-10 at one: the engine's R is off by
+        # up to 5e-8 as the path's conditioning grows with n^2), so only
+        # that it reports is asserted.
+        result = run_check(path_graph(1030), "TREE_DET")
+        assert not result.skipped and result.tolerance == 1e-10
+        assert np.isfinite(result.residual)
+        assert result.details.count("-exp(") == 2
+
     def test_shared_workspace_used(self):
         g = path_graph(3)
         ws = ResistanceWorkspace(g)
@@ -209,6 +235,57 @@ class TestMutationsFail:
         ws.deficit = ws.deficit.copy()
         ws.deficit[5, 1] += 1e-6
         assert not run_check(g, "TAUDEF", workspace=ws).passed
+
+
+class TestEdgeSums:
+    """TAUDEF and RWIDEN take their edge sums from one batched product; they
+    must equal the sums taken edge by edge."""
+
+    @staticmethod
+    def loop_sums(ws):
+        g = ws.graph
+        n, s = g.n, g.s
+        lap = ws.laplacian.reshape(n, s, n, s)
+        r = ws.resistance.reshape(n, s, n, s)
+        blocks = np.zeros((n, s, s))
+        for e in g.edges:
+            for i, j in ((e.u, e.v), (e.v, e.u)):
+                blocks[i] += -lap[i, :, j, :] @ r[j, :, i, :]
+        return blocks
+
+    def test_batched_sums_match_edge_loop(self, corpus_workspaces):
+        for _, g, ws in corpus_workspaces:
+            n, s = g.n, g.s
+            loop = self.loop_sums(ws)
+            deficit = 2.0 * np.eye(s) - loop
+            batched = verify._deficit_edge_sum(ws).reshape(n, s, s)
+            assert max_norm(batched - deficit) <= 1e-13 * max_norm(deficit)
+            total = verify._edge_terms(ws)[1].sum(axis=0)
+            expected = loop.sum(axis=0)
+            assert max_norm(total - expected) <= 1e-13 * max_norm(expected)
+
+
+class TestPinvSubmatrixSampling:
+    @pytest.mark.parametrize(
+        "n, s, p, seed", [(60, 3, 0.15, 9), (100, 1, 0.1, 2)]
+    )
+    def test_samples_every_targeted_set(self, n, s, p, seed):
+        result = run_check(random_graph(n, s, "gnp", seed=seed, p=p), "PINV_SUBMATRIX")
+        assert result.passed
+        assert result.details.startswith("sampled 15 of 15 targeted")
+
+    def test_no_sampled_set_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "_pinv_submatrix_sets", lambda *args: [])
+        result = run_check(cycle_graph(4, 2), "PINV_SUBMATRIX")
+        assert not result.passed
+        assert result.details.startswith("sampled 0 of 15 targeted")
+
+    def test_screen_accepts_tiny_well_conditioned_sets(self):
+        # The screen is relative: a perfectly conditioned matrix of tiny
+        # entries is accepted, where an absolute |det| cutoff rejects it.
+        rng = np.random.default_rng(0)
+        sets = verify._pinv_submatrix_sets(rng, 1e-6 * np.eye(20), 19)
+        assert len(sets) == 5
 
 
 class TestOutOfRangeDeterminants:
@@ -457,18 +534,21 @@ class TestIllConditioning:
     # Two graphs on which the unit shift failed TAU_SUM and TAURTAU_FORM.
     @example(model="gnp", n=5, s=2, seed=0, k=-6)
     @example(model="gnp", n=5, s=1, seed=1, k=-6)
+    # PINV_SUBMATRIX failed on the first under an absolute |det| > 1e-8
+    # screen, and raised NumericError on the second when the unit-shifted
+    # pseudoinverse was inverted numerically.
+    @example(model="gnp", n=3, s=2, seed=0, k=6)
+    @example(model="gnp", n=5, s=1, seed=2, k=-6)
     def test_registry_passes_at_any_weight_scale(self, model, n, s, seed, k):
         g = random_graph(n, s, model, seed=seed, p=0.5 if model == "gnp" else None)
         scale = 10.0**k
         scaled = from_edges(n, s, [(e.u, e.v, scale * e.weight) for e in g.edges])
-        # PINV_SUBMATRIX is left out: its pre-screen is an absolute
-        # |det| > 1e-8 and its third instance adds a unit shift, so at
-        # weight scales 1e2 and beyond it fails and at 1e-6 it can raise,
-        # at any shift of the engine.  SCALAR_REDUCTION runs, but its
-        # tolerance is an absolute 1e-10 on R, which scales with the
-        # weights, so its verdict is not asserted.
-        selection = [c for c in CHECK_IDS if c != "PINV_SUBMATRIX"]
-        report = run_suite(scaled, selection)
+        # Every check runs.  PINV_SUBMATRIX screens its index sets by a
+        # Cholesky pivot relative to the submatrix's scale and inverts its
+        # unit-shifted instance in closed form, so it takes part.
+        # SCALAR_REDUCTION's tolerance is an absolute 1e-10 on R, which
+        # scales with the weights, so its verdict is not asserted.
+        report = run_suite(scaled)
         failing = [
             c.check_id
             for c in report.checks
