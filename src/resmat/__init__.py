@@ -35,7 +35,6 @@ from .graph import (
     random_graph,
     serialize,
     star_graph,
-    validate,
     validation_report,
 )
 from .linalg import (
@@ -44,8 +43,6 @@ from .linalg import (
     NumericError,
     SpectralDecomposition,
     det_lu,
-    pd_inverse,
-    pd_inverse_sqrt,
     pseudo_inverse,
     slogdet_lu,
     sym_eigen,
@@ -109,7 +106,6 @@ __all__ = [
     "random_graph",
     "serialize",
     "star_graph",
-    "validate",
     "validation_report",
     # laplacian
     "build_incidence",
@@ -122,8 +118,6 @@ __all__ = [
     "NumericError",
     "SpectralDecomposition",
     "det_lu",
-    "pd_inverse",
-    "pd_inverse_sqrt",
     "pseudo_inverse",
     "slogdet_lu",
     "sym_eigen",

@@ -12,10 +12,11 @@ row-major nested lists.  Serialization round-trips weights bit-for-bit.
 
 A graph is its arrays: the ``(m, 2)`` endpoint pairs and the ``(m, s, s)``
 weight stack, both read-only and sorted lexicographically by endpoint pair.
-A valid document goes from JSON to these arrays in bulk: one loop of type
-checks collects the fields, a single conversion makes the weight stack, and
-validation runs on the arrays.  The per-edge :class:`Edge` records are built
-only when ``edges`` is first read.
+Its constructor is the one validation gate: however a graph is made (parsed,
+from edges, generated, constructed directly or by :func:`dataclasses.replace`),
+a single conversion makes the weight stack and validation runs on the arrays,
+so every graph that exists is valid.  The per-edge :class:`Edge` records are
+built only when ``edges`` is first read.
 
 Generation is fully deterministic: every random quantity flows from an
 explicit integer seed through ``numpy.random.default_rng``.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "MatrixWeightedGraph",
     "ValidationReport",
     "validation_report",
-    "validate",
     "from_edges",
     "parse_graph",
     "serialize",
@@ -92,23 +92,34 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class MatrixWeightedGraph:
-    """Immutable validated graph, held as arrays.
+    """Immutable graph, held as arrays and validated when constructed.
 
-    ``endpoints`` is the read-only ``(m, 2)`` intp array of 0-based endpoint
-    pairs ``(u, v)``, ``u < v``, sorted lexicographically; ``weights`` is
-    the read-only ``(m, s, s)`` float64 stack of the edge weights in the
-    same order.  :attr:`edges` presents the same data as :class:`Edge`
-    records, built on first access.  A graph built by :func:`from_edges`,
-    :func:`parse_graph` or a generator has had its weights tested for
-    definiteness, so the Laplacian does not test them again; one
-    constructed directly or by :func:`dataclasses.replace` is tested there.
+    The constructor takes ``endpoints`` as ``(u, v)`` pairs (0-based) and
+    ``weights`` as one ``s x s`` matrix per edge, in any order and form
+    numpy converts.  It raises :class:`GraphError` listing every problem
+    that :func:`validation_report` finds, else stores ``endpoints`` as the
+    read-only ``(m, 2)`` intp array of the pairs, ``u < v``, sorted
+    lexicographically, and ``weights`` as the read-only ``(m, s, s)``
+    float64 stack of the weights in the same order, each exactly
+    symmetrized (``(W + W') / 2``).  :attr:`edges` presents the same data
+    as :class:`Edge` records, built on first access.
     """
 
     n: int
     s: int
     endpoints: np.ndarray
     weights: np.ndarray
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        problems, endpoints, stack = _checked(
+            self.n, self.s, self.endpoints, self.weights
+        )
+        if problems:
+            raise GraphError("; ".join(problems))
+        symmetric = stack + stack.transpose(0, 2, 1)
+        symmetric /= 2.0
+        object.__setattr__(self, "endpoints", linalg.frozen(endpoints))
+        object.__setattr__(self, "weights", linalg.frozen(symmetric))
 
     @property
     def m(self) -> int:
@@ -167,54 +178,66 @@ def _is_connected(n: int, pairs) -> bool:
     return count == n
 
 
-def _columns(edges, endpoint=lambda x: x):
-    """Split ``(u, v, weight)`` triples into endpoint and weight lists."""
-    us, vs, ws = [], [], []
+def _pairs(edges, endpoint=lambda x: x):
+    """Split ``(u, v, weight)`` triples into endpoint pairs and weights."""
+    pairs, ws = [], []
     for u, v, w in edges:
-        us.append(endpoint(u))
-        vs.append(endpoint(v))
+        pairs.append((endpoint(u), endpoint(v)))
         ws.append(w)
-    return us, vs, ws
+    return pairs, ws
 
 
-def _weight_stack(weights: list):
-    """All weights as one float64 ``(m, a, b)`` stack, made by a single
-    conversion, or the list itself when they do not convert to one 2-D
-    shape."""
+def _weight_stack(weights):
+    """The weights as one float64 ``(m, a, b)`` stack, made by a single
+    conversion, or else as a list of per-edge float64 arrays.  Raises
+    :class:`GraphError` for the first weight that does not convert."""
     try:
-        stack = np.array(weights, dtype=np.float64)
+        stack = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        return weights
-    return stack if stack.ndim == 3 else weights
+        pass
+    else:
+        if stack.ndim == 3:
+            return stack
+    arrays = []
+    for position, w in enumerate(weights, start=1):
+        try:
+            arrays.append(np.asarray(w, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError(f"edge #{position}: malformed weight: {exc}") from exc
+    return arrays
 
 
-def _endpoint_pairs(n: int, us, vs) -> np.ndarray:
+def _endpoint_pairs(n: int, endpoints) -> np.ndarray:
     """0-based endpoints as one ``(m, 2)`` array: intp, or exact Python ints
     in an object array when ``n`` or some endpoint does not fit intp."""
     if n <= _INTP_MAX:
         try:
-            return np.array([us, vs], dtype=np.intp).T
+            return np.array(endpoints, dtype=np.intp).reshape(-1, 2)
         except OverflowError:
             pass
-    return np.array([us, vs], dtype=object).T
+    return np.array(endpoints, dtype=object).reshape(-1, 2)
 
 
-def _checked(n, s, us, vs, weights):
-    """Validate graph data given as endpoint columns and weights.
+def _checked(n, s, endpoints, weights):
+    """Validate graph data given as endpoint pairs and per-edge weights.
 
-    ``weights`` is one float64 ``(m, a, b)`` stack, or a list of per-edge
-    weights when they do not share one 2-D shape; a listed weight is only
-    converted once its edge has passed the endpoint checks.  Returns the
-    problems in edge order and, when there are none, the ``(m, 2)``
-    endpoint pairs and ``(m, s, s)`` weights, both sorted lexicographically
-    by endpoint pair (None otherwise).
+    Returns the problems in edge order and, when there are none, the
+    ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both sorted
+    lexicographically by endpoint pair (None otherwise).  A weight that
+    does not convert to numbers is the only problem reported.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return [f"vertex count n must be an integer >= 2, got {n!r}"], None, None
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         return [f"block size s must be an integer >= 1, got {s!r}"], None, None
+    try:
+        weights = _weight_stack(weights)
+    except GraphError as exc:
+        return [str(exc)], None, None
 
-    pairs = _endpoint_pairs(n, us, vs)
+    pairs = _endpoint_pairs(n, endpoints)
+    if len(pairs) != len(weights):
+        return [f"{len(pairs)} endpoint pairs but {len(weights)} weights"], None, None
     u, v = pairs[:, 0], pairs[:, 1]
 
     def label(k) -> str:
@@ -247,7 +270,7 @@ def _checked(n, s, us, vs, weights):
         wrong = {} if fits else dict.fromkeys(usable.tolist(), weights.shape[1:])
         stack = weights[usable if fits else usable[:0]]
     else:
-        arrays = [np.asarray(weights[k], dtype=np.float64) for k in usable.tolist()]
+        arrays = [weights[k] for k in usable.tolist()]
         wrong = {
             k: w.shape for k, w in zip(usable.tolist(), arrays) if w.shape != (s, s)
         }
@@ -302,35 +325,11 @@ def validation_report(n, s, edges) -> ValidationReport:
     match the external convention.  Checks: vertex/block counts, endpoint
     ranges and ordering, duplicate edges, weight shape, finiteness,
     symmetry (relative tolerance 1e-10), positive definiteness, and
-    connectivity.
+    connectivity.  A weight that does not convert to numbers is reported
+    alone, as the first such edge.
     """
-    us, vs, ws = _columns(edges)
-    problems, _, _ = _checked(n, s, us, vs, _weight_stack(ws))
+    problems, _, _ = _checked(n, s, *_pairs(edges))
     return ValidationReport(tuple(problems))
-
-
-def validate(g: MatrixWeightedGraph) -> ValidationReport:
-    """Re-run full validation on an already constructed graph."""
-    problems, _, _ = _checked(
-        g.n, g.s, g.endpoints[:, 0], g.endpoints[:, 1], g.weights
-    )
-    return ValidationReport(tuple(problems))
-
-
-def _graph(n, s, us, vs, weights) -> MatrixWeightedGraph:
-    """Validate, raising :class:`GraphError` listing every problem, then
-    build the graph: edges sorted, weights exactly symmetrized
-    (``(W + W') / 2``) and both arrays read-only."""
-    problems, endpoints, stack = _checked(n, s, us, vs, weights)
-    if problems:
-        raise GraphError("; ".join(problems))
-    symmetric = stack + stack.transpose(0, 2, 1)
-    symmetric /= 2.0
-    graph = MatrixWeightedGraph(
-        n, s, linalg.frozen(endpoints), linalg.frozen(symmetric)
-    )
-    object.__setattr__(graph, "_validated", True)
-    return graph
 
 
 def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
@@ -340,8 +339,7 @@ def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
     sorted lexicographically by endpoint pair; the weights are exactly
     symmetrized (``(W + W') / 2``) into one read-only ``(m, s, s)`` stack.
     """
-    us, vs, ws = _columns(edges, int)
-    return _graph(n, s, us, vs, _weight_stack(ws))
+    return MatrixWeightedGraph(n, s, *_pairs(edges, int))
 
 
 def _entry_problem(position: int, entry) -> str | None:
@@ -358,32 +356,14 @@ def _entry_problem(position: int, entry) -> str | None:
     return None
 
 
-def _parsed_weights(ws: list):
-    """The JSON weights as one float64 stack, converted in a single call when
-    they share a 2-D shape, else as a list of per-edge 2-D arrays.  Raises
-    :class:`GraphError` for the first weight that does not convert or is
-    not 2-D."""
-    stack = _weight_stack(ws)
-    if isinstance(stack, np.ndarray):
-        return stack
-    weights = []
-    for position, w in enumerate(ws, start=1):
-        try:
-            weight = np.array(w, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphError(f"edge #{position}: malformed weight: {exc}") from exc
-        if weight.ndim != 2:
-            raise GraphError(f"edge #{position}: weight must be 2-D")
-        weights.append(weight)
-    return weights
-
-
 def parse_graph(text) -> MatrixWeightedGraph:
     """Parse and validate a graph from its JSON interchange form.
 
     Accepts ``str`` or ``bytes``.  Raises :class:`GraphError` on JSON syntax
-    errors, structural problems, or validation failures; of the structural
-    and weight conversion problems, the first in edge order is raised.
+    errors, structural problems, or validation failures.  Only the edges
+    before the first structural problem are converted: the first of their
+    weights that does not convert is raised, else the first that is not
+    2-D, else the structural problem.
     """
     try:
         data = json.loads(text)
@@ -403,20 +383,23 @@ def parse_graph(text) -> MatrixWeightedGraph:
             raise GraphError(f"{name} must be an integer, got {value!r}")
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list")
-    us, vs, ws = [], [], []
+    pairs, ws = [], []
     problem = None
     for position, entry in enumerate(raw_edges, start=1):
         problem = _entry_problem(position, entry)
         if problem is not None:
             break
-        us.append(entry["u"] - 1)
-        vs.append(entry["v"] - 1)
+        pairs.append((entry["u"] - 1, entry["v"] - 1))
         ws.append(entry["w"])
     # The edges before a structural problem may hold an earlier one.
-    weights = _parsed_weights(ws)
+    weights = _weight_stack(ws)
+    if isinstance(weights, list):
+        for position, w in enumerate(weights, start=1):
+            if w.ndim != 2:
+                raise GraphError(f"edge #{position}: weight must be 2-D")
     if problem is not None:
         raise GraphError(problem)
-    return _graph(n, s, us, vs, weights)
+    return MatrixWeightedGraph(n, s, pairs, weights)
 
 
 def serialize(g: MatrixWeightedGraph) -> str:

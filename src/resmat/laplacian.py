@@ -48,8 +48,8 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     read-only ``ns x ns`` array.
 
     Off-diagonal blocks are the negated inverse weights, all inverted in
-    one batched call (which tests definiteness unless the graph was
-    validated when it was built); each diagonal block is the sum of the
+    one batched call with no test of their own (the graph's constructor
+    tested them for definiteness); each diagonal block is the sum of the
     inverse weights of its incident edges, accumulated in ascending
     neighbor order (the canonical edge order visits every vertex's
     neighbors that way).  That makes the diagonal reproducible bitwise,
@@ -59,10 +59,7 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     """
     n, s = g.n, g.s
     us, vs = g.endpoints.T
-    # Validation has already tested the weights of a validated graph for
-    # definiteness, on the same symmetrized stack.
-    invert = linalg._symmetric_inverse if g._validated else linalg.pd_inverse
-    inverse_weights = invert(g.weights)
+    inverse_weights = linalg._symmetric_inverse(g.weights)
     body = np.zeros((n * s, n * s))
     blocks = body.reshape(n, s, n, s)
     blocks[us, :, vs, :] = -inverse_weights
@@ -80,16 +77,17 @@ def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
     """Assemble the weighted incidence matrix ``Q`` with ``L = Q Q'``, as a
     read-only ``ns x ms`` array.
 
-    Block column ``e`` carries ``+W_e^{-1/2}`` (batched over all edges) at
-    the edge's origin (its smaller endpoint) and ``-W_e^{-1/2}`` at its
-    terminus.  Flipping an orientation negates one block column, which
-    conjugates ``Q' A Q`` by a diagonal sign matrix and leaves ``Q Q'``
-    bitwise unchanged, so every identity checked downstream is
+    Block column ``e`` carries ``+W_e^{-1/2}`` (one batched eigensolve over
+    all edges, untested like the Laplacian's inverse weights) at the edge's
+    origin (its smaller endpoint) and ``-W_e^{-1/2}`` at its terminus.
+    Flipping an orientation negates one block column, which conjugates
+    ``Q' A Q`` by a diagonal sign matrix and leaves ``Q Q'`` bitwise
+    unchanged, so every identity checked downstream is
     orientation-independent.
     """
     n, s, m = g.n, g.s, g.m
     us, vs = g.endpoints.T
-    roots = linalg.pd_inverse_sqrt(g.weights)
+    roots = linalg._inverse_sqrt(g.weights)
     body = np.zeros((n * s, m * s))
     blocks = body.reshape(n, s, m, s)
     columns = np.arange(m)

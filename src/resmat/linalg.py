@@ -2,10 +2,12 @@
 
 Thin layer over LAPACK (through ``numpy.linalg``) used by the rest of the
 package: symmetric eigendecompositions in descending order, the spectral
-pseudoinverse, batched positive definite inverses, determinants as exact
-``(sign, log|det|)`` pairs, block cofactors, and inertia counts.  It adds
-the checks LAPACK does not make: material asymmetry is rejected instead of
-averaged away, and definiteness and rank decisions are relative to scale.
+pseudoinverse, determinants as exact ``(sign, log|det|)`` pairs, block
+cofactors, and inertia counts.  It adds the checks LAPACK does not make:
+material asymmetry is rejected instead of averaged away, and rank decisions
+are relative to scale.  The batched kernels for edge weights (inverse and
+inverse square root) check nothing: every graph's weights were tested for
+symmetry and definiteness when the graph was constructed.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
 read-only, and returns freshly allocated arrays.  Block indices are
@@ -32,8 +34,6 @@ __all__ = [
     "sym_eigen",
     "pseudo_inverse",
     "pseudo_inverse_from",
-    "pd_inverse",
-    "pd_inverse_sqrt",
     "value_from_slog",
     "slog_in_range",
     "det_lu",
@@ -88,41 +88,35 @@ def max_norm(a) -> float:
 
 
 def default_rank_tol(order: int) -> float:
-    """Default relative rank tolerance for a matrix of the given order.
+    """Relative rank tolerance for a matrix of the given order.
 
-    Rank and definiteness decisions in this module compare eigenvalues
-    against ``rank_tol * scale`` where ``scale`` is the largest eigenvalue
-    magnitude; this is the relative factor used when none is supplied.
+    Rank and definiteness decisions compare eigenvalues against
+    ``default_rank_tol(order) * scale`` where ``scale`` is the largest
+    eigenvalue magnitude.
     """
     return max(int(order), 1) * EPS
 
 
-def symmetrize(a, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return ``(A + A') / 2`` after checking A is symmetric to within ``rtol``.
+def symmetrize(a) -> np.ndarray:
+    """Return ``(A + A') / 2`` after checking A is symmetric to within
+    :data:`SYMMETRY_RTOL`.
 
     Raises
     ------
     NumericError
-        If the max-norm asymmetry exceeds ``rtol * (1 + max|A|)``.  A large
-        asymmetry means the caller is holding the wrong matrix, and averaging
-        it away would mask the bug.
+        If the max-norm asymmetry exceeds ``SYMMETRY_RTOL * (1 + max|A|)``.
+        A large asymmetry means the caller is holding the wrong matrix, and
+        averaging it away would mask the bug.
     """
     a = _checked(np.asarray(a, dtype=np.float64))
     _require_square(a)
-    return _symmetrized(a, rtol)
-
-
-def _symmetrized(w: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """:func:`symmetrize` for a matrix or each matrix of a ``(..., k, k)``
-    stack, raising if any one of them is materially asymmetric."""
-    wt = np.swapaxes(w, -1, -2)
-    gap = np.abs(w - wt).max(axis=(-2, -1))
-    if np.any(gap > rtol * (1.0 + np.abs(w).max(axis=(-2, -1)))):
+    gap = np.abs(a - a.T).max()
+    if gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
         raise NumericError(
-            f"matrix is not symmetric: max asymmetry {float(gap.max()):.3e} "
-            f"exceeds relative tolerance {rtol:.1e}"
+            f"matrix is not symmetric: max asymmetry {gap:.3e} "
+            f"exceeds relative tolerance {SYMMETRY_RTOL:.1e}"
         )
-    return (w + wt) / 2.0
+    return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -177,15 +171,12 @@ def sym_eigen(a) -> SpectralDecomposition:
     )
 
 
-def pseudo_inverse_from(
-    decomposition: SpectralDecomposition, rank_tol: float | None = None
-) -> np.ndarray:
+def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
     """Moore-Penrose inverse of a positive semidefinite matrix, given its
     spectral decomposition.
 
-    Eigenvalues above ``rank_tol * max|eigenvalue|`` are inverted; the rest
-    are treated as exact zeros.  ``rank_tol`` defaults to
-    :func:`default_rank_tol` of the order.
+    Eigenvalues above ``default_rank_tol(order) * max|eigenvalue|`` are
+    inverted; the rest are treated as exact zeros.
 
     Raises
     ------
@@ -195,12 +186,10 @@ def pseudo_inverse_from(
     """
     values = decomposition.eigenvalues
     n = values.size
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return np.zeros((n, n))
-    band = rank_tol * scale
+    band = default_rank_tol(n) * scale
     smallest = float(values[-1])
     if smallest < -band:
         raise NumericError(
@@ -213,75 +202,30 @@ def pseudo_inverse_from(
     return (g + g.T) / 2.0
 
 
-def pseudo_inverse(a, rank_tol: float | None = None) -> np.ndarray:
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric positive semidefinite matrix.
 
     Spectral route: decompose with :func:`sym_eigen`, invert the eigenvalues
     above the rank band, zero out the rest.  The result is exactly
     symmetric.  ``pseudo_inverse`` of the zero matrix is the zero matrix.
     """
-    return pseudo_inverse_from(sym_eigen(a), rank_tol)
-
-
-def _pd_checked(w) -> np.ndarray:
-    """A symmetric matrix or ``(..., k, k)`` stack, checked for shape and
-    finiteness and averaged as in :func:`symmetrize`."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim < 2 or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
-        raise DimensionError(f"expected square matrices, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise NumericError("matrix has non-finite entries")
-    return _symmetrized(w)
-
-
-def _require_pd(spectra: np.ndarray, rank_tol: float | None) -> None:
-    """Raise unless each ascending spectrum in ``spectra`` has its smallest
-    eigenvalue above ``rank_tol * largest`` (definiteness kept)."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(spectra.shape[-1])
-    largest = spectra[..., -1]
-    smallest = spectra[..., 0]
-    lost = (largest <= 0.0) | (smallest <= rank_tol * largest)
-    if np.any(lost):
-        worst = float(smallest[lost].min())
-        raise NumericError(
-            f"matrix is not positive definite: smallest eigenvalue {worst:.6e}"
-        )
-
-
-def pd_inverse(w, rank_tol: float | None = None) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, or of each matrix
-    in a stack of shape ``(..., k, k)``, by batched LAPACK calls (one
-    eigensolve for the definiteness test, one inversion).
-
-    Inputs are checked and averaged as in :func:`symmetrize`, and each
-    inverse is symmetrized as ``(V + V') / 2``, so it is exactly symmetric.
-    Raises :class:`NumericError` if some input's smallest eigenvalue does
-    not clear ``rank_tol * largest`` (definiteness lost).
-    """
-    w = _pd_checked(w)
-    _require_pd(np.linalg.eigvalsh(w), rank_tol)
-    return _symmetric_inverse(w)
+    return pseudo_inverse_from(sym_eigen(a))
 
 
 def _symmetric_inverse(w: np.ndarray) -> np.ndarray:
-    """:func:`pd_inverse` of an exactly symmetric float64 stack already
-    known to be positive definite: the batched inverse, symmetrized."""
+    """Inverse of each matrix of an exactly symmetric positive definite
+    float64 ``(..., k, k)`` stack, by one batched LAPACK call, symmetrized
+    as ``(V + V') / 2`` so each is exactly symmetric."""
     v = np.linalg.inv(w)
     return (v + np.swapaxes(v, -1, -2)) / 2.0
 
 
-def pd_inverse_sqrt(w, rank_tol: float | None = None) -> np.ndarray:
-    """Inverse square root ``W^{-1/2}`` of a symmetric positive definite
-    matrix, or of each matrix in a ``(..., k, k)`` stack, by one batched
-    eigensolve.
-
-    Each result ``S`` is the unique symmetric positive definite matrix with
-    ``S W S = I``, symmetrized so it is exactly symmetric.  Inputs are
-    checked and the definiteness test made as in :func:`pd_inverse`.
-    """
-    values, vectors = np.linalg.eigh(_pd_checked(w))
-    _require_pd(values, rank_tol)
+def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
+    """Inverse square root ``W^{-1/2}`` of each matrix of an exactly
+    symmetric positive definite float64 ``(..., k, k)`` stack, by one
+    batched eigensolve: the unique symmetric positive definite ``S`` with
+    ``S W S = I``, symmetrized so it is exactly symmetric."""
+    values, vectors = np.linalg.eigh(w)
     root = (vectors * (1.0 / np.sqrt(values))[..., None, :]) @ np.swapaxes(
         vectors, -1, -2
     )
@@ -362,18 +306,16 @@ def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
     return (sign * det_sign, log_abs)
 
 
-def count_inertia(values, zero_tol: float | None = None) -> Inertia:
+def count_inertia(values) -> Inertia:
     """Inertia counts from a vector of eigenvalues.
 
-    Eigenvalues within ``zero_tol * max|eigenvalue|`` of zero count as zero;
-    ``zero_tol`` defaults to :func:`default_rank_tol` of the count.
+    Eigenvalues within ``default_rank_tol(count) * max|eigenvalue|`` of zero
+    count as zero.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    if zero_tol is None:
-        zero_tol = default_rank_tol(n)
     scale = float(np.max(np.abs(values))) if n else 0.0
-    band = zero_tol * scale
+    band = default_rank_tol(n) * scale
     positive = int(np.sum(values > band))
     negative = int(np.sum(values < -band))
     return Inertia(positive, negative, n - positive - negative)

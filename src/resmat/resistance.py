@@ -55,6 +55,7 @@ from .linalg import frozen
 
 __all__ = [
     "CONDITION_CONFIDENCE_LIMIT",
+    "INTERLACE_SLACK_RTOL",
     "InterlaceRow",
     "ResistanceWorkspace",
 ]
@@ -62,6 +63,10 @@ __all__ = [
 #: Condition number of the shifted Laplacian above which results are
 #: flagged low-confidence in reports (computation still proceeds).
 CONDITION_CONFIDENCE_LIMIT = 1e12
+
+#: Each side of an interlacing inequality holds with slack
+#: ``INTERLACE_SLACK_RTOL * (1 + |bound|)``.
+INTERLACE_SLACK_RTOL = 1e-9
 
 #: Largest diagonal block of the recursive triangular inverse that LAPACK
 #: inverts directly.
@@ -74,7 +79,8 @@ class InterlaceRow:
 
     ``index`` is the 1-based ``i``; ``lower`` and ``upper`` are the two
     resistance eigenvalues, ``bound`` the negated reciprocal Laplacian
-    eigenvalue; ``holds`` allows slack ``1e-9 * (1 + |bound|)`` per side.
+    eigenvalue; ``holds`` allows slack ``INTERLACE_SLACK_RTOL * (1 + |bound|)``
+    per side.
     """
 
     index: int
@@ -328,12 +334,12 @@ class ResistanceWorkspace:
         symmetric /= 2.0
         return symmetric
 
-    def inertia(self, zero_tol: float | None = None) -> linalg.Inertia:
+    def inertia(self) -> linalg.Inertia:
         """Eigenvalue sign counts of the resistance matrix (always
         ``(s, ns - s, 0)`` in exact arithmetic)."""
-        return linalg.count_inertia(self.resistance_spectrum.eigenvalues, zero_tol)
+        return linalg.count_inertia(self.resistance_spectrum.eigenvalues)
 
-    def interlacing(self, slack_rtol: float = 1e-9) -> list[InterlaceRow]:
+    def interlacing(self) -> list[InterlaceRow]:
         """The ``ns - s`` interlacing rows ``mu_{s+i} <= -2/lambda_i <= mu_i``
         over the positive Laplacian eigenvalues (descending)."""
         n, s = self.graph.n, self.graph.s
@@ -351,7 +357,7 @@ class ResistanceWorkspace:
             bound = -2.0 / lam_i
             lower = float(mu[s + i - 1])
             upper = float(mu[i - 1])
-            slack = slack_rtol * (1.0 + abs(bound))
+            slack = INTERLACE_SLACK_RTOL * (1.0 + abs(bound))
             holds = (lower <= bound + slack) and (bound <= upper + slack)
             rows.append(InterlaceRow(i, lower, bound, upper, holds))
         return rows

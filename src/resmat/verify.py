@@ -46,7 +46,7 @@ from .graph import (
     star_graph,
 )
 from .laplacian import _shift, stacked_identity
-from .resistance import ResistanceWorkspace
+from .resistance import INTERLACE_SLACK_RTOL, ResistanceWorkspace
 
 __all__ = [
     "UnknownCheckError",
@@ -55,7 +55,6 @@ __all__ = [
     "CorpusEntry",
     "GraphSpec",
     "CHECK_IDS",
-    "check_summary",
     "numerically_nonsingular",
     "run_check",
     "run_suite",
@@ -385,7 +384,7 @@ def _check_interlace(ws: ResistanceWorkspace):
     worst = 0.0
     failing = []
     for row in rows:
-        slack = 1e-9 * (1.0 + abs(row.bound))
+        slack = INTERLACE_SLACK_RTOL * (1.0 + abs(row.bound))
         violation = max(row.lower - row.bound, row.bound - row.upper)
         worst = max(worst, violation - slack)
         if not row.holds:
@@ -447,20 +446,20 @@ def _pinv_submatrix_sets(rng, a: np.ndarray, max_size: int):
     return sets
 
 
-def numerically_nonsingular(b, rtol: float = 1e-10) -> bool:
+def numerically_nonsingular(b) -> bool:
     """Scale-aware nonsingularity of a symmetric matrix: the smallest
-    singular value must exceed ``rtol`` times the largest.
+    singular value must exceed ``1e-10`` times the largest.
 
     The singular values are the absolute eigenvalues, taken by one
     ``eigvalsh`` (no eigenvectors) after :func:`linalg.symmetrize`, which
     rejects material asymmetry.  Equivalently, ``|det B|`` must exceed
-    ``rtol`` times the largest singular value times the adjugate norm, the
+    ``1e-10`` times the largest singular value times the adjugate norm, the
     determinant's natural scale.  A fixed absolute cutoff on the raw
     determinant would be wrong: a perfectly conditioned 14 x 14 matrix with
     entries of size 0.05 has a determinant around 1e-15.
     """
     singular_values = np.abs(np.linalg.eigvalsh(linalg.symmetrize(b)))
-    return float(singular_values.min()) > rtol * float(singular_values.max())
+    return float(singular_values.min()) > 1e-10 * float(singular_values.max())
 
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
@@ -553,151 +552,38 @@ def _applies_unit_tree(g: MatrixWeightedGraph) -> str | None:
 @dataclass(frozen=True)
 class _CheckDef:
     check_id: str
-    summary: str
     applies: object
     run: object
 
 
 _REGISTRY: tuple[_CheckDef, ...] = (
-    _CheckDef(
-        "LAP_KERNEL",
-        "stacked identity spans the Laplacian kernel",
-        _applies_always,
-        _check_lap_kernel,
-    ),
-    _CheckDef(
-        "L_EQ_QQT",
-        "Laplacian equals the incidence Gram product",
-        _applies_always,
-        _check_l_eq_qqt,
-    ),
-    _CheckDef(
-        "SHIFT_NONSING",
-        "shifted Laplacian is nonsingular",
-        _applies_always,
-        _check_shift_nonsing,
-    ),
-    _CheckDef(
-        "LPLUS",
-        "pseudoinverse from the shifted inverse matches the spectral route",
-        _applies_always,
-        _check_lplus,
-    ),
-    _CheckDef(
-        "COMMUTE",
-        "Laplacian commutes with the shifted inverse",
-        _applies_always,
-        _check_commute,
-    ),
-    _CheckDef(
-        "TAUDEF",
-        "Laplacian-expression deficit blocks match their edge sum",
-        _applies_always,
-        _check_taudef,
-    ),
-    _CheckDef(
-        "TAU_SUM",
-        "deficit blocks sum to twice the identity",
-        _applies_always,
-        _check_tau_sum,
-    ),
-    _CheckDef(
-        "RWIDEN",
-        "inverse-weighted resistance blocks sum to 2(n-1) I",
-        _applies_always,
-        _check_rwiden,
-    ),
-    _CheckDef(
-        "LRL",
-        "Laplacian-resistance-Laplacian collapses to -2 L",
-        _applies_always,
-        _check_lrl,
-    ),
-    _CheckDef(
-        "QRQ",
-        "incidence-resistance-incidence collapses to -2 I on trees",
-        _applies_tree_square_incidence,
-        _check_qrq,
-    ),
-    _CheckDef(
-        "TAURTAU_PD",
-        "deficit quadratic form is positive definite",
-        _applies_always,
-        _check_taurtau_pd,
-    ),
-    _CheckDef(
-        "TAURTAU_FORM",
-        "closed-expression deficit form matches T' R T",
-        _applies_always,
-        _check_taurtau_form,
-    ),
-    _CheckDef(
-        "DET_FORMULA",
-        "closed-form determinant matches the LU determinant",
-        _applies_always,
-        _check_det_formula,
-    ),
-    _CheckDef(
-        "INV_FORMULA",
-        "closed-form inverse inverts the resistance matrix",
-        _applies_always,
-        _check_inv_formula,
-    ),
-    _CheckDef(
-        "INERTIA",
-        "resistance inertia is (s, ns - s, 0)",
-        _applies_always,
-        _check_inertia,
-    ),
-    _CheckDef(
-        "INTERLACE",
-        "negated reciprocal Laplacian spectrum interlaces resistance spectrum",
-        _applies_always,
-        _check_interlace,
-    ),
-    _CheckDef(
-        "COFACTOR_EQ",
-        "Laplacian block cofactors agree with the Cholesky-pivot cofactor",
-        _applies_always,
-        _check_cofactor_eq,
-    ),
-    _CheckDef(
-        "PINV_SUBMATRIX",
-        "pseudoinverses preserve principal-submatrix invertibility",
-        _applies_always,
-        _check_pinv_submatrices,
-    ),
-    _CheckDef(
-        "SCALAR_REDUCTION",
-        "engine matches the classical scalar resistance",
-        _applies_scalar,
-        _check_scalar_reduction,
-    ),
-    _CheckDef(
-        "TREE_DISTANCE",
-        "tree resistance equals path distance",
-        _applies_scalar_tree,
-        _check_tree_distance,
-    ),
-    _CheckDef(
-        "TREE_DET",
-        "unit tree determinant matches the closed count",
-        _applies_unit_tree,
-        _check_tree_det,
-    ),
+    _CheckDef("LAP_KERNEL", _applies_always, _check_lap_kernel),
+    _CheckDef("L_EQ_QQT", _applies_always, _check_l_eq_qqt),
+    _CheckDef("SHIFT_NONSING", _applies_always, _check_shift_nonsing),
+    _CheckDef("LPLUS", _applies_always, _check_lplus),
+    _CheckDef("COMMUTE", _applies_always, _check_commute),
+    _CheckDef("TAUDEF", _applies_always, _check_taudef),
+    _CheckDef("TAU_SUM", _applies_always, _check_tau_sum),
+    _CheckDef("RWIDEN", _applies_always, _check_rwiden),
+    _CheckDef("LRL", _applies_always, _check_lrl),
+    _CheckDef("QRQ", _applies_tree_square_incidence, _check_qrq),
+    _CheckDef("TAURTAU_PD", _applies_always, _check_taurtau_pd),
+    _CheckDef("TAURTAU_FORM", _applies_always, _check_taurtau_form),
+    _CheckDef("DET_FORMULA", _applies_always, _check_det_formula),
+    _CheckDef("INV_FORMULA", _applies_always, _check_inv_formula),
+    _CheckDef("INERTIA", _applies_always, _check_inertia),
+    _CheckDef("INTERLACE", _applies_always, _check_interlace),
+    _CheckDef("COFACTOR_EQ", _applies_always, _check_cofactor_eq),
+    _CheckDef("PINV_SUBMATRIX", _applies_always, _check_pinv_submatrices),
+    _CheckDef("SCALAR_REDUCTION", _applies_scalar, _check_scalar_reduction),
+    _CheckDef("TREE_DISTANCE", _applies_scalar_tree, _check_tree_distance),
+    _CheckDef("TREE_DET", _applies_unit_tree, _check_tree_det),
 )
 
 _BY_ID = {d.check_id: d for d in _REGISTRY}
 
 #: All check ids, in registry (and report) order.
 CHECK_IDS: tuple[str, ...] = tuple(d.check_id for d in _REGISTRY)
-
-
-def check_summary(check_id: str) -> str:
-    """One-line description of a registry check."""
-    if check_id not in _BY_ID:
-        raise UnknownCheckError(f"unknown check id: {check_id}")
-    return _BY_ID[check_id].summary
 
 
 def _execute(
@@ -747,10 +633,7 @@ def run_check(
 
 
 def _descriptor(
-    g: MatrixWeightedGraph,
-    ws: ResistanceWorkspace | None,
-    model: str | None,
-    seed: int | None,
+    g: MatrixWeightedGraph, ws: ResistanceWorkspace, model: str | None, seed: int | None
 ) -> dict:
     return {
         "n": g.n,
@@ -758,7 +641,7 @@ def _descriptor(
         "m": g.m,
         "model": model,
         "seed": seed,
-        "low_confidence": bool(ws.low_confidence) if ws is not None else False,
+        "low_confidence": bool(ws.low_confidence),
     }
 
 

@@ -121,7 +121,7 @@ def test_criterion_05_interlacing(corpus_workspaces):
     bad_rows = 0
     total_rows = 0
     for _, g, ws in corpus_workspaces:
-        rows = ws.interlacing(slack_rtol=1e-9)
+        rows = ws.interlacing()
         total_rows += len(rows)
         bad_rows += sum(1 for row in rows if not row.holds)
     p2 = ResistanceWorkspace(path_graph(2))

@@ -25,7 +25,6 @@ from resmat.graph import (
     random_pd_weight,
     serialize,
     star_graph,
-    validate,
     validation_report,
 )
 from resmat.linalg import sym_eigen
@@ -33,6 +32,11 @@ from resmat.linalg import sym_eigen
 
 def unit(s=1):
     return np.eye(s)
+
+
+def revalidated(g):
+    """The validation report of a constructed graph's own edges."""
+    return validation_report(g.n, g.s, [(e.u, e.v, e.weight) for e in g.edges])
 
 
 class TestValidation:
@@ -92,6 +96,24 @@ class TestValidation:
         report = validation_report(2, 2, [(0, 1, w)])
         assert any("not positive definite" in p for p in report.problems)
 
+    def test_negative_weight(self):
+        report = validation_report(2, 1, [(0, 1, [[-1.0]])])
+        assert report.problems == (
+            "edge #1 (1, 2): weight is not positive definite "
+            "(smallest eigenvalue -1.000000e+00)",
+        )
+
+    @pytest.mark.parametrize("w", ["abc", [[1.0], [2.0, 3.0]]])
+    def test_malformed_weight_is_one_problem(self, w):
+        # One weight that does not convert to numbers is reported alone, as
+        # a GraphError, never as numpy's raw ValueError.
+        edges = [(0, 1, w), (1, 2, np.eye(2))]
+        with pytest.raises(GraphError) as exc:
+            from_edges(3, 2, edges)
+        message = str(exc.value)
+        assert message.startswith("edge #1: malformed weight: ")
+        assert validation_report(3, 2, edges).problems == (message,)
+
     def test_disconnected(self):
         report = validation_report(4, 1, [(0, 1, unit()), (2, 3, unit())])
         assert report.problems == ("graph is not connected",)
@@ -137,7 +159,8 @@ class TestValidation:
 
     def test_validate_roundtrip(self):
         g = path_graph(3)
-        assert validate(g).ok
+        assert revalidated(g).ok
+        assert MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights) == g
 
 
 class TestFromEdges:
@@ -178,6 +201,10 @@ class TestFromEdges:
         for e in g.edges:
             assert np.array_equal(e.weight, expected[(e.u, e.v)])
             assert e.weight.shape == (3, 3) and not e.weight.flags.writeable
+
+    def test_direct_construction_needs_one_weight_per_pair(self):
+        with pytest.raises(GraphError, match="^2 endpoint pairs but 1 weights$"):
+            MatrixWeightedGraph(3, 1, [(0, 1), (1, 2)], [[[1.0]]])
 
     def test_equality_is_structural(self):
         a = path_graph(3, 2, np.array([[2.0, 0.0], [0.0, 1.0]]))
@@ -503,7 +530,7 @@ class TestRandom:
     def test_gnp_connected(self):
         for seed in range(5):
             g = random_graph(7, 1, "gnp", seed=seed, p=0.4)
-            assert validate(g).ok
+            assert revalidated(g).ok
 
     def test_gnp_requires_p(self):
         with pytest.raises(GraphError, match="requires an edge probability"):
@@ -554,7 +581,7 @@ class TestRandom:
     def test_random_tree_always_valid(self, seed, n, s):
         g = random_graph(n, s, "tree", seed=seed)
         assert is_tree(g)
-        assert validate(g).ok
+        assert revalidated(g).ok
 
 
 def reference_problems(n, s, edges) -> tuple[str, ...]:
@@ -698,7 +725,7 @@ class TestArrayValidationOracle:
         assert again == g
         assert not again.endpoints.flags.writeable
         assert not again.weights.flags.writeable
-        assert validate(g).ok
+        assert revalidated(g).ok
         # The per-edge build: sort the triples, symmetrize each weight.
         ordered = sorted(edges, key=lambda e: (e[0], e[1]))
         assert [(e.u, e.v, e.index) for e in g.edges] == [

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resmat import graph
 from resmat.graph import (
+    GraphError,
     MatrixWeightedGraph,
     complete_graph,
     cycle_graph,
+    from_edges,
+    parse_graph,
     path_graph,
     random_graph,
+    serialize,
     star_graph,
 )
 from resmat.laplacian import (
@@ -25,7 +30,6 @@ from resmat.linalg import (
     DimensionError,
     NumericError,
     max_norm,
-    pd_inverse,
     sym_eigen,
     value_from_slog,
 )
@@ -104,7 +108,7 @@ class TestBuildLaplacian:
     def test_off_diagonal_is_negated_inverse_weight(self):
         w = np.array([[2.0, 1.0], [1.0, 2.0]])
         lap = build_laplacian(path_graph(2, 2, w))
-        assert max_norm(lap[0:2, 2:4] + pd_inverse(w)) <= 1e-15
+        assert max_norm(lap[0:2, 2:4] + np.linalg.inv(w)) <= 1e-15
 
     def test_diagonal_is_bitwise_negated_row_sum(self):
         g = random_graph(6, 3, "complete", seed=99)
@@ -140,37 +144,56 @@ class TestBuildLaplacian:
         assert near_zero == g.s
 
     def test_validated_graph_skips_second_definiteness_test(self, monkeypatch):
+        # Every graph was tested when it was constructed, so the Laplacian
+        # never tests its weights again, however the graph was made.
         g = random_graph(6, 3, "gnp", seed=5, p=0.6)
-        direct = MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights)
-        expected = build_laplacian(direct)
+        graphs = [
+            g,
+            MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights),
+            dataclasses.replace(g, weights=2.0 * g.weights),
+            parse_graph(serialize(g)),
+            from_edges(g.n, g.s, [(e.u, e.v, e.weight) for e in g.edges]),
+        ]
+        expected = [build_laplacian(h) for h in graphs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("validated weights tested for definiteness again")
+            raise AssertionError("weights tested for definiteness again")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert np.array_equal(build_laplacian(g), expected)
-        with pytest.raises(AssertionError, match="again"):
-            build_laplacian(direct)
+        for h, lap in zip(graphs, expected):
+            assert np.array_equal(build_laplacian(h), lap)
 
     def test_directly_built_graph_is_tested(self):
         indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
-        g = MatrixWeightedGraph(2, 2, np.array([[0, 1]]), indefinite)
-        with pytest.raises(NumericError, match="not positive definite"):
-            build_laplacian(g)
+        with pytest.raises(GraphError, match="not positive definite"):
+            MatrixWeightedGraph(2, 2, np.array([[0, 1]]), indefinite)
 
     def test_replaced_weights_are_tested(self):
         g = path_graph(2, 2)
-        assert g._validated
         indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]])
-        replaced = dataclasses.replace(g, weights=indefinite)
-        assert not replaced._validated
-        with pytest.raises(NumericError, match="not positive definite"):
-            build_laplacian(replaced)
+        with pytest.raises(GraphError, match="not positive definite"):
+            dataclasses.replace(g, weights=indefinite)
 
-    def test_validated_flag_is_not_a_constructor_argument(self):
-        g = path_graph(2)
-        with pytest.raises(TypeError):
-            MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights, _validated=True)
+    def test_each_construction_validates_once(self, monkeypatch):
+        calls = []
+        checked = graph._checked
+
+        def counting(*args):
+            calls.append(args)
+            return checked(*args)
+
+        document = serialize(random_graph(5, 2, "gnp", seed=4, p=0.6))
+        monkeypatch.setattr(graph, "_checked", counting)
+        builds = {
+            "parse_graph": lambda: parse_graph(document),
+            "from_edges": lambda: from_edges(3, 1, [(0, 1, [[1.0]]), (1, 2, [[2.0]])]),
+            "random_graph": lambda: random_graph(6, 2, "tree", seed=3),
+            "direct": lambda: MatrixWeightedGraph(2, 1, [(0, 1)], [[[1.0]]]),
+        }
+        for name, build in builds.items():
+            calls.clear()
+            build()
+            assert len(calls) == 1, name
 
     def test_unit_weights_reduce_to_scalar_laplacian(self):
         g = cycle_graph(4, 3)

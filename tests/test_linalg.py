@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resmat.graph import GraphError, MatrixWeightedGraph, from_edges, path_graph
 from resmat.linalg import (
     EPS,
+    SYMMETRY_RTOL,
     DimensionError,
     NumericError,
+    _inverse_sqrt,
+    _symmetric_inverse,
     block_cofactor_slog,
     count_inertia,
     default_rank_tol,
     det_lu,
     max_norm,
-    pd_inverse,
-    pd_inverse_sqrt,
     pseudo_inverse,
     pseudo_inverse_from,
     slogdet_lu,
@@ -90,6 +92,14 @@ class TestSymmetrize:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
             symmetrize(np.ones((2, 3)))
+
+    def test_fixed_tolerance_boundary(self):
+        # The limit is SYMMETRY_RTOL * (1 + max|A|); with max|A| = 1 an
+        # asymmetry of exactly 2 * SYMMETRY_RTOL is averaged, more is not.
+        limit = 2.0 * SYMMETRY_RTOL
+        symmetrize([[1.0, 0.0], [limit, 1.0]])
+        with pytest.raises(NumericError, match="not symmetric"):
+            symmetrize([[1.0, 0.0], [1.01 * limit, 1.0]])
 
 
 class TestSymEigen:
@@ -165,11 +175,13 @@ class TestPseudoInverse:
             pseudo_inverse([[1.0, 2.0], [2.0, 1.0]])
 
     def test_rank_tol_controls_cutoff(self):
-        a = np.diag([1.0, 1e-6])
-        sharp = pseudo_inverse(a, rank_tol=1e-8)
-        assert sharp[1, 1] == pytest.approx(1e6, rel=1e-12)
-        blunt = pseudo_inverse(a, rank_tol=1e-3)
-        assert blunt[1, 1] == 0.0
+        # The cutoff is default_rank_tol(2) * max|eigenvalue| = 2 EPS here:
+        # an eigenvalue on it counts as zero, one just above is inverted.
+        band = default_rank_tol(2)
+        on = pseudo_inverse(np.diag([1.0, band]))
+        assert on[1, 1] == 0.0
+        above = pseudo_inverse(np.diag([1.0, 2.0 * band]))
+        assert above[1, 1] == pytest.approx(1.0 / (2.0 * band), rel=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=seeds, n=orders)
@@ -198,53 +210,66 @@ class TestPseudoInverse:
 
 
 class TestPdInverse:
+    """The batched inverse behind the Laplacian's off-diagonal blocks.  It
+    tests nothing itself: the graph's constructor rejects every weight
+    that is not positive definite, so the rejection cases build graphs."""
+
     def test_hand_value(self):
-        inv = pd_inverse([[2.0, 1.0], [1.0, 2.0]])
+        inv = _symmetric_inverse(np.array([[2.0, 1.0], [1.0, 2.0]]))
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert max_norm(inv - expected) <= 1e-14
 
     def test_rejects_singular(self):
-        with pytest.raises(NumericError, match="not positive definite"):
-            pd_inverse([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(GraphError, match="not positive definite"):
+            from_edges(2, 2, [(0, 1, [[1.0, 1.0], [1.0, 1.0]])])
 
     def test_rejects_negative(self):
-        with pytest.raises(NumericError, match="not positive definite"):
-            pd_inverse([[-1.0]])
+        with pytest.raises(GraphError, match="not positive definite"):
+            from_edges(2, 1, [(0, 1, [[-1.0]])])
 
     @settings(deadline=None, max_examples=25)
     @given(seed=seeds, n=orders)
     def test_inverse_property(self, seed, n):
         rng = np.random.default_rng(seed)
         a = random_psd(rng, n) + 0.5 * np.eye(n)
-        inv = pd_inverse(a)
+        a = (a + a.T) / 2.0
+        inv = _symmetric_inverse(a)
         assert max_norm(inv @ a - np.eye(n)) <= 1e-11 * (1.0 + max_norm(a))
         assert np.array_equal(inv, inv.T)
 
     def test_stack_matches_one_by_one(self):
         rng = np.random.default_rng(12)
         stack = np.stack([random_psd(rng, 3) + 0.5 * np.eye(3) for _ in range(6)])
-        inv = pd_inverse(stack)
+        stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+        inv = _symmetric_inverse(stack)
         assert inv.shape == (6, 3, 3)
         for k in range(6):
-            assert np.array_equal(inv[k], pd_inverse(stack[k]))
+            assert np.array_equal(inv[k], _symmetric_inverse(stack[k]))
 
     def test_stack_rejects_one_bad_matrix(self):
-        stack = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2)])
-        with pytest.raises(NumericError, match="not positive definite"):
-            pd_inverse(stack)
+        weights = [np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2)]
+        with pytest.raises(GraphError) as exc:
+            path_graph(4, 2, weights)
+        assert str(exc.value) == (
+            "edge #2 (2, 3): weight is not positive definite "
+            "(smallest eigenvalue 0.000000e+00)"
+        )
 
 
 class TestPdInverseSqrt:
+    """The batched inverse square root behind the incidence matrix, as
+    unchecked as :class:`TestPdInverse`'s kernel."""
+
     def test_hand_eigenvalues(self):
         # Spectrum of [[2, 1], [1, 2]] is {3, 1}, so the inverse square root
         # has spectrum {1, 1/sqrt(3)}.
-        s = pd_inverse_sqrt([[2.0, 1.0], [1.0, 2.0]])
+        s = _inverse_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
         values = sym_eigen(s).eigenvalues
         assert values[0] == pytest.approx(1.0, abs=1e-14)
         assert values[1] == pytest.approx(1 / math.sqrt(3), abs=1e-14)
 
     def test_diagonal(self):
-        s = pd_inverse_sqrt(np.diag([4.0, 9.0]))
+        s = _inverse_sqrt(np.diag([4.0, 9.0]))
         assert max_norm(s - np.diag([0.5, 1.0 / 3.0])) <= 1e-15
 
     @settings(deadline=None, max_examples=25)
@@ -252,22 +277,26 @@ class TestPdInverseSqrt:
     def test_sws_identity(self, seed, n):
         rng = np.random.default_rng(seed)
         w = random_psd(rng, n) + 0.5 * np.eye(n)
-        s = pd_inverse_sqrt(w)
+        w = (w + w.T) / 2.0
+        s = _inverse_sqrt(w)
         assert max_norm(s @ w @ s - np.eye(n)) <= 1e-11 * (1.0 + max_norm(w))
         assert np.array_equal(s, s.T)
 
     def test_stack_matches_one_by_one(self):
         rng = np.random.default_rng(13)
         stack = np.stack([random_psd(rng, 3) + 0.5 * np.eye(3) for _ in range(6)])
-        roots = pd_inverse_sqrt(stack)
+        stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+        roots = _inverse_sqrt(stack)
         assert roots.shape == (6, 3, 3)
         for k in range(6):
-            assert np.array_equal(roots[k], pd_inverse_sqrt(stack[k]))
+            assert np.array_equal(roots[k], _inverse_sqrt(stack[k]))
 
     def test_stack_rejects_one_bad_matrix(self):
+        # Constructed directly, as dataclasses.replace does, the graph is
+        # tested all the same.
         stack = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2)])
-        with pytest.raises(NumericError, match="not positive definite"):
-            pd_inverse_sqrt(stack)
+        with pytest.raises(GraphError, match="edge #2 .*not positive definite"):
+            MatrixWeightedGraph(4, 2, [(0, 1), (1, 2), (2, 3)], stack)
 
 
 class TestLU:
@@ -392,8 +421,14 @@ class TestInertia:
             3,
         )
 
-    def test_explicit_zero_tol(self):
-        assert count_inertia([1.0, 1e-6], zero_tol=1e-3).as_tuple() == (1, 0, 1)
+    def test_zero_band_boundary(self):
+        # The zero band is default_rank_tol(count) * max|value|, 2 EPS here,
+        # closed on both sides.
+        band = default_rank_tol(2)
+        assert count_inertia([1.0, band]).as_tuple() == (1, 0, 1)
+        assert count_inertia([1.0, -band]).as_tuple() == (1, 0, 1)
+        assert count_inertia([1.0, 2.0 * band]).as_tuple() == (2, 0, 0)
+        assert count_inertia([1.0, -2.0 * band]).as_tuple() == (1, 1, 0)
 
 
 class TestDefaults:

@@ -21,12 +21,14 @@ from resmat.graph import (
 from resmat.laplacian import build_laplacian, shifted_cholesky, stacked_identity
 from resmat.linalg import (
     NumericError,
+    SpectralDecomposition,
     det_lu,
     max_norm,
     sym_eigen,
 )
 from resmat.resistance import (
     CONDITION_CONFIDENCE_LIMIT,
+    INTERLACE_SLACK_RTOL,
     InterlaceRow,
     ResistanceWorkspace,
     _LEAF_ORDER,
@@ -519,9 +521,20 @@ class TestTreeIncidence:
 
 class TestErrorPaths:
     def test_interlacing_slack_parameter(self):
-        # P2: both ties land exactly in floating point, so zero slack holds.
+        # P2: both ties land exactly in floating point, so they hold with no
+        # slack at all.
         ws = ResistanceWorkspace(path_graph(2))
-        assert all(row.holds for row in ws.interlacing(slack_rtol=0.0))
+        (row,) = ws.interlacing()
+        assert row.lower <= row.bound <= row.upper
+        # Move the lower resistance eigenvalue to the edge of the fixed slack
+        # band: on it the row holds, beyond it the row fails.
+        slack = INTERLACE_SLACK_RTOL * (1.0 + abs(row.bound))
+        vectors = ws.resistance_spectrum.eigenvectors
+        for lower, holds in ((row.bound + slack, True), (row.bound + 2 * slack, False)):
+            ws.resistance_spectrum = SpectralDecomposition(
+                np.array([row.upper, lower]), vectors
+            )
+            assert [r.holds for r in ws.interlacing()] == [holds]
         # P3 has a tie (mu_3 = -2 = -2/lambda_2) that Jacobi resolves only to
         # roundoff, so zero slack may flag it while the default slack holds.
         ws3 = ResistanceWorkspace(path_graph(3))
