@@ -42,7 +42,6 @@ from .linalg import (
     Inertia,
     NumericError,
     SpectralDecomposition,
-    det_lu,
     pseudo_inverse,
     slogdet_lu,
     sym_eigen,
@@ -117,7 +116,6 @@ __all__ = [
     "Inertia",
     "NumericError",
     "SpectralDecomposition",
-    "det_lu",
     "pseudo_inverse",
     "slogdet_lu",
     "sym_eigen",

@@ -178,11 +178,11 @@ def _is_connected(n: int, pairs) -> bool:
     return count == n
 
 
-def _pairs(edges, endpoint=lambda x: x):
+def _pairs(edges):
     """Split ``(u, v, weight)`` triples into endpoint pairs and weights."""
     pairs, ws = [], []
     for u, v, w in edges:
-        pairs.append((endpoint(u), endpoint(v)))
+        pairs.append((u, v))
         ws.append(w)
     return pairs, ws
 
@@ -209,13 +209,24 @@ def _weight_stack(weights):
 
 def _endpoint_pairs(n: int, endpoints) -> np.ndarray:
     """0-based endpoints as one ``(m, 2)`` array: intp, or exact Python ints
-    in an object array when ``n`` or some endpoint does not fit intp."""
+    in an object array when ``n`` or some endpoint does not fit intp.
+    Raises :class:`GraphError` for the first edge with an endpoint that is
+    not a Python or numpy integer (bools are not), which intp truncates."""
+    pairs = endpoints
+    if not (isinstance(endpoints, np.ndarray) and endpoints.dtype.kind == "i"):
+        pairs = np.array(endpoints, dtype=object)
+        flat = pairs.ravel().tolist()
+        kinds = set(map(type, flat))
+        wrong = {t for t in kinds if t is bool or not issubclass(t, (int, np.integer))}
+        if wrong:
+            first = next(k for k, x in enumerate(flat) if type(x) in wrong)
+            raise GraphError(f"edge #{first // 2 + 1}: endpoints must be integers")
     if n <= _INTP_MAX:
         try:
-            return np.array(endpoints, dtype=np.intp).reshape(-1, 2)
+            return pairs.reshape(-1, 2).astype(np.intp)
         except OverflowError:
             pass
-    return np.array(endpoints, dtype=object).reshape(-1, 2)
+    return pairs.reshape(-1, 2).astype(object)
 
 
 def _checked(n, s, endpoints, weights):
@@ -224,7 +235,8 @@ def _checked(n, s, endpoints, weights):
     Returns the problems in edge order and, when there are none, the
     ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both sorted
     lexicographically by endpoint pair (None otherwise).  A weight that
-    does not convert to numbers is the only problem reported.
+    does not convert to numbers, or else an endpoint that is not an
+    integer, is the only problem reported.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return [f"vertex count n must be an integer >= 2, got {n!r}"], None, None
@@ -232,10 +244,9 @@ def _checked(n, s, endpoints, weights):
         return [f"block size s must be an integer >= 1, got {s!r}"], None, None
     try:
         weights = _weight_stack(weights)
+        pairs = _endpoint_pairs(n, endpoints)
     except GraphError as exc:
         return [str(exc)], None, None
-
-    pairs = _endpoint_pairs(n, endpoints)
     if len(pairs) != len(weights):
         return [f"{len(pairs)} endpoint pairs but {len(weights)} weights"], None, None
     u, v = pairs[:, 0], pairs[:, 1]
@@ -339,7 +350,7 @@ def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
     sorted lexicographically by endpoint pair; the weights are exactly
     symmetrized (``(W + W') / 2``) into one read-only ``(m, s, s)`` stack.
     """
-    return MatrixWeightedGraph(n, s, *_pairs(edges, int))
+    return MatrixWeightedGraph(n, s, *_pairs(edges))
 
 
 def _entry_problem(position: int, entry) -> str | None:

@@ -1,7 +1,7 @@
 """Dense linear algebra for symmetric matrices, on top of ``numpy.linalg``.
 
 Thin layer over LAPACK (through ``numpy.linalg``) used by the rest of the
-package: symmetric eigendecompositions in descending order, the spectral
+package: symmetric eigensolves in descending order, the spectral
 pseudoinverse, determinants as exact ``(sign, log|det|)`` pairs, block
 cofactors, and inertia counts.  It adds the checks LAPACK does not make:
 material asymmetry is rejected instead of averaged away, and rank decisions
@@ -32,11 +32,11 @@ __all__ = [
     "default_rank_tol",
     "symmetrize",
     "sym_eigen",
+    "sym_eigenvalues",
     "pseudo_inverse",
     "pseudo_inverse_from",
     "value_from_slog",
     "slog_in_range",
-    "det_lu",
     "slogdet_lu",
     "block_cofactor_slog",
     "count_inertia",
@@ -131,10 +131,6 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * np.asarray(values, dtype=np.float64)) @ v.T
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the decomposed matrix ``V diag(eigenvalues) V'``."""
-        return self.assemble(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class Inertia:
@@ -169,6 +165,12 @@ def sym_eigen(a) -> SpectralDecomposition:
     return SpectralDecomposition(
         frozen(values[::-1].copy()), frozen(np.ascontiguousarray(vectors[:, ::-1]))
     )
+
+
+def sym_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending and read-only, with no
+    eigenvectors; the input is symmetrized via :func:`symmetrize`."""
+    return frozen(np.linalg.eigvalsh(symmetrize(a))[::-1].copy())
 
 
 def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
@@ -260,16 +262,6 @@ def slogdet_lu(a) -> tuple[float, float]:
     _require_square(a)
     sign, log_abs = np.linalg.slogdet(a)
     return (float(sign), float(log_abs))
-
-
-def det_lu(a) -> float:
-    """Determinant via LAPACK LU with partial pivoting, as the plain value
-    of :func:`slogdet_lu`.
-
-    Permutation matrices give exactly ``±1`` and singular inputs exactly 0.
-    Values beyond the double range come out as ``±inf`` or a signed zero.
-    """
-    return value_from_slog(*slogdet_lu(a))
 
 
 def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:

@@ -32,6 +32,9 @@ A :class:`ResistanceWorkspace` pays for one Cholesky factorization
 the cofactor, and ``Z = C^{-1}`` gives ``xbar`` (the diagonal blocks of
 ``X = Z' Z`` are Grams of block columns of ``Z``).  So the closed forms
 never form ``X`` or ``R``; those, and the spectra, are built on first use.
+Only ``L`` is eigendecomposed with eigenvectors, ``R`` for eigenvalues, and
+``M`` not at all: ``P`` projects exactly onto the kernel of ``L``, so the
+spectrum of ``M`` is that of ``L`` with its ``s`` zeros replaced by ``alpha``.
 """
 
 from __future__ import annotations
@@ -119,14 +122,14 @@ class ResistanceWorkspace:
     forms ``X`` or ``R``: it is batched inverses of the edge weights, one
     Cholesky factorization ``M = C C'`` of the shifted Laplacian (which
     tests it, gives the cofactor and, inverted in place, ``Z = C^{-1}``),
-    one batched product for the diagonal blocks of ``X = Z' Z``, and an
-    ``s x s`` eigensolve of the deficit form.  It keeps two ``ns x ns``
+    one batched product for the diagonal blocks of ``X = Z' Z``, and the
+    eigenvalues of the ``s x s`` deficit form.  It keeps two ``ns x ns``
     matrices, ``L`` and ``Z``, which is all that the determinant, the
     inverse, ``T`` and single resistance blocks need.  The shifted
-    inverse ``X`` and the resistance matrix ``R``, the shifted Laplacian
-    and the pseudoinverse, the large spectra (`laplacian_spectrum`,
-    `resistance_spectrum`, `shift_spectrum`) and the incidence matrix are
-    cached properties computed on first access.
+    inverse ``X`` and the resistance matrix ``R``, the pseudoinverse, the
+    spectra (`laplacian_spectrum`, the one with eigenvectors, and
+    `resistance_eigenvalues`) and the incidence matrix are cached
+    properties computed on first access.
 
     Every matrix attribute is a read-only float64 array, so an in-place
     write raises ``ValueError`` instead of silently invalidating what was
@@ -168,16 +171,15 @@ class ResistanceWorkspace:
         # the product with R.
         form = self.deficit_form_closed()
         self.deficit_form = frozen((form + form.T) / 2.0)
-        form_spectrum = linalg.sym_eigen(self.deficit_form)
-        largest = float(form_spectrum.eigenvalues[0])
-        smallest = float(form_spectrum.eigenvalues[-1])
+        form_values = linalg.sym_eigenvalues(self.deficit_form)
+        largest = float(form_values[0])
+        smallest = float(form_values[-1])
         if largest <= 0.0 or smallest <= linalg.default_rank_tol(s) * largest:
             raise linalg.NumericError(
                 "deficit quadratic form is not positive definite "
                 f"(smallest eigenvalue {smallest:.6e}); this indicates an "
                 "upstream computation bug"
             )
-        self.deficit_form_spectrum = form_spectrum
 
     def _gram(self) -> np.ndarray:
         """``X = Z' Z``, exactly symmetric: numpy runs the product on one
@@ -208,12 +210,6 @@ class ResistanceWorkspace:
         return frozen(resistance)
 
     @cached_property
-    def shift_body(self) -> np.ndarray:
-        """The shifted Laplacian ``M = L + alpha P``."""
-        n, s = self.graph.n, self.graph.s
-        return frozen(_shift(self.laplacian, n, s, self.shift_scale))
-
-    @cached_property
     def pseudoinverse(self) -> np.ndarray:
         """Laplacian pseudoinverse ``X - (1/alpha) P``."""
         n, s = self.graph.n, self.graph.s
@@ -227,12 +223,16 @@ class ResistanceWorkspace:
         return linalg.sym_eigen(self.laplacian)
 
     @cached_property
-    def resistance_spectrum(self) -> linalg.SpectralDecomposition:
-        return linalg.sym_eigen(self.resistance)
+    def resistance_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``R``, descending; no eigenvectors."""
+        return linalg.sym_eigenvalues(self.resistance)
 
-    @cached_property
-    def shift_spectrum(self) -> linalg.SpectralDecomposition:
-        return linalg.sym_eigen(self.shift_body)
+    @property
+    def shift_extremes(self) -> tuple[float, float]:
+        """The largest and smallest eigenvalues of ``M``, read from
+        `laplacian_spectrum`: ``max(lambda_1, alpha), min(lambda_{ns-s}, alpha)``."""
+        lam, alpha = self.laplacian_spectrum.eigenvalues, self.shift_scale
+        return max(float(lam[0]), alpha), min(float(lam[-self.graph.s - 1]), alpha)
 
     @cached_property
     def spectral_pseudoinverse(self) -> np.ndarray:
@@ -243,15 +243,11 @@ class ResistanceWorkspace:
     def incidence(self) -> np.ndarray:
         return build_incidence(self.graph)
 
-    @cached_property
-    def laplacian_cofactor_value(self) -> float:
-        return linalg.value_from_slog(*self.laplacian_cofactor_slog)
-
     @property
     def condition(self) -> float:
         """Condition number of the shifted Laplacian."""
-        values = self.shift_spectrum.eigenvalues
-        return float(values[0] / values[-1])
+        largest, smallest = self.shift_extremes
+        return largest / smallest
 
     @property
     def low_confidence(self) -> bool:
@@ -337,7 +333,7 @@ class ResistanceWorkspace:
     def inertia(self) -> linalg.Inertia:
         """Eigenvalue sign counts of the resistance matrix (always
         ``(s, ns - s, 0)`` in exact arithmetic)."""
-        return linalg.count_inertia(self.resistance_spectrum.eigenvalues)
+        return linalg.count_inertia(self.resistance_eigenvalues)
 
     def interlacing(self) -> list[InterlaceRow]:
         """The ``ns - s`` interlacing rows ``mu_{s+i} <= -2/lambda_i <= mu_i``
@@ -345,7 +341,7 @@ class ResistanceWorkspace:
         n, s = self.graph.n, self.graph.s
         count = n * s - s
         lam = self.laplacian_spectrum.eigenvalues
-        mu = self.resistance_spectrum.eigenvalues
+        mu = self.resistance_eigenvalues
         rows = []
         for i in range(1, count + 1):
             lam_i = float(lam[i - 1])

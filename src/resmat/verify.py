@@ -243,10 +243,10 @@ def _check_l_eq_qqt(ws: ResistanceWorkspace):
 
 
 def _check_shift_nonsing(ws: ResistanceWorkspace):
-    values = ws.shift_spectrum.eigenvalues
-    ns = values.size
-    band = linalg.default_rank_tol(ns) * float(np.abs(values).max())
-    smallest = float(values[-1])
+    # The spectrum of M read from the Laplacian's eigendecomposition, a
+    # route independent of the engine's Cholesky verdict.
+    largest, smallest = ws.shift_extremes
+    band = linalg.default_rank_tol(ws.graph.n * ws.graph.s) * largest
     residual = _margin_residual(smallest, band)
     details = f"smallest eigenvalue {smallest:.6e}, zero band {band:.6e}"
     return residual, 0.0, details
@@ -338,7 +338,7 @@ def _check_qrq(ws: ResistanceWorkspace):
 
 
 def _check_taurtau_pd(ws: ResistanceWorkspace):
-    values = ws.deficit_form_spectrum.eigenvalues
+    values = linalg.sym_eigenvalues(ws.deficit_form)
     band = linalg.default_rank_tol(values.size) * float(np.abs(values).max())
     smallest = float(values[-1])
     residual = _margin_residual(smallest, band)
@@ -450,15 +450,15 @@ def numerically_nonsingular(b) -> bool:
     """Scale-aware nonsingularity of a symmetric matrix: the smallest
     singular value must exceed ``1e-10`` times the largest.
 
-    The singular values are the absolute eigenvalues, taken by one
-    ``eigvalsh`` (no eigenvectors) after :func:`linalg.symmetrize`, which
-    rejects material asymmetry.  Equivalently, ``|det B|`` must exceed
+    The singular values are the absolute eigenvalues, taken with no
+    eigenvectors by :func:`linalg.sym_eigenvalues`, which rejects material
+    asymmetry.  Equivalently, ``|det B|`` must exceed
     ``1e-10`` times the largest singular value times the adjugate norm, the
     determinant's natural scale.  A fixed absolute cutoff on the raw
     determinant would be wrong: a perfectly conditioned 14 x 14 matrix with
     entries of size 0.05 has a determinant around 1e-15.
     """
-    singular_values = np.abs(np.linalg.eigvalsh(linalg.symmetrize(b)))
+    singular_values = np.abs(linalg.sym_eigenvalues(b))
     return float(singular_values.min()) > 1e-10 * float(singular_values.max())
 
 
@@ -469,7 +469,7 @@ def _check_pinv_submatrices(ws: ResistanceWorkspace):
     # P act on complementary subspaces.
     instances = [
         (ws.pseudoinverse, ws.laplacian),
-        (ws.shift_body, ws.shifted_inverse),
+        (_shift(ws.laplacian, g.n, g.s, ws.shift_scale), ws.shifted_inverse),
         (_shift(ws.pseudoinverse, g.n, g.s), _shift(ws.laplacian, g.n, g.s)),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])

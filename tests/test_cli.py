@@ -176,6 +176,31 @@ class TestCompute:
         assert row["index"] == 1 and row["holds"] is True
         assert row["bound"] == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("what, decompositions", [("inertia", 0), ("interlace", 1)])
+    def test_spectra_decompose_only_the_laplacian(
+        self, capsys, monkeypatch, block_file, what, decompositions
+    ):
+        # The resistance spectrum is eigenvalues only; interlace also reads
+        # the Laplacian's, by the one eigendecomposition a workspace takes.
+        from resmat.laplacian import build_laplacian
+
+        eigh = np.linalg.eigh
+        calls = []
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        code, out, _ = run_cli(capsys, "compute", block_file, what)
+        assert code == EXIT_OK
+        if what == "inertia":
+            assert out == "positive 2\nnegative 6\nzero 0\n"
+        square = [a for a in calls if a.shape == (8, 8)]
+        assert len(square) == decompositions
+        laplacian = build_laplacian(parse_graph(Path(block_file).read_text()))
+        assert all(np.array_equal(a, laplacian) for a in square)
+
     def test_matrix_json_shape(self, capsys, block_file):
         code, out, _ = run_cli(
             capsys, "compute", block_file, "resistance", "--format", "json"

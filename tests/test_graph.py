@@ -1,5 +1,6 @@
 """Tests for graph construction, validation, JSON interchange, generation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -215,6 +216,56 @@ class TestFromEdges:
         assert a != "graph"
         with pytest.raises(TypeError):
             hash(a)
+
+
+class TestIntegerEndpoints:
+    """Every route to a graph converts endpoints once, in its validation,
+    and refuses what a conversion to intp would truncate."""
+
+    MESSAGE = "edge #1: endpoints must be integers"
+
+    def test_report_names_fractional_endpoint(self):
+        report = validation_report(2, 1, [(0, 1.7, [[1.0]])])
+        assert report.problems == (self.MESSAGE,)
+
+    def test_from_edges_does_not_truncate(self):
+        with pytest.raises(GraphError, match=f"^{self.MESSAGE}$"):
+            from_edges(3, 1, [(0.9, 1.2, [[1.0]]), (1, 2, [[1.0]])])
+
+    @pytest.mark.parametrize(
+        "u", [True, "1", 1.0, np.float64(1.0), np.bool_(True), None]
+    )
+    def test_non_integers_refused(self, u):
+        report = validation_report(3, 1, [(0, 1, [[1.0]]), (u, 2, [[1.0]])])
+        assert report.problems == ("edge #2: endpoints must be integers",)
+        with pytest.raises(GraphError, match="^edge #2: endpoints must be integers$"):
+            from_edges(3, 1, [(0, 1, [[1.0]]), (u, 2, [[1.0]])])
+
+    @pytest.mark.parametrize("endpoints", [
+        np.array([[0.0, 1.0]]),
+        np.array([[False, True]]),
+        [(0, "1")],
+    ])
+    def test_direct_construction_refuses(self, endpoints):
+        with pytest.raises(GraphError, match=f"^{self.MESSAGE}$"):
+            MatrixWeightedGraph(2, 1, endpoints, [[[1.0]]])
+
+    @pytest.mark.parametrize("endpoints", [
+        [(0, 1)],
+        np.array([[0, 1]], dtype=np.int32),
+        np.array([[0, 1]], dtype=np.uint8),
+        [(np.int64(0), np.int16(1))],
+    ])
+    def test_integers_accepted(self, endpoints):
+        g = MatrixWeightedGraph(2, 1, endpoints, [[[1.0]]])
+        assert g.endpoints.dtype == np.intp and g.endpoints.tolist() == [[0, 1]]
+
+    def test_replace_keeps_endpoints(self):
+        g = path_graph(3)
+        assert dataclasses.replace(g, weights=2.0 * g.weights).endpoints.tolist() == [
+            [0, 1],
+            [1, 2],
+        ]
 
 
 class TestParseSerialize:

@@ -43,7 +43,6 @@ WORKSPACE_ARRAYS = (
     "resistance",
     "deficit",
     "deficit_form",
-    "shift_body",
     "pseudoinverse",
     "spectral_pseudoinverse",
     "incidence",

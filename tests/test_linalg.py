@@ -17,12 +17,12 @@ from resmat.linalg import (
     block_cofactor_slog,
     count_inertia,
     default_rank_tol,
-    det_lu,
     max_norm,
     pseudo_inverse,
     pseudo_inverse_from,
     slogdet_lu,
     sym_eigen,
+    sym_eigenvalues,
     symmetrize,
     value_from_slog,
 )
@@ -139,10 +139,26 @@ class TestSymEigen:
         a = random_symmetric(rng, n)
         dec = sym_eigen(a)
         scale = 1.0 + max_norm(a)
-        assert max_norm(dec.reconstruct() - a) <= 1e-13 * scale
+        assert max_norm(dec.assemble(dec.eigenvalues) - a) <= 1e-13 * scale
         v = dec.eigenvectors
         assert max_norm(v @ v.T - np.eye(n)) <= 1e-13
         assert np.all(np.diff(dec.eigenvalues) <= 1e-15 * scale)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=seeds, n=orders)
+    def test_values_only_match_decomposition(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = random_symmetric(rng, n)
+        values = sym_eigenvalues(a)
+        scale = 1.0 + max_norm(a)
+        assert max_norm(values - sym_eigen(a).eigenvalues) <= 1e-13 * scale
+        assert np.all(np.diff(values) <= 0.0)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_values_only_rejects_asymmetric(self):
+        with pytest.raises(NumericError):
+            sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
     @settings(deadline=None, max_examples=25)
     @given(seed=seeds, n=orders)
@@ -299,21 +315,26 @@ class TestPdInverseSqrt:
             MatrixWeightedGraph(4, 2, [(0, 1), (1, 2), (2, 3)], stack)
 
 
+def plain_det(a):
+    """The plain value of the LU determinant pair."""
+    return value_from_slog(*slogdet_lu(a))
+
+
 class TestLU:
     def test_identity_det_exact(self):
-        assert det_lu(np.eye(5)) == 1.0
+        assert plain_det(np.eye(5)) == 1.0
 
     def test_permutation_sign(self):
         p = np.eye(3)[[1, 0, 2]]
-        assert det_lu(p) == -1.0
+        assert plain_det(p) == -1.0
 
     def test_hand_determinant(self):
         # Path-graph distance matrix on 3 vertices has determinant 4.
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        assert det_lu(d) == pytest.approx(4.0, rel=1e-14)
+        assert plain_det(d) == pytest.approx(4.0, rel=1e-14)
 
     def test_singular_det_is_exact_zero(self):
-        assert det_lu([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+        assert plain_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
 
     def test_slogdet_singular(self):
         sign, log_abs = slogdet_lu([[1.0, 2.0], [2.0, 4.0]])
@@ -324,7 +345,7 @@ class TestLU:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
         sign, log_abs = slogdet_lu(a)
-        assert sign * math.exp(log_abs) == pytest.approx(det_lu(a), rel=1e-12)
+        assert sign * math.exp(log_abs) == pytest.approx(np.linalg.det(a), rel=1e-12)
 
     def test_slogdet_large_order_no_overflow(self):
         a = 10.0 * np.eye(400)
@@ -334,7 +355,7 @@ class TestLU:
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
-            det_lu(np.ones((2, 3)))
+            slogdet_lu(np.ones((2, 3)))
 
     @settings(deadline=None, max_examples=30)
     @given(seed=seeds, n=orders)
@@ -342,8 +363,8 @@ class TestLU:
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1.0, 1.0, size=(n, n))
         b = rng.uniform(-1.0, 1.0, size=(n, n))
-        assert det_lu(a @ b) == pytest.approx(
-            det_lu(a) * det_lu(b), rel=1e-9, abs=1e-12
+        assert plain_det(a @ b) == pytest.approx(
+            plain_det(a) * plain_det(b), rel=1e-9, abs=1e-12
         )
 
 
@@ -361,7 +382,7 @@ class TestBlockCofactor:
         rng = np.random.default_rng(5)
         a = rng.uniform(-1.0, 1.0, size=(5, 5))
         expansion = sum(a[0, j] * block_cofactor_value(a, 0, j, 1) for j in range(5))
-        assert expansion == pytest.approx(det_lu(a), rel=1e-11)
+        assert expansion == pytest.approx(np.linalg.det(a), rel=1e-11)
 
     def test_full_deletion_gives_sign(self):
         # Deleting the only block leaves the empty minor with determinant 1.

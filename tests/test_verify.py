@@ -15,7 +15,8 @@ from resmat.graph import (
     star_graph,
 )
 from resmat import verify
-from resmat.linalg import DimensionError, NumericError, max_norm
+from resmat.laplacian import _shift, build_laplacian
+from resmat.linalg import DimensionError, NumericError, SpectralDecomposition, max_norm
 from resmat.resistance import ResistanceWorkspace
 from resmat.verify import (
     CHECK_IDS,
@@ -227,6 +228,68 @@ class TestMutationsFail:
         ws.deficit = ws.deficit.copy()
         ws.deficit[5, 1] += 1e-6
         assert not run_check(g, "TAUDEF", workspace=ws).passed
+
+    def test_shift_nonsing_catches_zeroed_laplacian_eigenvalue(self):
+        # SHIFT_NONSING reads M's spectrum from L's: a zero in place of
+        # lambda_{ns-s} makes M singular.
+        g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "SHIFT_NONSING", workspace=ws).passed
+        spectrum = ws.laplacian_spectrum
+        values = spectrum.eigenvalues.copy()
+        values[g.n * g.s - g.s - 1] = 0.0
+        ws.laplacian_spectrum = SpectralDecomposition(values, spectrum.eigenvectors)
+        assert not run_check(g, "SHIFT_NONSING", workspace=ws).passed
+
+    def test_inertia_catches_sign_flip(self):
+        g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "INERTIA", workspace=ws).passed
+        values = ws.resistance_eigenvalues.copy()
+        values[0] = -values[0]
+        ws.resistance_eigenvalues = values
+        assert not run_check(g, "INERTIA", workspace=ws).passed
+
+
+class TestOneEigendecomposition:
+    """A suite takes one ``ns x ns`` eigendecomposition with eigenvectors,
+    the Laplacian's; the resistance spectrum is values only and the shifted
+    Laplacian's is read from the Laplacian's."""
+
+    def test_run_suite_decomposes_only_the_laplacian(self, corpus, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        for _, g in corpus:
+            ns = g.n * g.s
+            calls.clear()
+            run_suite(g)
+            square = [a for a in calls if a.shape == (ns, ns)]
+            # On scalar graphs SCALAR_REDUCTION's oracle decomposes the
+            # scalar Laplacian it builds for itself, independently.
+            assert len(square) == 1 + (g.s == 1)
+            assert np.array_equal(square[0], build_laplacian(g))
+
+    def test_shift_extremes_match_eigensolve_of_shifted_laplacian(self, corpus):
+        # P projects exactly onto ker L, so spec(M) is the positive
+        # spectrum of L with alpha repeated s times.  Both routes are
+        # eigensolves accurate to a few eps times ||M||, so they are compared
+        # relative to the largest eigenvalue: relative to itself, the
+        # smallest can differ by kappa(M) eps (8e-12 on path200, whose
+        # kappa(M) is 1.6e4).
+        graphs = [g for _, g in corpus] + list(ill_conditioned_graphs().values())
+        for g in graphs:
+            ws = ResistanceWorkspace(g)
+            shifted = _shift(ws.laplacian, g.n, g.s, ws.shift_scale)
+            values = np.linalg.eigvalsh(shifted)
+            largest, smallest = ws.shift_extremes
+            assert abs(largest - values[-1]) <= 1e-12 * values[-1]
+            assert abs(smallest - values[0]) <= 1e-12 * values[-1]
 
 
 class TestEdgeSums:
