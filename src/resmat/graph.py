@@ -45,7 +45,6 @@ __all__ = [
     "serialize",
     "adjacency",
     "is_tree",
-    "has_unit_weights",
     "random_pd_weight",
     "random_graph",
     "path_graph",
@@ -210,11 +209,21 @@ def _weight_stack(weights):
 def _endpoint_pairs(n: int, endpoints) -> np.ndarray:
     """0-based endpoints as one ``(m, 2)`` array: intp, or exact Python ints
     in an object array when ``n`` or some endpoint does not fit intp.
-    Raises :class:`GraphError` for the first edge with an endpoint that is
-    not a Python or numpy integer (bools are not), which intp truncates."""
+    Raises :class:`GraphError` for the first edge whose entry is not one
+    pair, else for the first edge with an endpoint that is not a Python or
+    numpy integer (bools are not), which intp truncates."""
     pairs = endpoints
     if not (isinstance(endpoints, np.ndarray) and endpoints.dtype.kind == "i"):
         pairs = np.array(endpoints, dtype=object)
+    if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        if pairs.ndim == 0:
+            raise GraphError("endpoints must be a list of (u, v) pairs")
+        first = next(
+            k for k, entry in enumerate(pairs)
+            if np.array(entry, dtype=object).shape != (2,)
+        )
+        raise GraphError(f"edge #{first + 1}: endpoints must be one (u, v) pair")
+    if pairs.dtype == object:
         flat = pairs.ravel().tolist()
         kinds = set(map(type, flat))
         wrong = {t for t in kinds if t is bool or not issubclass(t, (int, np.integer))}
@@ -235,8 +244,8 @@ def _checked(n, s, endpoints, weights):
     Returns the problems in edge order and, when there are none, the
     ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both sorted
     lexicographically by endpoint pair (None otherwise).  A weight that
-    does not convert to numbers, or else an endpoint that is not an
-    integer, is the only problem reported.
+    does not convert to numbers, or else an endpoint entry that is not a
+    pair of integers, is the only problem reported.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return [f"vertex count n must be an integer >= 2, got {n!r}"], None, None
@@ -444,11 +453,6 @@ def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
 def is_tree(g: MatrixWeightedGraph) -> bool:
     """True when the (connected) graph has exactly ``n - 1`` edges."""
     return g.m == g.n - 1
-
-
-def has_unit_weights(g: MatrixWeightedGraph) -> bool:
-    """True when every edge weight is exactly the identity matrix."""
-    return bool((g.weights == np.eye(g.s)).all())
 
 
 def random_pd_weight(rng: np.random.Generator, s: int) -> np.ndarray:

@@ -119,9 +119,15 @@ def shifted_cholesky(
 
     The factorization also decides nonsingularity: it must succeed, and
     its smallest pivot ``min diag(C)^2`` must clear
-    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.
+    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.  So
+    must ``alpha`` be finite, which bounds every entry of the positive
+    semidefinite ``L``: an inverse weight can overflow.
     """
     alpha = float(np.trace(laplacian)) / (n * s)
+    if not math.isfinite(alpha):
+        raise linalg.NumericError(
+            "Laplacian trace is not finite: an inverse edge weight overflows"
+        )
     shift_body = _shift(laplacian, n, s, alpha)
     try:
         factor = np.linalg.cholesky(shift_body)

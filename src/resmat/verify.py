@@ -3,15 +3,15 @@
 Each identity is a registry check: given a graph, it produces a residual
 (max-norm of a defect, a count of violations, or a normalized margin
 shortfall), a tolerance, and a pass/fail/skip outcome.  Checks that do not
-apply to a graph (tree-only or scalar-only identities) come back skipped,
-and skipped checks never flip a suite's overall result.
+apply to a graph (the tree identities, and the scalar reduction) come back
+skipped, and skipped checks never flip a suite's overall result.
 
 Checks never reuse the quantity they are checking: each one recomputes its
 right-hand side through an independent route (spectral pseudoinverse vs
 shifted-inverse algebra, LU determinants vs closed forms, LU minors vs the
 cofactor from Cholesky pivots, ``T' R T`` from the resistance matrix vs the
-engine's ``R``-free expression, breadth-first path sums vs resistance
-blocks, the defining edge sum of the deficit blocks vs the engine's
+engine's ``R``-free expression, block path sums vs resistance blocks on
+trees, the defining edge sum of the deficit blocks vs the engine's
 ``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants and cofactors
 are compared as exact ``(sign, log|.|)`` pairs, so values beyond the
 double range are still compared, not two infinities or zeros.
@@ -38,7 +38,6 @@ from .graph import (
     adjacency,
     complete_graph,
     cycle_graph,
-    has_unit_weights,
     is_tree,
     path_graph,
     random_graph,
@@ -173,26 +172,37 @@ def scalar_resistance_oracle(g: MatrixWeightedGraph) -> np.ndarray:
 
 
 def tree_distance_matrix(g: MatrixWeightedGraph) -> np.ndarray:
-    """Weighted path distances of a scalar-weighted tree, by breadth-first
-    traversal from every vertex."""
-    if g.s != 1:
-        raise linalg.DimensionError(f"tree distances require s=1, got s={g.s}")
+    """Block path sums of a tree: the ``ns x ns`` matrix whose ``(i, j)``
+    block sums the weights on the path from ``i`` to ``j``.  After the
+    root's row, each vertex reached from ``p`` over the weight ``W`` takes
+    ``p``'s row plus ``W``, and minus ``W`` on its own subtree, which is a
+    contiguous range of the depth-first preorder from vertex 0."""
     if not is_tree(g):
         raise linalg.DimensionError("graph is not a tree")
+    n, s = g.n, g.s
     nbrs = adjacency(g)
-    weights = [float(e.weight[0, 0]) for e in g.edges]
-    dist = np.zeros((g.n, g.n))
-    for root in range(g.n):
-        todo = [root]
-        seen = {root}
-        while todo:
-            u = todo.pop()
-            for v, edge_index in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    dist[root, v] = dist[root, u] + weights[edge_index]
-                    todo.append(v)
-    return dist
+    # The preorder, as (vertex, parent's position, parent edge) entries.
+    order = []
+    position = [-1] * n
+    todo = [(0, -1, -1)]
+    while todo:
+        v, p, e = todo.pop()
+        position[v] = len(order)
+        order.append((v, p, e))
+        todo.extend((u, position[v], k) for u, k in nbrs[v] if position[u] < 0)
+    # The subtree at position i is the range [i, end[i]).
+    end = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        end[order[i][1]] = max(end[order[i][1]], end[i])
+    # Block rows by vertex, block columns in preorder.
+    dist = np.zeros((n, s, n, s))
+    for i, (_, p, e) in enumerate(order[1:], 1):
+        dist[0, :, i] = dist[0, :, p] + g.weights[e]
+    for i, (v, p, e) in enumerate(order[1:], 1):
+        up, step = dist[order[p][0]], g.weights[e][:, np.newaxis]
+        np.add(up, step, out=dist[v])
+        np.subtract(up[:, i : end[i]], step, out=dist[v][:, i : end[i]])
+    return np.take(dist, position, axis=2).reshape(n * s, n * s)
 
 
 # ----------------------------------------------------------------------
@@ -499,18 +509,22 @@ def _check_tree_distance(ws: ResistanceWorkspace):
     distances = tree_distance_matrix(ws.graph)
     residual = linalg.max_norm(ws.resistance - distances)
     tol = 1e-10 * (1.0 + linalg.max_norm(distances))
-    return residual, tol, "engine resistance vs breadth-first path sums"
+    return residual, tol, "engine resistance vs depth-first block path sums"
 
 
 def _check_tree_det(ws: ResistanceWorkspace):
-    n = ws.graph.n
-    # (-1)^(n-1) (n-1) 2^(n-2) as a (sign, log|.|) pair: the plain value
-    # overflows a double from n = 1017 on.
-    sign = -1.0 if (n - 1) % 2 else 1.0
-    expected = (sign, math.log(n - 1) + (n - 2) * math.log(2.0))
+    g = ws.graph
+    # Bapat's det R = (-1)^((n-1)s) 2^((n-2)s) prod_e det W_e det(sum_e W_e)
+    # as a (sign, log|.|) pair, for it leaves the double range on long
+    # trees.  The weights and their sum are positive definite.
+    log_dets = np.linalg.slogdet(g.weights)[1].sum()
+    log_abs = log_dets + np.linalg.slogdet(g.weights.sum(axis=0))[1]
+    sign = -1.0 if (g.n - 1) * g.s % 2 else 1.0
+    expected = (sign, (g.n - 2) * g.s * math.log(2.0) + float(log_abs))
     direct = linalg.slogdet_lu(ws.resistance)
     details = (
-        f"LU determinant {_value_text(*direct)}, expected {_value_text(*expected)}"
+        f"LU determinant {_value_text(*direct)}, "
+        f"Bapat's tree formula {_value_text(*expected)}"
     )
     return _log_ratio(direct, expected), 1e-10, details
 
@@ -532,21 +546,8 @@ def _applies_scalar(g: MatrixWeightedGraph) -> str | None:
     return None if g.s == 1 else "requires scalar weights (s = 1)"
 
 
-def _applies_scalar_tree(g: MatrixWeightedGraph) -> str | None:
-    if g.s != 1:
-        return "requires scalar weights (s = 1)"
-    if not is_tree(g):
-        return "requires a tree (m = n - 1)"
-    return None
-
-
-def _applies_unit_tree(g: MatrixWeightedGraph) -> str | None:
-    reason = _applies_scalar_tree(g)
-    if reason:
-        return reason
-    if not has_unit_weights(g):
-        return "requires unit weights"
-    return None
+def _applies_tree(g: MatrixWeightedGraph) -> str | None:
+    return None if is_tree(g) else "requires a tree (m = n - 1)"
 
 
 @dataclass(frozen=True)
@@ -576,8 +577,8 @@ _REGISTRY: tuple[_CheckDef, ...] = (
     _CheckDef("COFACTOR_EQ", _applies_always, _check_cofactor_eq),
     _CheckDef("PINV_SUBMATRIX", _applies_always, _check_pinv_submatrices),
     _CheckDef("SCALAR_REDUCTION", _applies_scalar, _check_scalar_reduction),
-    _CheckDef("TREE_DISTANCE", _applies_scalar_tree, _check_tree_distance),
-    _CheckDef("TREE_DET", _applies_unit_tree, _check_tree_det),
+    _CheckDef("TREE_DISTANCE", _applies_tree, _check_tree_distance),
+    _CheckDef("TREE_DET", _applies_tree, _check_tree_det),
 )
 
 _BY_ID = {d.check_id: d for d in _REGISTRY}

@@ -303,6 +303,34 @@ class TestCompute:
         assert out == ""
         assert "shifted Laplacian is numerically singular" in err
 
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "det"],
+            ["compute", "inverse"],
+            ["compute", "resistance"],
+            ["compute", "inertia"],
+            ["compute", "interlace"],
+            ["compute", "chi"],
+            ["compute", "pinv"],
+            ["compute", "tau"],
+            ["verify"],
+        ],
+    )
+    def test_overflowing_inverse_weight(self, capsys, tmp_path, s, argv):
+        # 1e-310 I is positive definite, but its inverse overflows: a
+        # numeric failure with a message, and no numpy warning on the way.
+        path = tmp_path / "subnormal.json"
+        path.write_text(serialize(path_graph(2, s, 1e-310 * np.eye(s))))
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == (
+            "error: Laplacian trace is not finite: "
+            "an inverse edge weight overflows\n"
+        )
+
     def test_weight_beyond_float_range(self, tmp_path):
         # json reads the literal as a Python int that float64 cannot hold.
         path = tmp_path / "huge.json"

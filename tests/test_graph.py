@@ -18,7 +18,6 @@ from resmat.graph import (
     complete_graph,
     cycle_graph,
     from_edges,
-    has_unit_weights,
     is_tree,
     parse_graph,
     path_graph,
@@ -260,6 +259,27 @@ class TestIntegerEndpoints:
         g = MatrixWeightedGraph(2, 1, endpoints, [[[1.0]]])
         assert g.endpoints.dtype == np.intp and g.endpoints.tolist() == [[0, 1]]
 
+    @pytest.mark.parametrize("endpoints, position", [
+        ([(0, 1, 2)], 1),
+        ([[0, 1, 2, 3]], 1),
+        ([0, 1], 1),
+        ([[[0, 1]]], 1),
+        (np.array([[0, 1, 2]]), 1),
+        ([(0, 1), (1,)], 2),
+        ([(0, 1), (1, 2, 0)], 2),
+    ])
+    def test_non_pairs_refused(self, endpoints, position):
+        # Each entry must be one (u, v) pair: a triple is not read as a
+        # pair and a weight, nor a flat list or a quadruple as two pairs.
+        message = f"^edge #{position}: endpoints must be one \\(u, v\\) pair$"
+        with pytest.raises(GraphError, match=message):
+            MatrixWeightedGraph(3, 1, endpoints, [[[1.0]], [[1.0]]])
+
+    @pytest.mark.parametrize("endpoints", [None, 5])
+    def test_no_list_refused(self, endpoints):
+        with pytest.raises(GraphError, match="^endpoints must be a list of"):
+            MatrixWeightedGraph(2, 1, endpoints, [[[1.0]]])
+
     def test_replace_keeps_endpoints(self):
         g = path_graph(3)
         assert dataclasses.replace(g, weights=2.0 * g.weights).endpoints.tolist() == [
@@ -491,11 +511,6 @@ class TestStructure:
         assert is_tree(star_graph(5))
         assert not is_tree(cycle_graph(4))
         assert not is_tree(complete_graph(3))
-
-    def test_has_unit_weights(self):
-        assert has_unit_weights(path_graph(3, 2))
-        w = 2.0 * np.eye(2)
-        assert not has_unit_weights(path_graph(3, 2, w))
 
 
 class TestFactories:

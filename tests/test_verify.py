@@ -107,9 +107,49 @@ class TestOracles:
         with pytest.raises(DimensionError, match="not a tree"):
             tree_distance_matrix(cycle_graph(3))
 
-    def test_tree_distances_reject_blocks(self):
-        with pytest.raises(DimensionError, match="s=1"):
-            tree_distance_matrix(path_graph(3, 2))
+    def test_tree_distances_sum_blocks(self):
+        w1 = np.array([[2.0, 1.0], [1.0, 2.0]])
+        w2 = np.array([[3.0, 0.5], [0.5, 1.0]])
+        d = tree_distance_matrix(path_graph(3, 2, [w1, w2]))
+        assert np.array_equal(d[0:2, 4:6], w1 + w2)
+        assert np.array_equal(d[4:6, 2:4], w2)
+        assert not d[0:2, 0:2].any()
+
+
+def _bapat_slog(g):
+    """Bapat's tree determinant ``(-1)^((n-1)s) 2^((n-2)s) prod_e det W_e
+    det(sum_e W_e)`` as ``(sign, log|.|)``, from plain ``slogdet`` calls."""
+    log_abs = (g.n - 2) * g.s * np.log(2.0)
+    log_abs += sum(np.linalg.slogdet(w)[1] for w in g.weights)
+    log_abs += np.linalg.slogdet(g.weights.sum(axis=0))[1]
+    return (-1.0) ** ((g.n - 1) * g.s), log_abs
+
+
+class TestBapatDeterminant:
+    """On a tree with matrix weights, ``det R`` is Bapat's product formula
+    and ``R`` is the matrix of block path sums."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        s=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_formula_matches_path_sums_and_engine(self, n, s, seed):
+        g = random_graph(n, s, "tree", seed=seed)
+        sign, log_abs = _bapat_slog(g)
+        # The path sums involve no engine code; the workspace's R does.
+        for r in (tree_distance_matrix(g), ResistanceWorkspace(g).resistance):
+            got_sign, got_log = np.linalg.slogdet(r)
+            assert got_sign == sign
+            assert abs(got_log - log_abs) <= 1e-10
+
+    def test_check_beyond_double_range_with_blocks(self):
+        # 2^(398 * 3) alone is beyond the double range.
+        g = random_graph(400, 3, "tree", seed=21)
+        result = run_check(g, "TREE_DET")
+        assert not result.skipped and result.passed
+        assert result.details.count("exp(") == 2
 
 
 class TestNumericallyNonsingular:
@@ -163,11 +203,15 @@ class TestRunCheck:
         assert result.skipped
         assert "tree" in result.details
 
-    def test_skip_tree_det_non_unit(self):
+    def test_tree_det_runs_on_non_unit_tree(self):
         g = path_graph(3, 1, np.array([[2.0]]))
         result = run_check(g, "TREE_DET")
+        assert not result.skipped and result.passed
+
+    def test_skip_tree_det_non_tree(self):
+        result = run_check(cycle_graph(4, 2), "TREE_DET")
         assert result.skipped
-        assert "unit weights" in result.details
+        assert result.details == "skipped: requires a tree (m = n - 1)"
 
     def test_tree_det_runs_on_unit_tree(self):
         result = run_check(star_graph(4), "TREE_DET")
@@ -406,11 +450,18 @@ class TestRunSuite:
         }
 
     def test_unit_p2_skip_profile(self):
-        # Unit 2-path: everything applies (tree, scalar, unit weights), so
-        # nothing is skipped and all 21 results are real runs.
+        # Scalar 2-path: everything applies (tree, scalar), so nothing is
+        # skipped and all 21 results are real runs.
         report = run_suite(path_graph(2))
         assert len(report.checks) == 21
         assert not any(c.skipped for c in report.checks)
+
+    def test_block_tree_skip_profile(self):
+        # s = 2 star: only the scalar reduction skips.
+        report = run_suite(star_graph(3, 2, 2.0 * np.eye(2)))
+        skipped = {c.check_id for c in report.checks if c.skipped}
+        assert skipped == {"SCALAR_REDUCTION"}
+        assert report.passed
 
     def test_block_cycle_skip_profile(self):
         # s = 2 cycle: QRQ, SCALAR_REDUCTION, TREE_DISTANCE, TREE_DET skip.
@@ -516,6 +567,16 @@ class TestEveryCheckOnCorpus:
                 if not result.passed:
                     failures.append((descriptor, check_id, result.residual))
         assert failures == []
+
+    def test_every_tree_runs_the_tree_checks(self, corpus_workspaces):
+        trees = 0
+        for _, g, ws in corpus_workspaces:
+            if g.m == g.n - 1:
+                trees += 1
+                for check_id in ("TREE_DISTANCE", "TREE_DET"):
+                    result = run_check(g, check_id, workspace=ws)
+                    assert not result.skipped and result.passed
+        assert trees == 18
 
     def test_rwiden_residual_tight(self, corpus_workspaces):
         # The summed-resistance identity holds well below 1e-9 * n, a
