@@ -26,7 +26,6 @@ from .graph import (
     GenerationError,
     GraphError,
     MatrixWeightedGraph,
-    ValidationReport,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -35,7 +34,6 @@ from .graph import (
     random_graph,
     serialize,
     star_graph,
-    validation_report,
 )
 from .linalg import (
     DimensionError,
@@ -96,7 +94,6 @@ __all__ = [
     "GenerationError",
     "GraphError",
     "MatrixWeightedGraph",
-    "ValidationReport",
     "complete_graph",
     "cycle_graph",
     "from_edges",
@@ -105,12 +102,6 @@ __all__ = [
     "random_graph",
     "serialize",
     "star_graph",
-    "validation_report",
-    # laplacian
-    "build_incidence",
-    "build_laplacian",
-    "laplacian_cofactor_slog",
-    "stacked_identity",
     # linear algebra kernel
     "DimensionError",
     "Inertia",
@@ -119,20 +110,6 @@ __all__ = [
     "pseudo_inverse",
     "slogdet_lu",
     "sym_eigen",
-    # resistance engine
-    "InterlaceRow",
-    "ResistanceWorkspace",
-    # verifier
-    "CHECK_IDS",
-    "CheckResult",
-    "CorpusEntry",
-    "GraphSpec",
-    "SuiteReport",
-    "UnknownCheckError",
-    "run_check",
-    "run_corpus",
-    "run_suite",
-    "scalar_resistance_oracle",
-    "standard_corpus",
-    "tree_distance_matrix",
+    # the laplacian, resistance engine and verifier, loaded on first use
+    *_LAZY_NAMES,
 ]

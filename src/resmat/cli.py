@@ -37,7 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .graph import GenerationError, GraphError, parse_graph, random_graph, serialize
+from .graph import (
+    RANDOM_MODELS,
+    GenerationError,
+    GraphError,
+    parse_graph,
+    random_graph,
+    serialize,
+)
 
 __all__ = ["main", "entry", "UsageError"]
 
@@ -108,11 +115,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("output", help="destination file")
     gen.add_argument("--n", type=int, required=True, help="vertex count")
     gen.add_argument("--s", type=int, required=True, help="weight block size")
-    gen.add_argument(
-        "--model",
-        required=True,
-        choices=("tree", "cycle", "complete", "gnp"),
-    )
+    gen.add_argument("--model", required=True, choices=RANDOM_MODELS)
     gen.add_argument("--p", type=float, help="edge probability (gnp only)")
     gen.add_argument("--seed", type=int, required=True)
 
@@ -482,7 +485,7 @@ def _cmd_verify_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import CHECK_IDS, run_suite
+    from .verify import UnknownCheckError, run_suite
 
     if args.corpus is not None:
         if args.input is not None:
@@ -491,17 +494,10 @@ def _cmd_verify(args) -> int:
     if args.input is None:
         raise UsageError("a graph file (or --corpus) is required")
     g = parse_graph(Path(args.input).read_bytes())
-    if args.check and not args.all:
-        unknown = [c for c in args.check if c not in CHECK_IDS]
-        if unknown:
-            raise UsageError(
-                f"unknown check id(s): {', '.join(unknown)}; "
-                f"known: {', '.join(CHECK_IDS)}"
-            )
-        selection = args.check
-    else:
-        selection = None
-    report = run_suite(g, selection)
+    try:
+        report = run_suite(g, None if args.all else args.check)
+    except UnknownCheckError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:

@@ -38,8 +38,6 @@ __all__ = [
     "GenerationError",
     "Edge",
     "MatrixWeightedGraph",
-    "ValidationReport",
-    "validation_report",
     "from_edges",
     "parse_graph",
     "serialize",
@@ -96,11 +94,11 @@ class MatrixWeightedGraph:
     The constructor takes ``endpoints`` as ``(u, v)`` pairs (0-based) and
     ``weights`` as one ``s x s`` matrix per edge, in any order and form
     numpy converts.  It raises :class:`GraphError` listing every problem
-    that :func:`validation_report` finds, else stores ``endpoints`` as the
-    read-only ``(m, 2)`` intp array of the pairs, ``u < v``, sorted
-    lexicographically, and ``weights`` as the read-only ``(m, s, s)``
-    float64 stack of the weights in the same order, each exactly
-    symmetrized (``(W + W') / 2``).  :attr:`edges` presents the same data
+    it finds, else stores ``endpoints`` as the read-only ``(m, 2)`` intp
+    array of the pairs, ``u < v``, sorted lexicographically, and
+    ``weights`` as the read-only ``(m, s, s)`` float64 stack of the
+    weights in the same order, each exactly symmetrized
+    (``(W + W') / 2``).  :attr:`edges` presents the same data
     as :class:`Edge` records, built on first access.
     """
 
@@ -110,11 +108,7 @@ class MatrixWeightedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        problems, endpoints, stack = _checked(
-            self.n, self.s, self.endpoints, self.weights
-        )
-        if problems:
-            raise GraphError("; ".join(problems))
+        endpoints, stack = _checked(self.n, self.s, self.endpoints, self.weights)
         symmetric = stack + stack.transpose(0, 2, 1)
         symmetric /= 2.0
         object.__setattr__(self, "endpoints", linalg.frozen(endpoints))
@@ -146,17 +140,6 @@ class MatrixWeightedGraph:
     __hash__ = None  # mutable-content semantics: not hashable
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of graph validation: a list of human-readable problems."""
-
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 def _is_connected(n: int, pairs) -> bool:
     """Breadth-first connectivity test on an edge pair list."""
     neighbors: list[list[int]] = [[] for _ in range(n)]
@@ -175,15 +158,6 @@ def _is_connected(n: int, pairs) -> bool:
                 count += 1
                 queue.append(v)
     return count == n
-
-
-def _pairs(edges):
-    """Split ``(u, v, weight)`` triples into endpoint pairs and weights."""
-    pairs, ws = [], []
-    for u, v, w in edges:
-        pairs.append((u, v))
-        ws.append(w)
-    return pairs, ws
 
 
 def _weight_stack(weights):
@@ -241,23 +215,23 @@ def _endpoint_pairs(n: int, endpoints) -> np.ndarray:
 def _checked(n, s, endpoints, weights):
     """Validate graph data given as endpoint pairs and per-edge weights.
 
-    Returns the problems in edge order and, when there are none, the
-    ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both sorted
-    lexicographically by endpoint pair (None otherwise).  A weight that
-    does not convert to numbers, or else an endpoint entry that is not a
-    pair of integers, is the only problem reported.
+    Returns the ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both
+    sorted lexicographically by endpoint pair, or raises
+    :class:`GraphError` listing every problem in edge order, joined by
+    ``"; "``.  Checks: vertex and block counts, endpoint ranges and
+    ordering, duplicate edges, weight shape, finiteness, symmetry
+    (relative tolerance 1e-10), positive definiteness, and connectivity.
+    A weight that does not convert to numbers, or else an endpoint entry
+    that is not a pair of integers, is the only problem reported.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        return [f"vertex count n must be an integer >= 2, got {n!r}"], None, None
+        raise GraphError(f"vertex count n must be an integer >= 2, got {n!r}")
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        return [f"block size s must be an integer >= 1, got {s!r}"], None, None
-    try:
-        weights = _weight_stack(weights)
-        pairs = _endpoint_pairs(n, endpoints)
-    except GraphError as exc:
-        return [str(exc)], None, None
+        raise GraphError(f"block size s must be an integer >= 1, got {s!r}")
+    weights = _weight_stack(weights)
+    pairs = _endpoint_pairs(n, endpoints)
     if len(pairs) != len(weights):
-        return [f"{len(pairs)} endpoint pairs but {len(weights)} weights"], None, None
+        raise GraphError(f"{len(pairs)} endpoint pairs but {len(weights)} weights")
     u, v = pairs[:, 0], pairs[:, 1]
 
     def label(k) -> str:
@@ -303,10 +277,10 @@ def _checked(n, s, endpoints, weights):
         found[k] = f"{label(k)}: {message}"
 
     if found:
-        return [found[k] for k in sorted(found)], None, None
+        raise GraphError("; ".join(found[k] for k in sorted(found)))
     if len(pairs) < n - 1 or not _is_connected(n, pairs.tolist()):
-        return ["graph is not connected"], None, None
-    return [], pairs[order], stack[order]
+        raise GraphError("graph is not connected")
+    return pairs[order], stack[order]
 
 
 def _weight_problems(stack: np.ndarray) -> dict[int, str]:
@@ -337,29 +311,25 @@ def _weight_problems(stack: np.ndarray) -> dict[int, str]:
     return found
 
 
-def validation_report(n, s, edges) -> ValidationReport:
-    """Validate raw graph data and list every violation found.
-
-    ``edges`` is an iterable of ``(u, v, weight)`` with 0-based endpoints;
-    problems are reported in edge order, with 1-based vertex labels to
-    match the external convention.  Checks: vertex/block counts, endpoint
-    ranges and ordering, duplicate edges, weight shape, finiteness,
-    symmetry (relative tolerance 1e-10), positive definiteness, and
-    connectivity.  A weight that does not convert to numbers is reported
-    alone, as the first such edge.
-    """
-    problems, _, _ = _checked(n, s, *_pairs(edges))
-    return ValidationReport(tuple(problems))
-
-
 def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
     """Build a validated graph from ``(u, v, weight)`` triples (0-based).
 
-    Raises :class:`GraphError` listing every validation problem.  Edges are
-    sorted lexicographically by endpoint pair; the weights are exactly
+    Raises :class:`GraphError` for the first entry that is not a triple,
+    else listing every validation problem.  Edges are sorted
+    lexicographically by endpoint pair; the weights are exactly
     symmetrized (``(W + W') / 2``) into one read-only ``(m, s, s)`` stack.
     """
-    return MatrixWeightedGraph(n, s, *_pairs(edges))
+    pairs, ws = [], []
+    for position, edge in enumerate(edges, start=1):
+        try:
+            u, v, w = edge
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"edge #{position} must be a (u, v, weight) triple"
+            ) from None
+        pairs.append((u, v))
+        ws.append(w)
+    return MatrixWeightedGraph(n, s, pairs, ws)
 
 
 def _entry_problem(position: int, entry) -> str | None:

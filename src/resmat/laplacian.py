@@ -56,6 +56,9 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     and block row and column sums cancel up to a reordering of identical
     floating-point terms (residuals at the level of the last place, far
     below any tolerance used downstream).
+
+    Raises :class:`NumericError` when an inverse weight overflows: the
+    trace, which bounds every entry of the semidefinite ``L``, is not finite.
     """
     n, s = g.n, g.s
     us, vs = g.endpoints.T
@@ -70,6 +73,10 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
     vertices = np.arange(n)
     blocks[vertices, :, vertices, :] = diagonal
+    if not math.isfinite(np.trace(body)):
+        raise linalg.NumericError(
+            "Laplacian trace is not finite: an inverse edge weight overflows"
+        )
     return linalg.frozen(body)
 
 
@@ -119,15 +126,9 @@ def shifted_cholesky(
 
     The factorization also decides nonsingularity: it must succeed, and
     its smallest pivot ``min diag(C)^2`` must clear
-    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.  So
-    must ``alpha`` be finite, which bounds every entry of the positive
-    semidefinite ``L``: an inverse weight can overflow.
+    ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.
     """
     alpha = float(np.trace(laplacian)) / (n * s)
-    if not math.isfinite(alpha):
-        raise linalg.NumericError(
-            "Laplacian trace is not finite: an inverse edge weight overflows"
-        )
     shift_body = _shift(laplacian, n, s, alpha)
     try:
         factor = np.linalg.cholesky(shift_body)

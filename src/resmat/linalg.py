@@ -126,11 +126,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def assemble(self, values) -> np.ndarray:
-        """Build ``V diag(values) V'`` for an arbitrary diagonal vector."""
-        v = self.eigenvectors
-        return (v * np.asarray(values, dtype=np.float64)) @ v.T
-
 
 @dataclass(frozen=True)
 class Inertia:
@@ -200,7 +195,8 @@ def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
     keep = values > band
     inverted = np.zeros(n)
     inverted[keep] = 1.0 / values[keep]
-    g = decomposition.assemble(inverted)
+    v = decomposition.eigenvectors
+    g = (v * inverted) @ v.T
     return (g + g.T) / 2.0
 
 
@@ -264,7 +260,10 @@ def slogdet_lu(a) -> tuple[float, float]:
     return (float(sign), float(log_abs))
 
 
-def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
+def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
+    """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
+    ``s x s`` blocks, the signed determinant of A with block row ``i`` and
+    block column ``j`` deleted, as ``(sign, log|value|)``; overflow-safe."""
     a = _checked(np.asarray(a, dtype=np.float64))
     n = _require_square(a)
     if s < 1 or n % s != 0:
@@ -277,6 +276,8 @@ def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
     # The deleted 1-based row and column indices sum to
     # s^2 (i + j) + s (s + 1), whose parity is that of s (i + j).
     sign = -1.0 if (s * (i + j)) % 2 else 1.0
+    if blocks == 1:
+        return (sign, 0.0)
     # Copy the four blocks of A around block row i and block column j.
     view = a.reshape(blocks, s, blocks, s)
     minor = np.empty((blocks - 1, s, blocks - 1, s))
@@ -284,17 +285,7 @@ def _cofactor_pieces(a, i: int, j: int, s: int) -> tuple[float, np.ndarray]:
     minor[:i, :, j:] = view[:i, :, j + 1 :]
     minor[i:, :, :j] = view[i + 1 :, :, :j]
     minor[i:, :, j:] = view[i + 1 :, :, j + 1 :]
-    return sign, minor.reshape(n - s, n - s)
-
-
-def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
-    """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
-    ``s x s`` blocks, the signed determinant of A with block row ``i`` and
-    block column ``j`` deleted, as ``(sign, log|value|)``; overflow-safe."""
-    sign, minor = _cofactor_pieces(a, i, j, s)
-    if minor.size == 0:
-        return (sign, 0.0)
-    det_sign, log_abs = slogdet_lu(minor)
+    det_sign, log_abs = slogdet_lu(minor.reshape(n - s, n - s))
     return (sign * det_sign, log_abs)
 
 

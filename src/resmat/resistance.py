@@ -167,9 +167,14 @@ class ResistanceWorkspace:
         deficit += (2.0 / n) * stacked_identity(n, s)
         self.deficit = frozen(deficit)
 
-        # T' R T from its closed expression; TAURTAU_FORM checks it against
+        # T' R T by its closed expression 2 xbar' L xbar
+        # + (8/n)(sum_i X_ii - I_s/alpha); TAURTAU_FORM checks it against
         # the product with R.
-        form = self.deficit_form_closed()
+        xbar = self.diag_stack
+        total = xbar.reshape(n, s, s).sum(axis=0)
+        form = 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
+            total - np.eye(s) / self.shift_scale
+        )
         self.deficit_form = frozen((form + form.T) / 2.0)
         form_values = linalg.sym_eigenvalues(self.deficit_form)
         largest = float(form_values[0])
@@ -278,17 +283,6 @@ class ResistanceWorkspace:
 
     # ------------------------------------------------------------------
     # closed forms
-
-    def deficit_form_closed(self) -> np.ndarray:
-        """The deficit quadratic form ``T' R T`` by its non-obvious closed
-        expression ``2 xbar' L xbar + (8/n) (sum_i X_ii - I_s/alpha)`` with
-        ``xbar`` the stacked diagonal blocks of the shifted inverse."""
-        n, s = self.graph.n, self.graph.s
-        xbar = self.diag_stack
-        total = xbar.reshape(n, s, s).sum(axis=0)
-        return 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
-            total - np.eye(s) / self.shift_scale
-        )
 
     def determinant(self) -> float:
         """Determinant of the resistance matrix by the closed form

@@ -348,7 +348,9 @@ def _check_qrq(ws: ResistanceWorkspace):
 
 
 def _check_taurtau_pd(ws: ResistanceWorkspace):
-    values = linalg.sym_eigenvalues(ws.deficit_form)
+    # T' R T formed with R, not the engine's closed expression, whose
+    # definiteness the workspace already required.
+    values = linalg.sym_eigenvalues(ws.deficit.T @ ws.resistance @ ws.deficit)
     band = linalg.default_rank_tol(values.size) * float(np.abs(values).max())
     smallest = float(values[-1])
     residual = _margin_residual(smallest, band)
@@ -587,6 +589,17 @@ _BY_ID = {d.check_id: d for d in _REGISTRY}
 CHECK_IDS: tuple[str, ...] = tuple(d.check_id for d in _REGISTRY)
 
 
+def _require_known(ids) -> None:
+    """Raise :class:`UnknownCheckError` naming every id of ``ids`` that is
+    not in the registry."""
+    unknown = [str(c) for c in ids if c not in _BY_ID]
+    if unknown:
+        raise UnknownCheckError(
+            f"unknown check id(s): {', '.join(unknown)}; "
+            f"known: {', '.join(CHECK_IDS)}"
+        )
+
+
 def _execute(
     definition: _CheckDef, g: MatrixWeightedGraph, ws: ResistanceWorkspace | None
 ) -> CheckResult:
@@ -628,8 +641,7 @@ def run_check(
     A prebuilt ``workspace`` for ``g`` may be supplied to share derived
     objects across checks; otherwise one is built on demand.
     """
-    if check_id not in _BY_ID:
-        raise UnknownCheckError(f"unknown check id: {check_id}")
+    _require_known([check_id])
     return _execute(_BY_ID[check_id], g, workspace)
 
 
@@ -655,17 +667,12 @@ def run_suite(
     """Run a selection of checks (default: the whole registry) on a graph.
 
     Results are reported in registry order regardless of the selection
-    order.  ``model`` and ``seed`` annotate the report's graph descriptor
+    order.  Unknown ids raise one :class:`UnknownCheckError` naming them
+    all.  ``model`` and ``seed`` annotate the report's graph descriptor
     for generated graphs; they do not affect the checks.
     """
-    if selection is None:
-        chosen = set(CHECK_IDS)
-    else:
-        chosen = set()
-        for check_id in selection:
-            if check_id not in _BY_ID:
-                raise UnknownCheckError(f"unknown check id: {check_id}")
-            chosen.add(check_id)
+    chosen = CHECK_IDS if selection is None else list(selection)
+    _require_known(chosen)
     ws = ResistanceWorkspace(g)
     results = tuple(
         _execute(d, g, ws) for d in _REGISTRY if d.check_id in chosen

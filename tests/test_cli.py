@@ -23,6 +23,7 @@ from resmat.cli import (
     main,
 )
 from resmat.graph import parse_graph, path_graph, serialize
+from resmat.verify import CHECK_IDS
 
 
 @pytest.fixture
@@ -307,6 +308,7 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["compute", "laplacian"],
             ["compute", "det"],
             ["compute", "inverse"],
             ["compute", "resistance"],
@@ -617,9 +619,17 @@ class TestVerify:
         assert [line.split()[0] for line in body] == ["LRL", "INERTIA"]
 
     def test_unknown_check_id(self, capsys, p3_file):
-        code, _, err = run_cli(capsys, "verify", p3_file, "--check", "BOGUS")
+        code, _, err = run_cli(
+            capsys, "verify", p3_file, "--check", "TAU_SUM", "--check", "BOGUS"
+        )
         assert code == EXIT_INPUT
-        assert "unknown check id" in err
+        assert err == (
+            f"error: unknown check id(s): BOGUS; known: {', '.join(CHECK_IDS)}\n"
+        )
+
+    def test_all_overrides_unknown_check_id(self, capsys, p3_file):
+        code, _, _ = run_cli(capsys, "verify", p3_file, "--all", "--check", "BOGUS")
+        assert code == EXIT_OK
 
     def test_skip_lines_in_text(self, capsys, k3_file):
         code, out, _ = run_cli(capsys, "verify", k3_file, "--check", "QRQ")

@@ -25,7 +25,6 @@ from resmat.graph import (
     random_pd_weight,
     serialize,
     star_graph,
-    validation_report,
 )
 from resmat.linalg import sym_eigen
 
@@ -34,73 +33,87 @@ def unit(s=1):
     return np.eye(s)
 
 
-def revalidated(g):
-    """The validation report of a constructed graph's own edges."""
-    return validation_report(g.n, g.s, [(e.u, e.v, e.weight) for e in g.edges])
+def validation_message(n, s, edges) -> str:
+    """The message of the GraphError that building the graph from
+    ``(u, v, weight)`` triples raises, or "" when the graph is valid."""
+    try:
+        from_edges(n, s, edges)
+    except GraphError as exc:
+        return str(exc)
+    return ""
+
+
+def revalidated(g) -> bool:
+    """Whether a constructed graph's own edges build a graph again."""
+    return validation_message(g.n, g.s, [(e.u, e.v, e.weight) for e in g.edges]) == ""
 
 
 class TestValidation:
     def test_valid_path(self):
-        report = validation_report(2, 1, [(0, 1, unit())])
-        assert report.ok
-        assert report.problems == ()
+        assert validation_message(2, 1, [(0, 1, unit())]) == ""
 
     @pytest.mark.parametrize("n", [1, 0, -2, 2.0, True, "3"])
     def test_bad_vertex_count(self, n):
-        report = validation_report(n, 1, [])
-        assert not report.ok
-        assert "vertex count" in report.problems[0]
+        message = validation_message(n, 1, [])
+        assert message == f"vertex count n must be an integer >= 2, got {n!r}"
 
     @pytest.mark.parametrize("s", [0, -1, 1.5, False])
     def test_bad_block_size(self, s):
-        report = validation_report(2, s, [(0, 1, unit())])
-        assert not report.ok
-        assert "block size" in report.problems[0]
+        message = validation_message(2, s, [(0, 1, unit())])
+        assert message == f"block size s must be an integer >= 1, got {s!r}"
 
     def test_endpoint_out_of_range(self):
-        report = validation_report(2, 1, [(0, 5, unit())])
-        assert any("out of range" in p for p in report.problems)
+        message = validation_message(2, 1, [(0, 5, unit())])
+        assert message == "edge #1 (1, 6): endpoints out of range 1..2"
 
     def test_self_loop(self):
-        report = validation_report(2, 1, [(1, 1, unit())])
-        assert any("self-loop at vertex 2" in p for p in report.problems)
+        message = validation_message(2, 1, [(1, 1, unit())])
+        assert message == "edge #1: self-loop at vertex 2"
 
     def test_reversed_endpoints(self):
-        report = validation_report(2, 1, [(1, 0, unit())])
-        assert any("u < v" in p for p in report.problems)
+        message = validation_message(2, 1, [(1, 0, unit())])
+        assert message == "edge #1 (2, 1): endpoints must satisfy u < v"
 
     def test_duplicate_edge(self):
-        report = validation_report(2, 1, [(0, 1, unit()), (0, 1, 2 * unit())])
-        assert any("duplicate" in p for p in report.problems)
+        message = validation_message(2, 1, [(0, 1, unit()), (0, 1, 2 * unit())])
+        assert message == "edge #2 (1, 2): duplicate edge"
 
     def test_wrong_weight_shape(self):
-        report = validation_report(2, 2, [(0, 1, unit(1))])
-        assert any("shape" in p for p in report.problems)
+        message = validation_message(2, 2, [(0, 1, unit(1))])
+        assert message == "edge #1 (1, 2): weight shape (1, 1) != (2, 2)"
 
     def test_non_finite_weight(self):
-        report = validation_report(2, 1, [(0, 1, [[np.nan]])])
-        assert any("non-finite" in p for p in report.problems)
+        message = validation_message(2, 1, [(0, 1, [[np.nan]])])
+        assert message == "edge #1 (1, 2): weight has non-finite entries"
 
     def test_asymmetric_weight(self):
         w = [[1.0, 0.5], [0.0, 1.0]]
-        report = validation_report(2, 2, [(0, 1, w)])
-        assert any("not symmetric" in p for p in report.problems)
+        message = validation_message(2, 2, [(0, 1, w)])
+        assert message == (
+            "edge #1 (1, 2): weight is not symmetric (max asymmetry 5.000e-01)"
+        )
 
     def test_indefinite_weight(self):
         w = [[1.0, 2.0], [2.0, 1.0]]
-        report = validation_report(2, 2, [(0, 1, w)])
-        assert any("not positive definite" in p for p in report.problems)
+        message = validation_message(2, 2, [(0, 1, w)])
+        assert message == (
+            "edge #1 (1, 2): weight is not positive definite "
+            "(smallest eigenvalue -1.000000e+00)"
+        )
 
     def test_singular_weight(self):
         w = [[1.0, 1.0], [1.0, 1.0]]
-        report = validation_report(2, 2, [(0, 1, w)])
-        assert any("not positive definite" in p for p in report.problems)
+        message = validation_message(2, 2, [(0, 1, w)])
+        assert message == (
+            "edge #1 (1, 2): weight is not positive definite "
+            "(smallest eigenvalue 0.000000e+00)"
+        )
 
     def test_negative_weight(self):
-        report = validation_report(2, 1, [(0, 1, [[-1.0]])])
-        assert report.problems == (
+        message = validation_message(2, 1, [(0, 1, [[-1.0]])])
+        assert message == (
             "edge #1 (1, 2): weight is not positive definite "
-            "(smallest eigenvalue -1.000000e+00)",
+            "(smallest eigenvalue -1.000000e+00)"
         )
 
     @pytest.mark.parametrize("w", ["abc", [[1.0], [2.0, 3.0]]])
@@ -112,24 +125,26 @@ class TestValidation:
             from_edges(3, 2, edges)
         message = str(exc.value)
         assert message.startswith("edge #1: malformed weight: ")
-        assert validation_report(3, 2, edges).problems == (message,)
+        assert validation_message(3, 2, edges) == message
 
     def test_disconnected(self):
-        report = validation_report(4, 1, [(0, 1, unit()), (2, 3, unit())])
-        assert report.problems == ("graph is not connected",)
+        message = validation_message(4, 1, [(0, 1, unit()), (2, 3, unit())])
+        assert message == "graph is not connected"
 
     def test_no_edges_disconnected(self):
-        report = validation_report(2, 1, [])
-        assert not report.ok
+        assert validation_message(2, 1, []) == "graph is not connected"
 
     def test_multiple_problems_all_reported(self):
-        report = validation_report(3, 1, [(0, 0, unit()), (1, 0, unit())])
-        assert len(report.problems) == 2
+        message = validation_message(3, 1, [(0, 0, unit()), (1, 0, unit())])
+        assert message == (
+            "edge #1: self-loop at vertex 1; "
+            "edge #2 (2, 1): endpoints must satisfy u < v"
+        )
 
     def test_problems_in_edge_order_with_exact_wording(self):
         # Weight checks run on all edges at once; every problem must still
         # come out in edge order, one per edge, worded as before.
-        report = validation_report(4, 2, [
+        message = validation_message(4, 2, [
             (0, 1, [[1.0, 2.0], [2.0, 1.0]]),
             (0, 0, np.eye(2)),
             (1, 2, [[1.0, np.inf], [0.0, 1.0]]),
@@ -140,7 +155,7 @@ class TestValidation:
             (1, 3, [[1.0, 1.0], [1.0, 1.0]]),
             (0, 3, [[2.0, 0.0], [0.0, 1.0]]),
         ])
-        assert report.problems == (
+        assert message == "; ".join((
             "edge #1 (1, 2): weight is not positive definite "
             "(smallest eigenvalue -1.000000e+00)",
             "edge #2: self-loop at vertex 1",
@@ -151,15 +166,15 @@ class TestValidation:
             "edge #7 (3, 4): weight shape (3, 3) != (2, 2)",
             "edge #8 (2, 4): weight is not positive definite "
             "(smallest eigenvalue 0.000000e+00)",
-        )
+        ))
 
     def test_one_based_labels_in_messages(self):
-        report = validation_report(3, 1, [(0, 3, unit())])
-        assert "(1, 4)" in report.problems[0]
+        message = validation_message(3, 1, [(0, 3, unit())])
+        assert message == "edge #1 (1, 4): endpoints out of range 1..3"
 
     def test_validate_roundtrip(self):
         g = path_graph(3)
-        assert revalidated(g).ok
+        assert revalidated(g)
         assert MatrixWeightedGraph(g.n, g.s, g.endpoints, g.weights) == g
 
 
@@ -174,6 +189,13 @@ class TestFromEdges:
             from_edges(3, 1, [(0, 0, unit()), (2, 1, unit())])
         assert "self-loop" in str(exc.value)
         assert "u < v" in str(exc.value)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 1, 2, [[1.0]]), 5])
+    def test_non_triples_refused(self, entry):
+        # A GraphError naming the entry, never Python's unpacking ValueError.
+        message = r"^edge #1 must be a \(u, v, weight\) triple$"
+        with pytest.raises(GraphError, match=message):
+            from_edges(2, 1, [entry])
 
     def test_weights_symmetrized_and_frozen(self):
         w = np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
@@ -223,9 +245,8 @@ class TestIntegerEndpoints:
 
     MESSAGE = "edge #1: endpoints must be integers"
 
-    def test_report_names_fractional_endpoint(self):
-        report = validation_report(2, 1, [(0, 1.7, [[1.0]])])
-        assert report.problems == (self.MESSAGE,)
+    def test_message_names_fractional_endpoint(self):
+        assert validation_message(2, 1, [(0, 1.7, [[1.0]])]) == self.MESSAGE
 
     def test_from_edges_does_not_truncate(self):
         with pytest.raises(GraphError, match=f"^{self.MESSAGE}$"):
@@ -235,8 +256,6 @@ class TestIntegerEndpoints:
         "u", [True, "1", 1.0, np.float64(1.0), np.bool_(True), None]
     )
     def test_non_integers_refused(self, u):
-        report = validation_report(3, 1, [(0, 1, [[1.0]]), (u, 2, [[1.0]])])
-        assert report.problems == ("edge #2: endpoints must be integers",)
         with pytest.raises(GraphError, match="^edge #2: endpoints must be integers$"):
             from_edges(3, 1, [(0, 1, [[1.0]]), (u, 2, [[1.0]])])
 
@@ -596,7 +615,7 @@ class TestRandom:
     def test_gnp_connected(self):
         for seed in range(5):
             g = random_graph(7, 1, "gnp", seed=seed, p=0.4)
-            assert revalidated(g).ok
+            assert revalidated(g)
 
     def test_gnp_requires_p(self):
         with pytest.raises(GraphError, match="requires an edge probability"):
@@ -647,12 +666,12 @@ class TestRandom:
     def test_random_tree_always_valid(self, seed, n, s):
         g = random_graph(n, s, "tree", seed=seed)
         assert is_tree(g)
-        assert revalidated(g).ok
+        assert revalidated(g)
 
 
 def reference_problems(n, s, edges) -> tuple[str, ...]:
     """Validation one edge at a time: the reference the array checks of
-    :func:`validation_report` must reproduce problem for problem."""
+    the graph's constructor must reproduce problem for problem."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return (f"vertex count n must be an integer >= 2, got {n!r}",)
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
@@ -768,16 +787,13 @@ class TestArrayValidationOracle:
     @given(graph=faulty_graphs())
     def test_problems_match_per_edge_reference(self, graph):
         n, s, edges = graph
-        expected = reference_problems(n, s, edges)
-        assert validation_report(n, s, edges).problems == expected
+        expected = "; ".join(reference_problems(n, s, edges))
+        assert validation_message(n, s, edges) == expected
         document = _document(n, s, [
             {"u": u + 1, "v": v + 1, "w": np.asarray(w).tolist()} for u, v, w in edges
         ])
         if expected:
-            with pytest.raises(GraphError) as exc:
-                from_edges(n, s, edges)
-            assert str(exc.value) == "; ".join(expected)
-            assert _parse_error(document) == "; ".join(expected)
+            assert _parse_error(document) == expected
             return
         g = from_edges(n, s, edges)
         for array, dtype, shape in (
@@ -791,7 +807,7 @@ class TestArrayValidationOracle:
         assert again == g
         assert not again.endpoints.flags.writeable
         assert not again.weights.flags.writeable
-        assert revalidated(g).ok
+        assert revalidated(g)
         # The per-edge build: sort the triples, symmetrize each weight.
         ordered = sorted(edges, key=lambda e: (e[0], e[1]))
         assert [(e.u, e.v, e.index) for e in g.edges] == [

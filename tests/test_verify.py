@@ -64,12 +64,29 @@ class TestRegistry:
         assert CHECK_IDS == EXPECTED_IDS
 
     def test_run_check_unknown_id(self):
-        with pytest.raises(UnknownCheckError):
-            run_check(path_graph(2), "NOPE")
+        message = f"^unknown check id\\(s\\): BOGUS; known: {', '.join(CHECK_IDS)}$"
+        with pytest.raises(UnknownCheckError, match=message):
+            run_check(path_graph(2), "BOGUS")
 
     def test_run_suite_unknown_id(self):
         with pytest.raises(UnknownCheckError):
             run_suite(path_graph(2), selection=["LRL", "NOPE"])
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_run_suite_names_every_unknown_id(self, as_generator):
+        # One error names every unknown id, in the CLI's words; a generator
+        # selection is read once.
+        ids = ["TAU_SUM", "BOGUS", "NOPE"]
+        selection = (c for c in ids) if as_generator else ids
+        with pytest.raises(UnknownCheckError) as exc:
+            run_suite(path_graph(2), selection)
+        assert str(exc.value) == (
+            f"unknown check id(s): BOGUS, NOPE; known: {', '.join(CHECK_IDS)}"
+        )
+
+    def test_generator_selection_runs(self):
+        report = run_suite(path_graph(2), (c for c in ["TAU_SUM", "LRL"]))
+        assert [c.check_id for c in report.checks] == ["TAU_SUM", "LRL"]
 
 
 class TestOracles:
@@ -272,6 +289,15 @@ class TestMutationsFail:
         ws.deficit = ws.deficit.copy()
         ws.deficit[5, 1] += 1e-6
         assert not run_check(g, "TAUDEF", workspace=ws).passed
+
+    def test_taurtau_pd_reads_resistance(self):
+        # TAURTAU_PD forms T' R T with R, so a wrong R fails it; the
+        # closed-form deficit form it no longer reads is unchanged.
+        g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "TAURTAU_PD", ws).passed
+        ws.__dict__["resistance"] = -ws.resistance
+        assert not run_check(g, "TAURTAU_PD", ws).passed
 
     def test_shift_nonsing_catches_zeroed_laplacian_eigenvalue(self):
         # SHIFT_NONSING reads M's spectrum from L's: a zero in place of
