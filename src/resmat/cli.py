@@ -28,6 +28,7 @@ layout, computed from its exact logarithm; JSON then gives
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -54,7 +55,6 @@ EXIT_NUMERIC = 2
 EXIT_CHECK = 3
 
 _FMT = "{:.11e}"
-_PRINTF = "%.11e"
 
 _MATRIX_OBJECTS = ("laplacian", "pinv", "resistance", "tau", "inverse")
 _WHAT_CHOICES = _MATRIX_OBJECTS + ("det", "inertia", "chi", "interlace")
@@ -206,7 +206,7 @@ def _chunk_text(block: np.ndarray, sep: str, gaps: np.ndarray) -> str:
 
     if fallback.size:
         width = 4 * _WORDS - 1  # the longest text, as in -1.23456789012e-308
-        texts = "".join((_PRINTF % v).ljust(width, "\0") for v in x[fallback].tolist())
+        texts = "".join(_FMT.format(v).ljust(width, "\0") for v in x[fallback].tolist())
         r, c = np.divmod(fallback, cols)
         slots = words.view(np.uint8)[:, : 4 * _WORDS * cols].reshape(rows, cols, -1)
         slots[r, c, :width] = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(
@@ -305,18 +305,7 @@ def _scalar_output(sign: float, log_abs: float, fmt: str) -> str:
 
 def _interlace_output(rows, fmt: str) -> str:
     if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "index": r.index,
-                    "lower": r.lower,
-                    "bound": r.bound,
-                    "upper": r.upper,
-                    "holds": r.holds,
-                }
-                for r in rows
-            ]
-        }
+        payload = {"rows": [dataclasses.asdict(r) for r in rows]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         lines = ["index,lower,bound,upper,holds"]
@@ -378,11 +367,7 @@ def _cmd_compute(args) -> int:
     elif what == "inertia":
         inertia = ws.inertia()
         if fmt == "json":
-            payload = {
-                "positive": inertia.positive,
-                "negative": inertia.negative,
-                "zero": inertia.zero,
-            }
+            payload = dataclasses.asdict(inertia)
             sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             sys.stdout.write(
@@ -523,16 +508,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_gen(args)
-    except (UsageError, GraphError) as exc:
+    except (UsageError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (linalg.NumericError, linalg.DimensionError) as exc:
+    except (GenerationError, linalg.NumericError, linalg.DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -12,19 +12,22 @@ row-major nested lists.  Serialization round-trips weights bit-for-bit.
 
 A graph is its arrays: the ``(m, 2)`` endpoint pairs and the ``(m, s, s)``
 weight stack, both read-only and sorted lexicographically by endpoint pair.
-Its constructor is the one validation gate: however a graph is made (parsed,
-from edges, generated, constructed directly or by :func:`dataclasses.replace`),
-a single conversion makes the weight stack and validation runs on the arrays,
-so every graph that exists is valid.  The per-edge :class:`Edge` records are
-built only when ``edges`` is first read.
+Its constructor is the one validation gate and the one way a graph is made:
+the parser, :func:`from_edges`, the named shapes and :func:`random_graph`
+all hand it endpoint pairs and weights, as do direct construction and
+:func:`dataclasses.replace`.  A single conversion makes the weight stack and
+validation runs on the arrays, so every graph that exists is valid.  The
+per-edge :class:`Edge` records are built only when ``edges`` is first read.
 
 Generation is fully deterministic: every random quantity flows from an
-explicit integer seed through ``numpy.random.default_rng``.
+explicit non-negative integer seed through ``numpy.random.default_rng``,
+which :func:`random_graph` requires, so no graph is drawn from OS entropy.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -212,6 +215,15 @@ def _endpoint_pairs(n: int, endpoints) -> np.ndarray:
     return pairs.reshape(-1, 2).astype(object)
 
 
+def _require_sizes(n, s) -> None:
+    """Raise :class:`GraphError` unless ``n >= 2`` and ``s >= 1`` are
+    integers (bools are not)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise GraphError(f"vertex count n must be an integer >= 2, got {n!r}")
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        raise GraphError(f"block size s must be an integer >= 1, got {s!r}")
+
+
 def _checked(n, s, endpoints, weights):
     """Validate graph data given as endpoint pairs and per-edge weights.
 
@@ -224,10 +236,7 @@ def _checked(n, s, endpoints, weights):
     A weight that does not convert to numbers, or else an endpoint entry
     that is not a pair of integers, is the only problem reported.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise GraphError(f"vertex count n must be an integer >= 2, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise GraphError(f"block size s must be an integer >= 1, got {s!r}")
+    _require_sizes(n, s)
     weights = _weight_stack(weights)
     pairs = _endpoint_pairs(n, endpoints)
     if len(pairs) != len(weights):
@@ -432,22 +441,21 @@ def random_pd_weight(rng: np.random.Generator, s: int) -> np.ndarray:
     return b.T @ b + 0.1 * s * np.eye(s)
 
 
-def _tree_pairs(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
-    pairs = []
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        pairs.append((u, v))
-    return pairs
+def _cycle_pairs(n: int) -> list[tuple[int, int]]:
+    """The edges of the ``n``-cycle in canonical order."""
+    if n < 3:
+        raise GraphError("cycle model requires n >= 3")
+    return [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+
+
+def _complete_pairs(n: int) -> list[tuple[int, int]]:
+    """The edges of the complete graph on ``n`` vertices in canonical order."""
+    return [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
 
 
 def _gnp_pairs(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
     for _ in range(GNP_MAX_ATTEMPTS):
-        pairs = [
-            (u, v)
-            for u in range(n - 1)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
+        pairs = [pair for pair in _complete_pairs(n) if rng.random() < p]
         if len(pairs) >= n - 1 and _is_connected(n, pairs):
             return pairs
     raise GenerationError(
@@ -461,15 +469,14 @@ def random_graph(
     """Generate a random connected graph, deterministically from ``seed``.
 
     Models: ``tree`` (uniform random parent attachment), ``cycle`` (n >= 3),
-    ``complete``, and ``gnp`` (Erdos-Renyi, requires ``p``; resampled until
-    connected, up to ``GNP_MAX_ATTEMPTS`` then :class:`GenerationError`).
-    The shape is drawn first, then one weight per edge in canonical edge
+    ``complete``, and ``gnp`` (Erdos-Renyi, requires a real ``p`` in
+    [0, 1]; resampled until connected, up to ``GNP_MAX_ATTEMPTS`` then
+    :class:`GenerationError`).  ``seed`` must be a non-negative Python or
+    numpy integer (not a bool): there is no draw from OS entropy.  The
+    shape is drawn first, then one weight per edge in canonical edge
     order, so equal arguments give bitwise-equal graphs.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise GraphError(f"vertex count n must be an integer >= 2, got {n!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise GraphError(f"block size s must be an integer >= 1, got {s!r}")
+    _require_sizes(n, s)
     if model not in RANDOM_MODELS:
         raise GraphError(
             f"unknown model {model!r}; expected one of {', '.join(RANDOM_MODELS)}"
@@ -477,65 +484,53 @@ def random_graph(
     if model == "gnp":
         if p is None:
             raise GraphError("model gnp requires an edge probability p")
-        if not 0.0 <= p <= 1.0:
-            raise GraphError(f"edge probability p must be in [0, 1], got {p}")
+        real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+        if not (real and 0 <= p <= 1):
+            raise GraphError(f"edge probability p must be in [0, 1], got {p!r}")
     elif p is not None:
         raise GraphError(f"model {model} does not take an edge probability")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise GraphError(f"seed must be a non-negative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     if model == "tree":
-        pairs = _tree_pairs(rng, n)
+        pairs = sorted((int(rng.integers(0, v)), v) for v in range(1, n))
     elif model == "cycle":
-        if n < 3:
-            raise GraphError("cycle model requires n >= 3")
-        pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        pairs = _cycle_pairs(n)
     elif model == "complete":
-        pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+        pairs = _complete_pairs(n)
     else:
         pairs = _gnp_pairs(rng, n, p)
-    pairs.sort()
-    triples = [(u, v, random_pd_weight(rng, s)) for u, v in pairs]
-    return from_edges(n, s, triples)
+    weights = [random_pd_weight(rng, s) for _ in pairs]
+    return MatrixWeightedGraph(n, s, pairs, weights)
 
 
-def _expand_weights(pairs, s: int, weights) -> list[tuple[int, int, np.ndarray]]:
+def _shape(n: int, s: int, pairs, weights) -> MatrixWeightedGraph:
+    """The graph on ``pairs`` (canonical order) with ``weights``: ``None``
+    (all identity), one shared matrix, or one matrix per edge."""
     if weights is None:
-        return [(u, v, np.eye(s)) for u, v in pairs]
+        weights = np.eye(s)
     if isinstance(weights, np.ndarray):
-        return [(u, v, weights.copy()) for u, v in pairs]
-    weights = list(weights)
-    if len(weights) != len(pairs):
-        raise GraphError(
-            f"expected {len(pairs)} weights (canonical edge order), "
-            f"got {len(weights)}"
-        )
-    return [(u, v, w) for (u, v), w in zip(pairs, weights)]
+        weights = [weights] * len(pairs)
+    return MatrixWeightedGraph(n, s, pairs, weights)
 
 
 def path_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Path on ``n`` vertices: 1-2-...-n.  ``weights`` may be ``None`` (all
     identity), one shared matrix, or one matrix per edge in canonical order."""
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    return from_edges(n, s, _expand_weights(pairs, s, weights))
+    return _shape(n, s, [(i, i + 1) for i in range(n - 1)], weights)
 
 
 def cycle_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Cycle on ``n >= 3`` vertices."""
-    if n < 3:
-        raise GraphError("cycle requires n >= 3")
-    pairs = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    return from_edges(n, s, _expand_weights(pairs, s, weights))
+    return _shape(n, s, _cycle_pairs(n), weights)
 
 
 def complete_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Complete graph on ``n`` vertices."""
-    pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
-    return from_edges(n, s, _expand_weights(pairs, s, weights))
+    return _shape(n, s, _complete_pairs(n), weights)
 
 
 def star_graph(rays: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Star with ``rays`` leaves around center vertex 1 (``n = rays + 1``)."""
-    if rays < 1:
-        raise GraphError("star requires at least one ray")
-    pairs = [(0, leaf) for leaf in range(1, rays + 1)]
-    return from_edges(rays + 1, s, _expand_weights(pairs, s, weights))
+    return _shape(rays + 1, s, [(0, leaf) for leaf in range(1, rays + 1)], weights)

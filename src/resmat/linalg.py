@@ -64,21 +64,19 @@ class NumericError(ArithmeticError):
     """Numerical failure: lost definiteness or singularity."""
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, once it is known to be a non-empty finite matrix."""
+def _checked(a) -> np.ndarray:
+    """``a`` as a float64 array, once it is known to be a non-empty, finite,
+    square matrix."""
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"matrix must be non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix has non-finite entries")
-    return a
-
-
-def _require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
+    return a
 
 
 def max_norm(a) -> float:
@@ -108,8 +106,7 @@ def symmetrize(a) -> np.ndarray:
         A large asymmetry means the caller is holding the wrong matrix, and
         averaging it away would mask the bug.
     """
-    a = _checked(np.asarray(a, dtype=np.float64))
-    _require_square(a)
+    a = _checked(a)
     gap = np.abs(a - a.T).max()
     if gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
         raise NumericError(
@@ -254,9 +251,7 @@ def slogdet_lu(a) -> tuple[float, float]:
 
     Singular inputs give ``(0.0, -inf)``.
     """
-    a = _checked(np.asarray(a, dtype=np.float64))
-    _require_square(a)
-    sign, log_abs = np.linalg.slogdet(a)
+    sign, log_abs = np.linalg.slogdet(_checked(a))
     return (float(sign), float(log_abs))
 
 
@@ -264,8 +259,8 @@ def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
     """Cofactor of the ``(i, j)`` block (0-based) of a block matrix with
     ``s x s`` blocks, the signed determinant of A with block row ``i`` and
     block column ``j`` deleted, as ``(sign, log|value|)``; overflow-safe."""
-    a = _checked(np.asarray(a, dtype=np.float64))
-    n = _require_square(a)
+    a = _checked(a)
+    n = a.shape[0]
     if s < 1 or n % s != 0:
         raise DimensionError(f"order {n} is not a multiple of block size {s}")
     blocks = n // s

@@ -298,15 +298,10 @@ class ResistanceWorkspace:
         sizes where the plain value would overflow.
 
         Uses only the determinant of the ``s x s`` deficit form plus one
-        cofactor; no eigendecomposition.  Raises :class:`NumericError` if
-        the Laplacian cofactor vanishes (impossible for a valid graph).
+        cofactor; no eigendecomposition.
         """
         n, s = self.graph.n, self.graph.s
         cof_sign, cof_log = self.laplacian_cofactor_slog
-        if cof_sign == 0.0:
-            raise linalg.NumericError(
-                "Laplacian cofactor is zero; the graph is not usably connected"
-            )
         form_sign, form_log = linalg.slogdet_lu(self.deficit_form)
         parity = -1.0 if ((n - 1) * s) % 2 else 1.0
         sign = parity * form_sign * cof_sign

@@ -22,7 +22,8 @@ from resmat.cli import (
     _slog_text,
     main,
 )
-from resmat.graph import parse_graph, path_graph, serialize
+from resmat.graph import parse_graph, path_graph, serialize, star_graph
+from resmat.resistance import ResistanceWorkspace
 from resmat.verify import CHECK_IDS
 
 
@@ -176,6 +177,26 @@ class TestCompute:
         row = data["rows"][0]
         assert row["index"] == 1 and row["holds"] is True
         assert row["bound"] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_inertia_and_interlace_json_bytes(self, capsys, tmp_path):
+        path = tmp_path / "star.json"
+        path.write_text(serialize(star_graph(3)))
+        code, out, _ = run_cli(capsys, "compute", str(path), "inertia", "--format", "json")
+        assert code == EXIT_OK
+        assert out == '{\n  "negative": 3,\n  "positive": 1,\n  "zero": 0\n}\n'
+        code, out, _ = run_cli(capsys, "compute", str(path), "interlace", "--format", "json")
+        assert code == EXIT_OK
+        rows = ResistanceWorkspace(star_graph(3)).interlacing()
+        assert out == (
+            '{\n  "rows": [\n'
+            + ",\n".join(
+                f'    {{\n      "bound": {r.bound!r},\n      "holds": true,\n'
+                f'      "index": {r.index},\n      "lower": {r.lower!r},\n'
+                f'      "upper": {r.upper!r}\n    }}'
+                for r in rows
+            )
+            + "\n  ]\n}\n"
+        )
 
     @pytest.mark.parametrize("what, decompositions", [("inertia", 0), ("interlace", 1)])
     def test_spectra_decompose_only_the_laplacian(
@@ -700,6 +721,26 @@ class TestVerifyCorpus:
         assert "GENERATION FAILURE" in out
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize(
+        "spec, shown",
+        [
+            ({"model": "tree", "seed": 1.5}, "1.5"),
+            ({"model": "tree", "seed": "x"}, "'x'"),
+            ({"model": "tree", "seed": None}, "None"),
+            ({"model": "tree", "seed": -1}, "-1"),
+            ({"model": "gnp", "seed": 0, "p": "0.5"}, None),
+        ],
+    )
+    def test_invalid_seed_or_p_is_generation_failure(self, capsys, tmp_path, spec, shown):
+        corpus = self.write_corpus(tmp_path, [{"n": 4, "s": 1, **spec}])
+        code, out, err = run_cli(capsys, "verify", "--corpus", corpus)
+        assert code == EXIT_CHECK and err == ""
+        if shown is None:
+            problem = "edge probability p must be in [0, 1], got '0.5'"
+        else:
+            problem = f"seed must be a non-negative integer, got {shown}"
+        assert out.splitlines()[0].endswith(f": GENERATION FAILURE (GraphError: {problem})")
+
     def test_corpus_json_format(self, capsys, tmp_path):
         corpus = self.write_corpus(
             tmp_path, [{"model": "cycle", "n": 4, "s": 1, "seed": 2}]
@@ -808,6 +849,17 @@ class TestGen:
             "--n", "1", "--s", "1", "--model", "tree", "--seed", "0",
         )
         assert code == EXIT_INPUT
+
+    def test_gen_negative_seed(self, capsys, tmp_path):
+        out_path = tmp_path / "g.json"
+        code, _, err = run_cli(
+            capsys,
+            "gen", str(out_path),
+            "--n", "5", "--s", "1", "--model", "tree", "--seed", "-1",
+        )
+        assert code == EXIT_INPUT
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out_path.exists()
 
     def test_gen_missing_required(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", str(tmp_path / "g.json"), "--n", "4")

@@ -557,7 +557,7 @@ class TestFactories:
         assert all(e.u == 0 for e in g.edges)
 
     def test_star_needs_ray(self):
-        with pytest.raises(GraphError, match="at least one ray"):
+        with pytest.raises(GraphError, match="vertex count n must be an integer >= 2, got 1"):
             star_graph(0)
 
     def test_shared_weight(self):
@@ -576,7 +576,7 @@ class TestFactories:
         assert g.edges[1].weight[0, 0] == 3.0
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(GraphError, match="expected 2 weights"):
+        with pytest.raises(GraphError, match="2 endpoint pairs but 1 weights"):
             path_graph(3, 1, [np.eye(1)])
 
 
@@ -624,6 +624,49 @@ class TestRandom:
     def test_gnp_p_range(self):
         with pytest.raises(GraphError, match="must be in"):
             random_graph(5, 1, "gnp", seed=0, p=1.5)
+
+    @pytest.mark.parametrize("p", ["0.5", True, 0.5j, [0.5], np.nan])
+    def test_gnp_p_must_be_a_real_number(self, p):
+        with pytest.raises(GraphError, match=r"edge probability p must be in \[0, 1\]"):
+            random_graph(5, 1, "gnp", seed=0, p=p)
+
+    def test_gnp_p_may_be_a_numpy_or_integer_real(self):
+        g = random_graph(5, 1, "gnp", seed=0, p=1.0)
+        assert random_graph(5, 1, "gnp", seed=0, p=np.float64(1.0)) == g
+        assert random_graph(5, 1, "gnp", seed=0, p=1) == g
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True, np.float64(2.0), np.int64(-3)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw from OS entropy, and a float or a negative
+        # integer would escape as numpy's own error.
+        with pytest.raises(GraphError, match="seed must be a non-negative integer, got"):
+            random_graph(5, 1, "tree", seed=seed)
+
+    def test_seed_may_be_a_numpy_integer(self):
+        g = random_graph(6, 2, "tree", seed=7)
+        assert random_graph(6, 2, "tree", seed=np.int64(7)) == g
+        assert random_graph(6, 2, "tree", seed=np.uint8(7)) == g
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("model", RANDOM_MODELS)
+    def test_documented_draw_order(self, model, s):
+        # Replays the documented order from the seed: the shape first (gnp
+        # at p = 1 draws one uniform per vertex pair and keeps them all),
+        # then one random_pd_weight per edge in canonical order.
+        n, seed = 7, 20 + s
+        rng = np.random.default_rng(seed)
+        if model == "tree":
+            pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        elif model == "cycle":
+            pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        else:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            if model == "gnp":
+                assert all(rng.random() < 1.0 for _ in pairs)
+        pairs.sort()
+        edges = [(u, v, random_pd_weight(rng, s)) for u, v in pairs]
+        p = 1.0 if model == "gnp" else None
+        assert random_graph(n, s, model, seed, p) == from_edges(n, s, edges)
 
     def test_non_gnp_rejects_p(self):
         with pytest.raises(GraphError, match="does not take"):

@@ -188,6 +188,10 @@ class TestBuildLaplacian:
             "from_edges": lambda: from_edges(3, 1, [(0, 1, [[1.0]]), (1, 2, [[2.0]])]),
             "random_graph": lambda: random_graph(6, 2, "tree", seed=3),
             "direct": lambda: MatrixWeightedGraph(2, 1, [(0, 1)], [[[1.0]]]),
+            "path_graph": lambda: path_graph(3, 2),
+            "cycle_graph": lambda: cycle_graph(4, 1, np.eye(1)),
+            "complete_graph": lambda: complete_graph(3, 1, [[[1.0]], [[2.0]], [[3.0]]]),
+            "star_graph": lambda: star_graph(3, 2),
         }
         for name, build in builds.items():
             calls.clear()
