@@ -505,9 +505,13 @@ def random_graph(
     return MatrixWeightedGraph(n, s, pairs, weights)
 
 
-def _shape(n: int, s: int, pairs, weights) -> MatrixWeightedGraph:
-    """The graph on ``pairs`` (canonical order) with ``weights``: ``None``
-    (all identity), one shared matrix, or one matrix per edge."""
+def _shape(n: int, s: int, pairs_of, weights) -> MatrixWeightedGraph:
+    """The graph on the pairs ``pairs_of(n)`` (canonical order) with
+    ``weights``: ``None`` (all identity), one shared matrix, or one matrix
+    per edge.  The sizes are checked before anything is built, so a bad
+    size raises the constructor's :class:`GraphError`."""
+    _require_sizes(n, s)
+    pairs = pairs_of(n)
     if weights is None:
         weights = np.eye(s)
     if isinstance(weights, np.ndarray):
@@ -518,19 +522,19 @@ def _shape(n: int, s: int, pairs, weights) -> MatrixWeightedGraph:
 def path_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Path on ``n`` vertices: 1-2-...-n.  ``weights`` may be ``None`` (all
     identity), one shared matrix, or one matrix per edge in canonical order."""
-    return _shape(n, s, [(i, i + 1) for i in range(n - 1)], weights)
+    return _shape(n, s, lambda n: [(i, i + 1) for i in range(n - 1)], weights)
 
 
 def cycle_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Cycle on ``n >= 3`` vertices."""
-    return _shape(n, s, _cycle_pairs(n), weights)
+    return _shape(n, s, _cycle_pairs, weights)
 
 
 def complete_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Complete graph on ``n`` vertices."""
-    return _shape(n, s, _complete_pairs(n), weights)
+    return _shape(n, s, _complete_pairs, weights)
 
 
 def star_graph(rays: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Star with ``rays`` leaves around center vertex 1 (``n = rays + 1``)."""
-    return _shape(rays + 1, s, [(0, leaf) for leaf in range(1, rays + 1)], weights)
+    return _shape(rays + 1, s, lambda n: [(0, leaf) for leaf in range(1, n)], weights)

@@ -47,13 +47,7 @@ import numpy as np
 
 from . import linalg
 from .graph import MatrixWeightedGraph
-from .laplacian import (
-    _shift,
-    build_incidence,
-    build_laplacian,
-    shifted_cholesky,
-    stacked_identity,
-)
+from .laplacian import _shift, build_laplacian, shifted_cholesky, stacked_identity
 from .linalg import frozen
 
 __all__ = [
@@ -126,10 +120,12 @@ class ResistanceWorkspace:
     eigenvalues of the ``s x s`` deficit form.  It keeps two ``ns x ns``
     matrices, ``L`` and ``Z``, which is all that the determinant, the
     inverse, ``T`` and single resistance blocks need.  The shifted
-    inverse ``X`` and the resistance matrix ``R``, the pseudoinverse, the
-    spectra (`laplacian_spectrum`, the one with eigenvectors, and
-    `resistance_eigenvalues`) and the incidence matrix are cached
-    properties computed on first access.
+    inverse ``X`` and the resistance matrix ``R``, the pseudoinverse and
+    the spectra (`laplacian_spectrum`, the one with eigenvectors, and
+    `resistance_eigenvalues`) are cached properties computed on first
+    access.  What a single registry check alone reads, such as the
+    incidence matrix or the spectral pseudoinverse, that check builds
+    and lets go.
 
     Every matrix attribute is a read-only float64 array, so an in-place
     write raises ``ValueError`` instead of silently invalidating what was
@@ -238,15 +234,6 @@ class ResistanceWorkspace:
         `laplacian_spectrum`: ``max(lambda_1, alpha), min(lambda_{ns-s}, alpha)``."""
         lam, alpha = self.laplacian_spectrum.eigenvalues, self.shift_scale
         return max(float(lam[0]), alpha), min(float(lam[-self.graph.s - 1]), alpha)
-
-    @cached_property
-    def spectral_pseudoinverse(self) -> np.ndarray:
-        """Laplacian pseudoinverse by the independent spectral route."""
-        return frozen(linalg.pseudo_inverse_from(self.laplacian_spectrum))
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        return build_incidence(self.graph)
 
     @property
     def condition(self) -> float:

@@ -44,7 +44,7 @@ from .graph import (
     random_pd_weight,
     star_graph,
 )
-from .laplacian import _shift, stacked_identity
+from .laplacian import _shift, build_incidence, stacked_identity
 from .resistance import INTERLACE_SLACK_RTOL, ResistanceWorkspace
 
 __all__ = [
@@ -245,7 +245,7 @@ def _check_lap_kernel(ws: ResistanceWorkspace):
 
 
 def _check_l_eq_qqt(ws: ResistanceWorkspace):
-    q = ws.incidence
+    q = build_incidence(ws.graph)
     defect = ws.laplacian - q @ q.T
     residual = linalg.max_norm(defect)
     tol = 1e-10 * (1.0 + linalg.max_norm(ws.laplacian))
@@ -263,7 +263,7 @@ def _check_shift_nonsing(ws: ResistanceWorkspace):
 
 
 def _check_lplus(ws: ResistanceWorkspace):
-    spectral = ws.spectral_pseudoinverse
+    spectral = linalg.pseudo_inverse_from(ws.laplacian_spectrum)
     residual = linalg.max_norm(ws.pseudoinverse - spectral)
     tol = 1e-8 * (1.0 + linalg.max_norm(spectral))
     return residual, tol, "shifted-inverse route vs spectral pseudoinverse"
@@ -341,7 +341,7 @@ def _check_lrl(ws: ResistanceWorkspace):
 
 
 def _check_qrq(ws: ResistanceWorkspace):
-    q = ws.incidence
+    q = build_incidence(ws.graph)
     defect = q.T @ ws.resistance @ q + 2.0 * np.eye(q.shape[1])
     residual = linalg.max_norm(defect)
     return residual, 1e-8, "resistance sandwiched by incidence columns"
@@ -480,18 +480,21 @@ def _check_pinv_submatrices(ws: ResistanceWorkspace):
     # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and
     # P act on complementary subspaces.
     instances = [
-        (ws.pseudoinverse, ws.laplacian),
-        (_shift(ws.laplacian, g.n, g.s, ws.shift_scale), ws.shifted_inverse),
-        (_shift(ws.pseudoinverse, g.n, g.s), _shift(ws.laplacian, g.n, g.s)),
+        lambda: (ws.pseudoinverse, ws.laplacian),
+        lambda: (_shift(ws.laplacian, g.n, g.s, ws.shift_scale), ws.shifted_inverse),
+        lambda: (_shift(ws.pseudoinverse, g.n, g.s), _shift(ws.laplacian, g.n, g.s)),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0
     sampled = 0
-    for a, a_pinv in instances:
+    # Each instance is built in its turn and let go before the next.
+    for instance in instances:
+        a, a_pinv = instance()
         for rows in _pinv_submatrix_sets(rng, a, ns - g.s):
             sampled += 1
             if not numerically_nonsingular(a_pinv[rows[:, np.newaxis], rows]):
                 violations += 1
+        del a, a_pinv
     targeted = len(instances) * _PINV_SETS_PER_INSTANCE
     details = (
         f"sampled {sampled} of {targeted} targeted invertible principal "

@@ -560,6 +560,20 @@ class TestFactories:
         with pytest.raises(GraphError, match="vertex count n must be an integer >= 2, got 1"):
             star_graph(0)
 
+    @pytest.mark.parametrize("build, args, message", [
+        (path_graph, (3, -1), "block size s must be an integer >= 1, got -1"),
+        (path_graph, (3, 1.5), "block size s must be an integer >= 1, got 1.5"),
+        (path_graph, (2.5,), "vertex count n must be an integer >= 2, got 2.5"),
+        (star_graph, (2.0,), "vertex count n must be an integer >= 2, got 3.0"),
+        (cycle_graph, (4.0,), "vertex count n must be an integer >= 2, got 4.0"),
+        (complete_graph, (3, 0), "block size s must be an integer >= 1, got 0"),
+    ])
+    def test_bad_size_is_graph_error(self, build, args, message):
+        # The sizes are checked before any pair or identity weight is built.
+        with pytest.raises(GraphError) as info:
+            build(*args)
+        assert str(info.value) == message
+
     def test_shared_weight(self):
         w = np.array([[2.0, 1.0], [1.0, 2.0]])
         g = path_graph(3, 2, w)

@@ -44,8 +44,6 @@ WORKSPACE_ARRAYS = (
     "deficit",
     "deficit_form",
     "pseudoinverse",
-    "spectral_pseudoinverse",
-    "incidence",
 )
 
 

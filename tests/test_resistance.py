@@ -18,10 +18,16 @@ from resmat.graph import (
     random_graph,
     random_pd_weight,
 )
-from resmat.laplacian import build_laplacian, shifted_cholesky, stacked_identity
+from resmat.laplacian import (
+    build_incidence,
+    build_laplacian,
+    shifted_cholesky,
+    stacked_identity,
+)
 from resmat.linalg import (
     NumericError,
     max_norm,
+    pseudo_inverse_from,
     sym_eigenvalues,
     value_from_slog,
 )
@@ -245,8 +251,9 @@ class TestWorkspaceStructure:
 
     def test_pseudoinverse_matches_spectral_route(self):
         ws = ResistanceWorkspace(random_graph(6, 2, "tree", seed=42))
-        gap = max_norm(ws.pseudoinverse - ws.spectral_pseudoinverse)
-        assert gap <= 1e-9 * (1.0 + max_norm(ws.spectral_pseudoinverse))
+        spectral = pseudo_inverse_from(ws.laplacian_spectrum)
+        gap = max_norm(ws.pseudoinverse - spectral)
+        assert gap <= 1e-9 * (1.0 + max_norm(spectral))
 
     def test_definition_route_matches_workspace(self):
         ws = ResistanceWorkspace(random_graph(5, 2, "gnp", seed=43, p=0.7))
@@ -273,7 +280,8 @@ class TestWorkspaceStructure:
 
     def test_definition_route_from_spectral_pinv(self):
         ws = ResistanceWorkspace(random_graph(5, 2, "cycle", seed=44))
-        direct = resistance_from_pseudoinverse(ws.spectral_pseudoinverse, ws.graph.s)
+        spectral = pseudo_inverse_from(ws.laplacian_spectrum)
+        direct = resistance_from_pseudoinverse(spectral, ws.graph.s)
         assert max_norm(direct - ws.resistance) <= 1e-9 * (
             1.0 + max_norm(ws.resistance)
         )
@@ -355,6 +363,14 @@ class TestClosedForms:
         plain = ws.determinant()
         assert sign == np.sign(plain)
         assert log_abs == pytest.approx(math.log(abs(plain)), rel=1e-12)
+
+    @pytest.mark.parametrize("n, sign", [(40, -1.0), (41, 1.0)])
+    def test_determinant_beyond_double_range_is_signed_inf(self, n, sign):
+        # |det R| = 2^(n-2) 1e10^(n-1) (n-1) 1e10 is far above the largest
+        # double; the sign is (-1)^(n-1).  Any warning fails the test.
+        ws = ResistanceWorkspace(path_graph(n, 1, np.array([[1e10]])))
+        assert ws.determinant() == sign * np.inf
+        assert ws.determinant_slog()[0] == sign
 
     @pytest.mark.parametrize("seed,model,n,s,p", [
         (66, "tree", 6, 2, None),
@@ -504,7 +520,7 @@ class TestTreeIncidence:
         for seed in (95, 96):
             g = random_graph(6, 2, "tree", seed=seed)
             ws = ResistanceWorkspace(g)
-            q = ws.incidence
+            q = build_incidence(g)
             product = q.T @ ws.resistance @ q
             gap = max_norm(product + 2.0 * np.eye(q.shape[1]))
             assert gap <= 1e-8
@@ -513,7 +529,7 @@ class TestTreeIncidence:
         # The triangle is the smallest counterexample: Q has a kernel, and
         # Q' R Q has it too, so it cannot equal -2 I.
         ws = ResistanceWorkspace(complete_graph(3))
-        q = ws.incidence
+        q = build_incidence(ws.graph)
         product = q.T @ ws.resistance @ q
         assert max_norm(product + 2.0 * np.eye(3)) > 0.5
 

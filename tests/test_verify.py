@@ -1,6 +1,8 @@
 """Tests for the check registry, oracles, suite runner, and corpus."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from resmat.graph import (
     star_graph,
 )
 from resmat import verify
-from resmat.laplacian import _shift, build_laplacian
+from resmat.laplacian import _shift, build_incidence, build_laplacian
 from resmat.linalg import DimensionError, NumericError, SpectralDecomposition, max_norm
-from resmat.resistance import ResistanceWorkspace
+from resmat.resistance import InterlaceRow, ResistanceWorkspace
 from resmat.verify import (
     CHECK_IDS,
     CheckResult,
@@ -320,6 +322,18 @@ class TestMutationsFail:
         ws.resistance_eigenvalues = values
         assert not run_check(g, "INERTIA", workspace=ws).passed
 
+    def test_interlace_names_violated_rows(self, monkeypatch):
+        g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "INTERLACE", workspace=ws).passed
+        # The bound -1 lies above the row's upper eigenvalue -2.
+        row = InterlaceRow(1, lower=-3.0, bound=-1.0, upper=-2.0, holds=False)
+        monkeypatch.setattr(ws, "interlacing", lambda: [row])
+        result = run_check(g, "INTERLACE", workspace=ws)
+        assert not result.passed
+        assert result.details == "violated at rows [1]"
+        assert result.residual > 0.0
+
 
 class TestOneEigendecomposition:
     """A suite takes one ``ns x ns`` eigendecomposition with eigenvectors,
@@ -360,6 +374,25 @@ class TestOneEigendecomposition:
             largest, smallest = ws.shift_extremes
             assert abs(largest - values[-1]) <= 1e-12 * values[-1]
             assert abs(smallest - values[0]) <= 1e-12 * values[-1]
+
+
+class TestSingleReaderArrays:
+    def test_checks_let_their_own_arrays_go(self):
+        # The incidence matrix and the spectral pseudoinverse are built by
+        # the checks that read them and freed when each returns; what the
+        # workspace keeps afterwards is less than one incidence matrix.
+        g = random_graph(40, 3, "complete", seed=5)
+        ws = ResistanceWorkspace(g)
+        incidence_bytes = build_incidence(g).nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for check_id in ("L_EQ_QQT", "QRQ", "LPLUS"):
+                assert run_check(g, check_id, ws).passed
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < incidence_bytes
 
 
 class TestEdgeSums:
@@ -404,6 +437,13 @@ class TestPinvSubmatrixSampling:
         result = run_check(cycle_graph(4, 2), "PINV_SUBMATRIX")
         assert not result.passed
         assert result.details.startswith("sampled 0 of 15 targeted")
+
+    def test_singular_submatrix_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(verify, "numerically_nonsingular", lambda b: False)
+        result = run_check(cycle_graph(4, 2), "PINV_SUBMATRIX")
+        sampled = int(re.match(r"sampled (\d+) of 15 targeted", result.details)[1])
+        assert not result.passed
+        assert sampled > 0 and result.residual == sampled
 
     def test_screen_accepts_tiny_well_conditioned_sets(self):
         # The screen is relative: a perfectly conditioned matrix of tiny
