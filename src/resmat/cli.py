@@ -72,7 +72,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves a parser unchanged (``append`` copies its default into each
+    new namespace), so every ``main`` call can share one."""
     parser = _Parser(prog="resmat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -537,4 +537,6 @@ def complete_graph(n: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
 
 def star_graph(rays: int, s: int = 1, weights=None) -> MatrixWeightedGraph:
     """Star with ``rays`` leaves around center vertex 1 (``n = rays + 1``)."""
+    if not isinstance(rays, int) or isinstance(rays, bool) or rays < 1:
+        raise GraphError(f"ray count must be an integer >= 1, got {rays!r}")
     return _shape(rays + 1, s, lambda n: [(0, leaf) for leaf in range(1, n)], weights)

@@ -123,7 +123,9 @@ class ResistanceWorkspace:
     inverse ``X`` and the resistance matrix ``R``, the pseudoinverse and
     the spectra (`laplacian_spectrum`, the one with eigenvectors, and
     `resistance_eigenvalues`) are cached properties computed on first
-    access.  What a single registry check alone reads, such as the
+    access, and so are the two small products that two registry checks
+    each read, ``T' R T`` formed with ``R`` and the LU determinant of
+    ``R``.  What a single registry check alone reads, such as the
     incidence matrix or the spectral pseudoinverse, that check builds
     and lets go.
 
@@ -209,6 +211,19 @@ class ResistanceWorkspace:
         np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
         r_blocks -= 2.0 * x_blocks
         return frozen(resistance)
+
+    @cached_property
+    def deficit_form_direct(self) -> np.ndarray:
+        """``T' R T`` as the product with ``R``, not by the closed
+        expression of `deficit_form`; ``TAURTAU_PD`` and ``TAURTAU_FORM``
+        read it."""
+        return frozen(self.deficit.T @ self.resistance @ self.deficit)
+
+    @cached_property
+    def resistance_slogdet(self) -> tuple[float, float]:
+        """``det R`` as ``(sign, log|det|)`` by LU of ``R``, not by the
+        closed form; ``DET_FORMULA`` and ``TREE_DET`` read it."""
+        return linalg.slogdet_lu(self.resistance)
 
     @cached_property
     def pseudoinverse(self) -> np.ndarray:

@@ -350,7 +350,7 @@ def _check_qrq(ws: ResistanceWorkspace):
 def _check_taurtau_pd(ws: ResistanceWorkspace):
     # T' R T formed with R, not the engine's closed expression, whose
     # definiteness the workspace already required.
-    values = linalg.sym_eigenvalues(ws.deficit.T @ ws.resistance @ ws.deficit)
+    values = linalg.sym_eigenvalues(ws.deficit_form_direct)
     band = linalg.default_rank_tol(values.size) * float(np.abs(values).max())
     smallest = float(values[-1])
     residual = _margin_residual(smallest, band)
@@ -359,15 +359,14 @@ def _check_taurtau_pd(ws: ResistanceWorkspace):
 
 
 def _check_taurtau_form(ws: ResistanceWorkspace):
-    direct = ws.deficit.T @ ws.resistance @ ws.deficit
-    residual = linalg.max_norm(ws.deficit_form - direct)
+    residual = linalg.max_norm(ws.deficit_form - ws.deficit_form_direct)
     tol = 1e-9 * (1.0 + linalg.max_norm(ws.deficit_form))
     return residual, tol, "closed-expression deficit form vs T' R T"
 
 
 def _check_det_formula(ws: ResistanceWorkspace):
     closed = ws.determinant_slog()
-    direct = linalg.slogdet_lu(ws.resistance)
+    direct = ws.resistance_slogdet
     details = (
         f"closed form {_value_text(*closed)}, "
         f"LU determinant {_value_text(*direct)}, "
@@ -462,15 +461,42 @@ def numerically_nonsingular(b) -> bool:
     """Scale-aware nonsingularity of a symmetric matrix: the smallest
     singular value must exceed ``1e-10`` times the largest.
 
-    The singular values are the absolute eigenvalues, taken with no
-    eigenvectors by :func:`linalg.sym_eigenvalues`, which rejects material
-    asymmetry.  Equivalently, ``|det B|`` must exceed
-    ``1e-10`` times the largest singular value times the adjugate norm, the
-    determinant's natural scale.  A fixed absolute cutoff on the raw
-    determinant would be wrong: a perfectly conditioned 14 x 14 matrix with
-    entries of size 0.05 has a determinant around 1e-15.
+    The singular values are the absolute eigenvalues.  Equivalently,
+    ``|det B|`` must exceed ``1e-10`` times the largest singular value
+    times the adjugate norm, the determinant's natural scale.  A fixed
+    absolute cutoff on the raw determinant would be wrong: a perfectly
+    conditioned 14 x 14 matrix with entries of size 0.05 has a determinant
+    around 1e-15.
+
+    ``B`` is first symmetrized by :func:`linalg.symmetrize`, which rejects
+    non-finite entries and material asymmetry.  A positive definite ``B``
+    of order ``k`` is then accepted by one Cholesky factorization of
+    ``B - tau I`` with ``tau = 1e-10 ||B||_inf + delta`` and
+    ``delta = 2 (k + 2) eps (sum_i |B_ii| + ||B||_inf)``.  If ``potrf``
+    completes on a matrix ``A``, its factor satisfies ``C C' = A + E`` with
+    ``||E||_2 <= gamma_{k+1} tr(A) / (1 - gamma_{k+1})`` (Demmel 1989;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5),
+    and ``delta`` exceeds that bound plus the rounding of the shifted
+    diagonal.  So a factor proves ``lambda_min(B) > 1e-10 ||B||_inf >=
+    1e-10 lambda_max(B)``: the screen accepts nothing the eigenvalue test
+    would refuse in exact arithmetic.  Where there is no factor (an
+    indefinite, singular or nearly singular ``B``), the eigenvalues of
+    ``B`` decide, taken with no eigenvectors.
     """
-    singular_values = np.abs(linalg.sym_eigenvalues(b))
+    b = linalg.symmetrize(b)
+    k = b.shape[0]
+    norm = float(np.abs(b).sum(axis=1).max())
+    diagonal = b.diagonal().copy()
+    delta = 2.0 * (k + 2) * linalg.EPS * (float(np.abs(diagonal).sum()) + norm)
+    # The shift goes into B's own buffer, and the diagonal is put back
+    # where there is no factor, so the screen holds no third k x k array.
+    b.flat[:: k + 1] -= 1e-10 * norm + delta
+    try:
+        np.linalg.cholesky(b)
+        return True
+    except np.linalg.LinAlgError:
+        b.flat[:: k + 1] = diagonal
+    singular_values = np.abs(np.linalg.eigvalsh(b))
     return float(singular_values.min()) > 1e-10 * float(singular_values.max())
 
 
@@ -526,7 +552,7 @@ def _check_tree_det(ws: ResistanceWorkspace):
     log_abs = log_dets + np.linalg.slogdet(g.weights.sum(axis=0))[1]
     sign = -1.0 if (g.n - 1) * g.s % 2 else 1.0
     expected = (sign, (g.n - 2) * g.s * math.log(2.0) + float(log_abs))
-    direct = linalg.slogdet_lu(ws.resistance)
+    direct = ws.resistance_slogdet
     details = (
         f"LU determinant {_value_text(*direct)}, "
         f"Bapat's tree formula {_value_text(*expected)}"

@@ -610,6 +610,42 @@ class TestFreshProcessDeterminism:
         assert runs[0].stdout == runs[1].stdout
 
 
+class TestOneParserPerProcess:
+    def test_calls_match_fresh_processes(self, capsys, block_file):
+        """``main`` builds its parser once per process; a sequence of calls
+        in one process prints what each call prints in a fresh process, and
+        no ``--check`` list carries over from one call to the next."""
+        from resmat.cli import _build_parser
+
+        sequence = [
+            ["compute", block_file, "bogus"],
+            ["verify", block_file, "--check", "LRL", "--check", "QRQ"],
+            ["verify", block_file, "--all"],
+            ["compute", block_file, "resistance", "--pair", "1", "2"],
+            ["compute", block_file, "resistance"],
+            ["verify", block_file, "--check", "TAU_SUM"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        assert _build_parser() is _build_parser()
+
+        src = str(Path(resmat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for argv, got in zip(sequence, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "resmat.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert in_process[0][0] == EXIT_INPUT and "invalid choice" in in_process[0][2]
+        checks = [line.split()[0] for line in in_process[5][1].splitlines()[1:-1]]
+        assert checks == ["TAU_SUM"]
+
+
 class TestVerify:
     def test_all_checks_text(self, capsys, p2_file):
         code, out, _ = run_cli(capsys, "verify", p2_file, "--all")

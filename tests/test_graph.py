@@ -557,16 +557,21 @@ class TestFactories:
         assert all(e.u == 0 for e in g.edges)
 
     def test_star_needs_ray(self):
-        with pytest.raises(GraphError, match="vertex count n must be an integer >= 2, got 1"):
+        with pytest.raises(GraphError, match="ray count must be an integer >= 1, got 0"):
             star_graph(0)
 
     @pytest.mark.parametrize("build, args, message", [
         (path_graph, (3, -1), "block size s must be an integer >= 1, got -1"),
         (path_graph, (3, 1.5), "block size s must be an integer >= 1, got 1.5"),
         (path_graph, (2.5,), "vertex count n must be an integer >= 2, got 2.5"),
-        (star_graph, (2.0,), "vertex count n must be an integer >= 2, got 3.0"),
+        (star_graph, (2.0,), "ray count must be an integer >= 1, got 2.0"),
         (cycle_graph, (4.0,), "vertex count n must be an integer >= 2, got 4.0"),
         (complete_graph, (3, 0), "block size s must be an integer >= 1, got 0"),
+        # The ray count itself is the star's size: a bool is not one, and
+        # the message names the argument given, not the vertex count.
+        (star_graph, (True,), "ray count must be an integer >= 1, got True"),
+        (star_graph, ("3",), "ray count must be an integer >= 1, got '3'"),
+        (star_graph, (-1,), "ray count must be an integer >= 1, got -1"),
     ])
     def test_bad_size_is_graph_error(self, build, args, message):
         # The sizes are checked before any pair or identity weight is built.

@@ -43,6 +43,7 @@ WORKSPACE_ARRAYS = (
     "resistance",
     "deficit",
     "deficit_form",
+    "deficit_form_direct",
     "pseudoinverse",
 )
 

@@ -16,9 +16,15 @@ from resmat.graph import (
     random_graph,
     star_graph,
 )
-from resmat import verify
+from resmat import linalg, verify
 from resmat.laplacian import _shift, build_incidence, build_laplacian
-from resmat.linalg import DimensionError, NumericError, SpectralDecomposition, max_norm
+from resmat.linalg import (
+    DimensionError,
+    NumericError,
+    SpectralDecomposition,
+    max_norm,
+    symmetrize,
+)
 from resmat.resistance import InterlaceRow, ResistanceWorkspace
 from resmat.verify import (
     CHECK_IDS,
@@ -194,6 +200,78 @@ class TestNumericallyNonsingular:
         with pytest.raises(NumericError, match="not symmetric"):
             numerically_nonsingular(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @staticmethod
+    def counting(monkeypatch, name):
+        """Count the calls of ``np.linalg.<name>``, which still runs."""
+        calls = []
+        original = getattr(np.linalg, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
+    @staticmethod
+    def plain_rule(b):
+        values = np.abs(np.linalg.eigvalsh(symmetrize(b)))
+        return bool(values.min() > 1e-10 * values.max())
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        order=st.integers(min_value=1, max_value=12),
+        kind=st.sampled_from(
+            ["well", "near_above", "near_below", "indefinite", "semidefinite"]
+        ),
+        log_scale=st.floats(min_value=-12.0, max_value=12.0),
+        rotate=st.booleans(),
+    )
+    @example(seed=1, order=6, kind="near_above", log_scale=-12.0, rotate=False)
+    @example(seed=2, order=12, kind="near_below", log_scale=12.0, rotate=False)
+    @example(seed=3, order=1, kind="indefinite", log_scale=0.0, rotate=True)
+    def test_agrees_with_the_eigenvalue_rule(self, seed, order, kind, log_scale, rotate):
+        # B = Q diag(values) Q' with a random orthogonal Q, or Q = I, where
+        # ||B||_inf is the largest eigenvalue; the near cases put the
+        # eigenvalue ratio at 1e-10 (1 +- 1e-6), where the screen must give
+        # way to the eigenvalues.
+        rng = np.random.default_rng(seed)
+        q = np.eye(order)
+        if rotate:
+            q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+        values = rng.uniform(0.5, 2.0, order)
+        if kind == "near_above":
+            values[0] = 1e-10 * (1 + 1e-6) * values.max()
+        elif kind == "near_below":
+            values[0] = 1e-10 * (1 - 1e-6) * values.max()
+        elif kind == "indefinite":
+            values *= rng.choice([-1.0, 1.0], order)
+            values[0] = -abs(values[0])
+        elif kind == "semidefinite":
+            values[: max(1, order // 3)] = 0.0
+        b = 10.0**log_scale * (q * values) @ q.T
+        assert numerically_nonsingular(b) == self.plain_rule(b)
+
+    def test_well_conditioned_pd_needs_no_eigenvalues(self, monkeypatch):
+        calls = self.counting(monkeypatch, "eigvalsh")
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((30, 30))
+        assert numerically_nonsingular(a @ a.T + 30.0 * np.eye(30))
+        assert calls == []
+
+    def test_indefinite_falls_back_to_eigenvalues(self, monkeypatch):
+        calls = self.counting(monkeypatch, "eigvalsh")
+        assert numerically_nonsingular(np.diag([-1.0, 2.0, 3.0]))
+        assert not numerically_nonsingular(np.diag([-1.0, 2.0, 0.0]))
+        assert calls == ["eigvalsh", "eigvalsh"]
+
+    def test_asymmetry_raises_before_any_factorization(self, monkeypatch):
+        calls = self.counting(monkeypatch, "cholesky")
+        with pytest.raises(NumericError, match="not symmetric"):
+            numerically_nonsingular(np.array([[2.0, 0.5], [0.0, 2.0]]))
+        assert calls == []
+
 
 class TestRunCheck:
     def test_single_check_passes(self):
@@ -294,10 +372,11 @@ class TestMutationsFail:
 
     def test_taurtau_pd_reads_resistance(self):
         # TAURTAU_PD forms T' R T with R, so a wrong R fails it; the
-        # closed-form deficit form it no longer reads is unchanged.
+        # closed-form deficit form it no longer reads is unchanged.  The
+        # workspace caches T' R T on first read, so R is replaced first.
         g = random_graph(6, 2, "gnp", seed=7, p=0.6)
+        assert run_check(g, "TAURTAU_PD", ResistanceWorkspace(g)).passed
         ws = ResistanceWorkspace(g)
-        assert run_check(g, "TAURTAU_PD", ws).passed
         ws.__dict__["resistance"] = -ws.resistance
         assert not run_check(g, "TAURTAU_PD", ws).passed
 
@@ -451,6 +530,36 @@ class TestPinvSubmatrixSampling:
         rng = np.random.default_rng(0)
         sets = verify._pinv_submatrix_sets(rng, 1e-6 * np.eye(20), 19)
         assert len(sets) == 5
+
+
+class TestSharedProducts:
+    """Checks that read the same product of ``R`` take it from the workspace,
+    computed once."""
+
+    def test_determinant_checks_share_one_lu_of_r(self, monkeypatch):
+        g = random_graph(7, 2, "tree", seed=3)
+        orders = []
+        original = linalg.slogdet_lu
+
+        def recording(a):
+            orders.append(np.shape(a)[0])
+            return original(a)
+
+        monkeypatch.setattr(linalg, "slogdet_lu", recording)
+        report = run_suite(g, ["DET_FORMULA", "TREE_DET"])
+        assert report.passed
+        assert orders.count(g.n * g.s) == 1
+
+    def test_deficit_form_checks_share_one_product(self):
+        g = random_graph(7, 2, "gnp", seed=3, p=0.6)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "TAURTAU_PD", ws).passed
+        assert "deficit_form_direct" in ws.__dict__
+        product = ws.deficit_form_direct
+        form = run_check(g, "TAURTAU_FORM", ws)
+        assert ws.deficit_form_direct is product
+        assert np.array_equal(product, ws.deficit.T @ ws.resistance @ ws.deficit)
+        assert form.residual == max_norm(ws.deficit_form - product)
 
 
 class TestOutOfRangeDeterminants:
