@@ -31,6 +31,8 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,8 +65,11 @@ GNP_MAX_ATTEMPTS = 1000
 RANDOM_MODELS = ("tree", "cycle", "complete", "gnp")
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
+_INTP_MIN = int(np.iinfo(np.intp).min)
 
 _EDGE_KEYS = {"u", "v", "w"}
+_ENDPOINTS = itemgetter("u", "v")
+_WEIGHT = itemgetter("w")
 
 
 class GraphError(ValueError):
@@ -294,8 +299,8 @@ def _checked(n, s, endpoints, weights):
 
 def _weight_problems(stack: np.ndarray) -> dict[int, str]:
     """The first finiteness, symmetry or definiteness problem of each
-    weight of an ``(k, s, s)`` stack that has one, keyed by its position;
-    one batched eigensolve makes the definiteness test."""
+    weight of an ``(k, s, s)`` stack that has one, keyed by its position.
+    A weight is definite when ``lambda_min > s eps lambda_max``."""
     found: dict[int, str] = {}
     if not len(stack):
         return found
@@ -311,10 +316,16 @@ def _weight_problems(stack: np.ndarray) -> dict[int, str]:
         found[k] = f"weight is not symmetric (max asymmetry {g:.3e})"
     checked = checked[~asymmetric]
     w = w[~asymmetric]
-    spectra = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2.0)
+    w = (w + w.transpose(0, 2, 1)) / 2.0
+    # One batched Cholesky proves the usual case definite; the eigenvalues
+    # decide, and name the smallest, only when it gives no proof.
+    rtol = linalg.default_rank_tol(stack.shape[1])
+    if linalg.certified_definite(w, rtol):
+        return found
+    spectra = np.linalg.eigvalsh(w)
     largest = spectra[:, -1]
     smallest = spectra[:, 0]
-    lost = (largest <= 0.0) | (smallest <= linalg.default_rank_tol(stack.shape[1]) * largest)
+    lost = (largest <= 0.0) | (smallest <= rtol * largest)
     for k, low in zip(checked[lost], smallest[lost]):
         found[k] = f"weight is not positive definite (smallest eigenvalue {low:.6e})"
     return found
@@ -342,7 +353,8 @@ def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:
 
 
 def _entry_problem(position: int, entry) -> str | None:
-    """The structural problem of one JSON edge entry, if any."""
+    """The structural problem of one JSON edge entry, if any, save that of
+    its weight's entries (:func:`_entries_problem`)."""
     if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
         return f"edge #{position} must be an object with exactly the keys u, v, w"
     for name in ("u", "v"):
@@ -355,14 +367,97 @@ def _entry_problem(position: int, entry) -> str | None:
     return None
 
 
+def _entries_problem(position: int, w: list) -> str | None:
+    """The problem of a nested-list weight with a string or bool entry."""
+    for value in chain.from_iterable(w):
+        if isinstance(value, (str, bool)):
+            return f"edge #{position}: w entries must be numbers, got {value!r}"
+    return None
+
+
+def _converted(ws: list):
+    """:func:`_weight_stack` of parsed weights, raising :class:`GraphError`
+    for the first that is not 2-D when they make no stack."""
+    weights = _weight_stack(ws)
+    if isinstance(weights, list):
+        for position, w in enumerate(weights, start=1):
+            if w.ndim != 2:
+                raise GraphError(f"edge #{position}: weight must be 2-D")
+    return weights
+
+
+def _raise_first_problem(raw_edges: list):
+    """Raise the error of a JSON edge list with a structural problem: the
+    first edge with one stops the scan, and the first weight up to it that
+    does not convert, else the first that is not 2-D, comes before it.  A
+    weight with a string or bool entry is converted before it is refused."""
+    ws = []
+    for position, entry in enumerate(raw_edges, start=1):
+        problem = _entry_problem(position, entry)
+        if problem is not None:
+            break
+        ws.append(entry["w"])
+        problem = _entries_problem(position, entry["w"])
+        if problem is not None:
+            break
+    _converted(ws)
+    raise GraphError(problem)
+
+
+def _edge_arrays(raw_edges: list, s: int):
+    """The endpoints and weights of a JSON edge list, tested and converted
+    in bulk.
+
+    Returns ``None`` when some edge has a structural problem.  Otherwise
+    the endpoints are the 0-based ``(m, 2)`` intp array, or a list of
+    pairs when some endpoint is beyond intp, and the weights are the
+    float64 ``(m, s, s)`` stack when every weight is ``s x s`` of JSON
+    numbers in the float range, else what :func:`_weight_stack` makes.
+    """
+    if set(map(type, raw_edges)) - {dict} or set(map(len, raw_edges)) - {3}:
+        return None
+    try:
+        ends = list(chain.from_iterable(map(_ENDPOINTS, raw_edges)))
+        ws = list(map(_WEIGHT, raw_edges))
+    except KeyError:
+        return None
+    if set(map(type, ends)) - {int} or set(map(type, ws)) - {list}:
+        return None
+    rows = list(chain.from_iterable(ws))
+    if set(map(type, rows)) - {list}:
+        return None
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds & {str, bool}:
+        return None
+
+    try:
+        endpoints = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    except OverflowError:
+        endpoints = None
+    if endpoints is None or (endpoints.size and endpoints.min() == _INTP_MIN):
+        endpoints = [(u - 1, v - 1) for u, v in zip(ends[::2], ends[1::2])]
+    else:
+        endpoints -= 1
+    square = s >= 1 and not (set(map(len, ws)) | set(map(len, rows))) - {s}
+    if square and not kinds - {int, float}:
+        try:
+            entries = chain.from_iterable(rows)
+            stack = np.fromiter(entries, np.float64, len(rows) * s)
+            return endpoints, stack.reshape(-1, s, s)
+        except OverflowError:
+            pass
+    return endpoints, _converted(ws)
+
+
 def parse_graph(text) -> MatrixWeightedGraph:
     """Parse and validate a graph from its JSON interchange form.
 
     Accepts ``str`` or ``bytes``.  Raises :class:`GraphError` on JSON syntax
-    errors, structural problems, or validation failures.  Only the edges
-    before the first structural problem are converted: the first of their
-    weights that does not convert is raised, else the first that is not
-    2-D, else the structural problem.
+    errors, structural problems, or validation failures.  Weight entries
+    must be JSON numbers (``null`` reads as a non-finite entry).  Only the
+    edges before the first structural problem are converted: the first of
+    their weights that does not convert is raised, else the first that is
+    not 2-D, else the structural problem.
     """
     try:
         data = json.loads(text)
@@ -382,23 +477,10 @@ def parse_graph(text) -> MatrixWeightedGraph:
             raise GraphError(f"{name} must be an integer, got {value!r}")
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list")
-    pairs, ws = [], []
-    problem = None
-    for position, entry in enumerate(raw_edges, start=1):
-        problem = _entry_problem(position, entry)
-        if problem is not None:
-            break
-        pairs.append((entry["u"] - 1, entry["v"] - 1))
-        ws.append(entry["w"])
-    # The edges before a structural problem may hold an earlier one.
-    weights = _weight_stack(ws)
-    if isinstance(weights, list):
-        for position, w in enumerate(weights, start=1):
-            if w.ndim != 2:
-                raise GraphError(f"edge #{position}: weight must be 2-D")
-    if problem is not None:
-        raise GraphError(problem)
-    return MatrixWeightedGraph(n, s, pairs, weights)
+    arrays = _edge_arrays(raw_edges, s)
+    if arrays is None:
+        _raise_first_problem(raw_edges)
+    return MatrixWeightedGraph(n, s, *arrays)
 
 
 def serialize(g: MatrixWeightedGraph) -> str:

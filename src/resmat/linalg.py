@@ -30,6 +30,7 @@ __all__ = [
     "Inertia",
     "max_norm",
     "default_rank_tol",
+    "certified_definite",
     "symmetrize",
     "sym_eigen",
     "sym_eigenvalues",
@@ -55,6 +56,12 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)
 #: Smallest ``log|x|`` whose ``exp`` is still a normal double.
 _LOG_MIN = math.log(np.finfo(np.float64).tiny)
 
+#: Smallest normal double.
+_TINY = float(np.finfo(np.float64).tiny)
+
+#: Largest finite double.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 class DimensionError(ValueError):
     """Operands have incompatible or invalid dimensions."""
@@ -72,7 +79,7 @@ def _checked(a) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"matrix must be non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError("matrix has non-finite entries")
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -95,6 +102,48 @@ def default_rank_tol(order: int) -> float:
     return max(int(order), 1) * EPS
 
 
+def certified_definite(a: np.ndarray, rtol: float) -> bool:
+    """True when one batched Cholesky factorization proves that every
+    matrix ``A`` of the exactly symmetric float64 ``(..., k, k)`` stack
+    has ``lambda_min(A) > rtol ||A||_inf >= rtol lambda_max(A)``.
+
+    Each ``A`` is shifted to ``A - tau I`` with ``tau = rtol ||A||_inf +
+    delta`` and ``delta = 2 (k + 2) eps (sum_i |A_ii| + ||A||_inf) + tiny``.
+    If ``potrf`` completes on a matrix ``S``, its factor satisfies
+    ``C C' = S + E`` with ``||E||_2 <= gamma_{k+1} tr(S) / (1 - gamma_{k+1})``
+    (Demmel 1989; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm 10.5) barring underflow, and ``delta`` exceeds that bound plus the
+    rounding of the shifted diagonal; ``tiny``, the smallest normal
+    double, exceeds what gradual underflow can add for any ``k`` below
+    ``2**25``.  So a factor proves the bound, and the screen accepts
+    nothing an eigenvalue test at ``rtol`` would refuse in exact
+    arithmetic.  False means no proof: some matrix is indefinite,
+    singular, nearly so, non-finite, or has an entry of ``max / (2k + 2)``
+    or more, where the shift could overflow.  ``rtol`` must be below 1.
+
+    The shift goes into ``a``'s own buffer and the diagonal is put back
+    before returning, so no copy of the stack but the factor is held.
+    """
+    k = a.shape[-1]
+    absolute = np.abs(a)
+    # Below this bound on the entries every sum the shift takes is finite.
+    if not absolute.max(initial=0.0) < _FLOAT_MAX / (2 * k + 2):
+        return False
+    norm = absolute.sum(axis=-1).max(axis=-1)
+    del absolute  # the factorization runs beside no third copy of the stack
+    diagonal = np.einsum("...ii->...i", a)
+    kept = diagonal.copy()
+    delta = 2.0 * (k + 2) * EPS * (np.abs(kept).sum(axis=-1) + norm) + _TINY
+    diagonal -= (rtol * norm + delta)[..., np.newaxis]
+    try:
+        np.linalg.cholesky(a)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diagonal[...] = kept
+
+
 def symmetrize(a) -> np.ndarray:
     """Return ``(A + A') / 2`` after checking A is symmetric to within
     :data:`SYMMETRY_RTOL`.
@@ -108,7 +157,8 @@ def symmetrize(a) -> np.ndarray:
     """
     a = _checked(a)
     gap = np.abs(a - a.T).max()
-    if gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
+    # An exactly symmetric matrix needs no scale for the test.
+    if gap and gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
         raise NumericError(
             f"matrix is not symmetric: max asymmetry {gap:.3e} "
             f"exceeds relative tolerance {SYMMETRY_RTOL:.1e}"

@@ -470,32 +470,15 @@ def numerically_nonsingular(b) -> bool:
 
     ``B`` is first symmetrized by :func:`linalg.symmetrize`, which rejects
     non-finite entries and material asymmetry.  A positive definite ``B``
-    of order ``k`` is then accepted by one Cholesky factorization of
-    ``B - tau I`` with ``tau = 1e-10 ||B||_inf + delta`` and
-    ``delta = 2 (k + 2) eps (sum_i |B_ii| + ||B||_inf)``.  If ``potrf``
-    completes on a matrix ``A``, its factor satisfies ``C C' = A + E`` with
-    ``||E||_2 <= gamma_{k+1} tr(A) / (1 - gamma_{k+1})`` (Demmel 1989;
-    Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5),
-    and ``delta`` exceeds that bound plus the rounding of the shifted
-    diagonal.  So a factor proves ``lambda_min(B) > 1e-10 ||B||_inf >=
-    1e-10 lambda_max(B)``: the screen accepts nothing the eigenvalue test
-    would refuse in exact arithmetic.  Where there is no factor (an
-    indefinite, singular or nearly singular ``B``), the eigenvalues of
-    ``B`` decide, taken with no eigenvectors.
+    is then accepted by :func:`linalg.certified_definite` at ``1e-10``,
+    one Cholesky factorization that proves ``lambda_min(B) > 1e-10
+    ||B||_inf``.  Where it gives no proof (an indefinite, singular or
+    nearly singular ``B``), the eigenvalues of ``B`` decide, taken with no
+    eigenvectors.
     """
     b = linalg.symmetrize(b)
-    k = b.shape[0]
-    norm = float(np.abs(b).sum(axis=1).max())
-    diagonal = b.diagonal().copy()
-    delta = 2.0 * (k + 2) * linalg.EPS * (float(np.abs(diagonal).sum()) + norm)
-    # The shift goes into B's own buffer, and the diagonal is put back
-    # where there is no factor, so the screen holds no third k x k array.
-    b.flat[:: k + 1] -= 1e-10 * norm + delta
-    try:
-        np.linalg.cholesky(b)
+    if linalg.certified_definite(b, 1e-10):
         return True
-    except np.linalg.LinAlgError:
-        b.flat[:: k + 1] = diagonal
     singular_values = np.abs(np.linalg.eigvalsh(b))
     return float(singular_values.min()) > 1e-10 * float(singular_values.max())
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resmat import graph
 from resmat.graph import (
     GNP_MAX_ATTEMPTS,
     RANDOM_MODELS,
@@ -26,7 +27,7 @@ from resmat.graph import (
     serialize,
     star_graph,
 )
-from resmat.linalg import sym_eigen
+from resmat.linalg import EPS, certified_definite, sym_eigen
 
 
 def unit(s=1):
@@ -517,6 +518,64 @@ class TestParseErrorsPinned:
         text = _document(2, 1, [{"u": 1, "v": 2, "w": [[None]]}])
         assert _parse_error(text) == "edge #1 (1, 2): weight has non-finite entries"
 
+    @pytest.mark.parametrize(
+        "w, shown",
+        [
+            ([["2.0"]], "'2.0'"),
+            ([[True]], "True"),
+            ([[False]], "False"),
+            ([[" 3 "]], "' 3 '"),
+            ([[2.0, "0.5"], [0.5, 2.0]], "'0.5'"),
+        ],
+    )
+    def test_string_and_bool_entries_refused(self, w, shown):
+        text = _document(3, len(w), [
+            {"u": 1, "v": 2, "w": np.eye(len(w)).tolist()},
+            {"u": 2, "v": 3, "w": w},
+        ])
+        assert _parse_error(text) == f"edge #2: w entries must be numbers, got {shown}"
+
+    def test_string_entry_after_a_malformed_weight(self):
+        text = _document(3, 1, [
+            {"u": 1, "v": 2, "w": [[1.0], [1.0, 2.0]]},
+            {"u": 2, "v": 3, "w": [["2.0"]]},
+        ])
+        assert _parse_error(text).startswith("edge #1: malformed weight: ")
+
+    def test_string_entry_before_a_missing_key(self):
+        text = _document(3, 1, [
+            {"u": 1, "v": 2, "w": [[1.0]]},
+            {"u": 2, "v": 3, "w": [[False]]},
+            {"u": 1, "v": 3},
+        ])
+        assert _parse_error(text) == "edge #2: w entries must be numbers, got False"
+
+
+class TestBulkConversion:
+    """The parser's bulk weight stack is the one a single ``np.asarray``
+    conversion of the nested lists makes, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [2**53 + 1, 10**20, -(2**63), 7, -0.0, 5e-324, 1.7976931348623157e308],
+    )
+    def test_stack_is_bitwise_the_asarray_conversion(self, entry):
+        ws = [[[1.0, entry], [entry, 3.0]], [[entry, 0.0], [0.0, entry]]]
+        raw = json.loads(json.dumps(
+            [{"u": 1, "v": 2, "w": ws[0]}, {"u": 2, "v": 3, "w": ws[1]}]
+        ))
+        endpoints, stack = graph._edge_arrays(raw, 2)
+        assert endpoints.dtype == np.intp and endpoints.tolist() == [[0, 1], [1, 2]]
+        expected = np.asarray(ws, dtype=np.float64)
+        assert stack.dtype == np.float64 and stack.shape == (2, 2, 2)
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_endpoint_at_intp_minimum_is_not_wrapped(self):
+        text = _document(3, 1, [{"u": -(2**63), "v": 2, "w": [[1.0]]}])
+        assert _parse_error(text) == (
+            f"edge #1 ({-(2**63)}, 2): endpoints out of range 1..3"
+        )
+
 
 class TestStructure:
     def test_adjacency(self):
@@ -884,6 +943,93 @@ class TestArrayValidationOracle:
         assert "edges" not in vars(g)
         assert g.edges is g.edges
         assert g.edges[1].weight.base is not None
+
+
+def _reference_weight_problems(stack) -> dict[int, str]:
+    """The definiteness rule one weight at a time, as the per-edge
+    reference states it."""
+    s = stack.shape[1]
+    found = {}
+    for k, w in enumerate(stack):
+        values = np.linalg.eigvalsh((w + w.T) / 2.0)
+        if values[-1] <= 0.0 or values[0] <= s * EPS * values[-1]:
+            found[k] = (
+                f"weight is not positive definite (smallest eigenvalue {values[0]:.6e})"
+            )
+    return found
+
+
+#: Diagonal weights with exact eigenvalues put ``lambda_min / lambda_max``
+#: at these multiples of ``s eps``: at or below the definiteness rule's
+#: cutoff, or well above the screen's margin ``tau``.
+DIAGONAL_RATIOS = (1e-3, 1.0, 1e3, 1e6)
+
+
+@st.composite
+def weight_stacks(draw):
+    """An ``(s, stack, ratios)`` triple: exactly symmetric weights at
+    scales ``1e-150 .. 1e150``, and for each the exact eigenvalue ratio
+    ``lambda_min / lambda_max`` of a diagonal weight, else ``None``."""
+    s = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    weights, ratios = [], []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["diagonal", "rotated", "indefinite", "semidefinite"]))
+        scale = 10.0 ** draw(st.floats(min_value=-150.0, max_value=150.0))
+        values = rng.uniform(1.0, 2.0, s)
+        ratio = None
+        if kind == "diagonal":
+            factor = draw(st.sampled_from(DIAGONAL_RATIOS))
+            values[rng.integers(0, s)] = factor * s * EPS * values.max()
+            w = np.diag(scale * values)
+            ratio = w.diagonal().min() / w.diagonal().max()
+        else:
+            if kind == "indefinite":
+                values[rng.integers(0, s)] *= -1.0
+            elif kind == "semidefinite":
+                values[rng.integers(0, s)] = 0.0
+            q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+            w = scale * (q * values) @ q.T
+            w = (w + w.T) / 2.0
+        weights.append(w)
+        ratios.append(ratio)
+    return s, np.array(weights), ratios
+
+
+class TestDefinitenessScreen:
+    @settings(deadline=None, max_examples=300)
+    @given(case=weight_stacks())
+    def test_screen_matches_the_eigenvalue_rule(self, case):
+        s, stack, ratios = case
+        before = stack.tobytes()
+        certified = certified_definite(stack, s * EPS)
+        assert stack.tobytes() == before
+        # A diagonal weight's eigenvalues are exact: no weight at or below
+        # the cutoff is ever certified.
+        if any(r is not None and r <= s * EPS for r in ratios):
+            assert not certified
+        assert graph._weight_problems(stack) == _reference_weight_problems(stack)
+
+    def test_valid_document_needs_no_eigenvalues(self, monkeypatch):
+        text = serialize(random_graph(100, 3, "gnp", seed=11000, p=0.25))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        g = parse_graph(text)
+        assert (g.m, g.s) == (1279, 3)
+        assert calls == []
+
+    def test_a_refused_weight_is_named_by_its_eigenvalue(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -2.0]), np.eye(2)])
+        assert graph._weight_problems(stack) == {
+            1: "weight is not positive definite (smallest eigenvalue -2.000000e+00)"
+        }
 
 
 class TestEdgeDataclass:

@@ -15,6 +15,7 @@ from resmat.linalg import (
     _inverse_sqrt,
     _symmetric_inverse,
     block_cofactor_slog,
+    certified_definite,
     count_inertia,
     default_rank_tol,
     max_norm,
@@ -170,6 +171,43 @@ class TestSymEigen:
         assert float(np.sum(values**2)) == pytest.approx(
             float(np.sum(a * a)), rel=1e-12, abs=1e-12
         )
+
+
+class TestCertifiedDefinite:
+    def test_stack_of_definite_matrices(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_psd(rng, 4) + 4.0 * np.eye(4) for _ in range(6)])
+        before = stack.copy()
+        assert certified_definite(stack, 1e-10)
+        assert np.array_equal(stack, before)
+
+    def test_one_indefinite_matrix_spoils_the_stack(self):
+        stack = np.array([np.eye(3), np.diag([1.0, -1.0, 2.0]), np.eye(3)])
+        before = stack.copy()
+        assert not certified_definite(stack, EPS)
+        assert np.array_equal(stack, before)
+
+    def test_margin_is_relative_to_the_norm(self):
+        # lambda_min / ||A||_inf = 1e-9 clears 1e-10 with room, 1e-10 does not.
+        assert certified_definite(1e-140 * np.diag([1.0, 1e-9]), 1e-10)
+        assert not certified_definite(1e140 * np.diag([1.0, 1e-10]), 1e-10)
+
+    def test_underflow_margin(self):
+        # The absolute margin tiny keeps subnormal matrices unproven.
+        assert certified_definite(1e-300 * np.eye(3), EPS)
+        assert not certified_definite(1e-310 * np.eye(3), EPS)
+
+    @pytest.mark.parametrize("a", [
+        np.diag([np.inf, 1.0]),
+        np.diag([np.nan, 1.0]),
+        np.array([[1.7e308, 1e308], [1e308, 1.7e308]]),
+        np.zeros((2, 2)),
+    ])
+    def test_no_proof_for_non_finite_huge_or_zero(self, a):
+        # These give no proof and raise no numpy warning.
+        before = a.copy()
+        assert not certified_definite(a, EPS)
+        assert np.array_equal(a, before, equal_nan=True)
 
 
 class TestPseudoInverse:
