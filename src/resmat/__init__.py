@@ -39,10 +39,8 @@ from .linalg import (
     DimensionError,
     Inertia,
     NumericError,
-    SpectralDecomposition,
     pseudo_inverse,
     slogdet_lu,
-    sym_eigen,
 )
 
 # The engine and the verifier load on first use, so that building, parsing
@@ -106,10 +104,8 @@ __all__ = [
     "DimensionError",
     "Inertia",
     "NumericError",
-    "SpectralDecomposition",
     "pseudo_inverse",
     "slogdet_lu",
-    "sym_eigen",
     # the laplacian, resistance engine and verifier, loaded on first use
     *_LAZY_NAMES,
 ]

@@ -73,7 +73,9 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
     vertices = np.arange(n)
     blocks[vertices, :, vertices, :] = diagonal
-    if not math.isfinite(np.trace(body)):
+    with np.errstate(over="ignore"):
+        trace = np.trace(body)
+    if not math.isfinite(trace):
         raise linalg.NumericError(
             "Laplacian trace is not finite: an inverse edge weight overflows"
         )

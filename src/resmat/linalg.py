@@ -1,11 +1,12 @@
 """Dense linear algebra for symmetric matrices, on top of ``numpy.linalg``.
 
 Thin layer over LAPACK (through ``numpy.linalg``) used by the rest of the
-package: symmetric eigensolves in descending order, the spectral
-pseudoinverse, determinants as exact ``(sign, log|det|)`` pairs, block
-cofactors, and inertia counts.  It adds the checks LAPACK does not make:
-material asymmetry is rejected instead of averaged away, and rank decisions
-are relative to scale.  The batched kernels for edge weights (inverse and
+package: symmetric eigenvalues in descending order (no eigenvectors), the
+spectral pseudoinverse that the scalar oracle takes, determinants as exact
+``(sign, log|det|)`` pairs, block cofactors, and inertia counts.  It adds
+the checks LAPACK does not make: material asymmetry is rejected instead of
+averaged away, symmetric means never overflow, and rank decisions are
+relative to scale.  The batched kernels for edge weights (inverse and
 inverse square root) check nothing: every graph's weights were tested for
 symmetry and definiteness when the graph was constructed.
 
@@ -26,16 +27,14 @@ __all__ = [
     "SYMMETRY_RTOL",
     "DimensionError",
     "NumericError",
-    "SpectralDecomposition",
     "Inertia",
     "max_norm",
     "default_rank_tol",
     "certified_definite",
+    "symmetric_mean",
     "symmetrize",
-    "sym_eigen",
     "sym_eigenvalues",
     "pseudo_inverse",
-    "pseudo_inverse_from",
     "value_from_slog",
     "slog_in_range",
     "slogdet_lu",
@@ -144,9 +143,22 @@ def certified_definite(a: np.ndarray, rtol: float) -> bool:
         diagonal[...] = kept
 
 
+def symmetric_mean(a: np.ndarray) -> np.ndarray:
+    """``(A + A') / 2`` over the last two axes, bit for bit, save that an
+    entry whose sum overflows is ``a / 2 + a' / 2``, exact there."""
+    t = np.swapaxes(a, -1, -2)
+    with np.errstate(over="ignore"):
+        mean = a + t
+    spilled = np.isinf(mean)
+    mean /= 2.0
+    if spilled.any():
+        mean[spilled] = a[spilled] / 2.0 + t[spilled] / 2.0
+    return mean
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return ``(A + A') / 2`` after checking A is symmetric to within
-    :data:`SYMMETRY_RTOL`.
+    """Return ``(A + A') / 2``, by :func:`symmetric_mean`, after checking A
+    is symmetric to within :data:`SYMMETRY_RTOL`.
 
     Raises
     ------
@@ -156,22 +168,16 @@ def symmetrize(a) -> np.ndarray:
         averaging it away would mask the bug.
     """
     a = _checked(a)
-    gap = np.abs(a - a.T).max()
+    # A gap beyond the double range is inf, which the test refuses.
+    with np.errstate(over="ignore"):
+        gap = np.abs(a - a.T).max()
     # An exactly symmetric matrix needs no scale for the test.
     if gap and gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
         raise NumericError(
             f"matrix is not symmetric: max asymmetry {gap:.3e} "
             f"exceeds relative tolerance {SYMMETRY_RTOL:.1e}"
         )
-    return (a + a.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    return symmetric_mean(a)
 
 
 @dataclass(frozen=True)
@@ -196,31 +202,20 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sym_eigen(a) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
-
-    The input is symmetrized via :func:`symmetrize`, which rejects material
-    asymmetry.  Eigenvalues are returned in descending order with
-    eigenvectors in matching columns, both read-only.
-    """
-    values, vectors = np.linalg.eigh(symmetrize(a))
-    return SpectralDecomposition(
-        frozen(values[::-1].copy()), frozen(np.ascontiguousarray(vectors[:, ::-1]))
-    )
-
-
 def sym_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending and read-only, with no
     eigenvectors; the input is symmetrized via :func:`symmetrize`."""
     return frozen(np.linalg.eigvalsh(symmetrize(a))[::-1].copy())
 
 
-def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
-    """Moore-Penrose inverse of a positive semidefinite matrix, given its
-    spectral decomposition.
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric positive semidefinite matrix.
 
-    Eigenvalues above ``default_rank_tol(order) * max|eigenvalue|`` are
-    inverted; the rest are treated as exact zeros.
+    Spectral route: decompose the input, symmetrized via
+    :func:`symmetrize`, by LAPACK ``syevd``, invert the eigenvalues above
+    ``default_rank_tol(order) * max|eigenvalue|`` and treat the rest as
+    exact zeros.  The result is exactly symmetric.  ``pseudo_inverse`` of
+    the zero matrix is the zero matrix.
 
     Raises
     ------
@@ -228,7 +223,10 @@ def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
         If an eigenvalue is negative beyond the tolerance band, i.e. the
         matrix is not positive semidefinite.
     """
-    values = decomposition.eigenvalues
+    values, vectors = np.linalg.eigh(symmetrize(a))
+    # Descending, vectors too: their order fixes the product's rounding.
+    values = values[::-1]
+    v = np.ascontiguousarray(vectors[:, ::-1])
     n = values.size
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
@@ -242,27 +240,15 @@ def pseudo_inverse_from(decomposition: SpectralDecomposition) -> np.ndarray:
     keep = values > band
     inverted = np.zeros(n)
     inverted[keep] = 1.0 / values[keep]
-    v = decomposition.eigenvectors
     g = (v * inverted) @ v.T
     return (g + g.T) / 2.0
-
-
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric positive semidefinite matrix.
-
-    Spectral route: decompose with :func:`sym_eigen`, invert the eigenvalues
-    above the rank band, zero out the rest.  The result is exactly
-    symmetric.  ``pseudo_inverse`` of the zero matrix is the zero matrix.
-    """
-    return pseudo_inverse_from(sym_eigen(a))
 
 
 def _symmetric_inverse(w: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of an exactly symmetric positive definite
     float64 ``(..., k, k)`` stack, by one batched LAPACK call, symmetrized
     as ``(V + V') / 2`` so each is exactly symmetric."""
-    v = np.linalg.inv(w)
-    return (v + np.swapaxes(v, -1, -2)) / 2.0
+    return symmetric_mean(np.linalg.inv(w))
 
 
 def _inverse_sqrt(w: np.ndarray) -> np.ndarray:

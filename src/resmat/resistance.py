@@ -32,9 +32,10 @@ A :class:`ResistanceWorkspace` pays for one Cholesky factorization
 the cofactor, and ``Z = C^{-1}`` gives ``xbar`` (the diagonal blocks of
 ``X = Z' Z`` are Grams of block columns of ``Z``).  So the closed forms
 never form ``X`` or ``R``; those, and the spectra, are built on first use.
-Only ``L`` is eigendecomposed with eigenvectors, ``R`` for eigenvalues, and
-``M`` not at all: ``P`` projects exactly onto the kernel of ``L``, so the
-spectrum of ``M`` is that of ``L`` with its ``s`` zeros replaced by ``alpha``.
+No eigenvectors are computed: ``L`` and ``R`` are decomposed for their
+eigenvalues alone, and ``M`` not at all: ``P`` projects exactly onto the
+kernel of ``L``, so the spectrum of ``M`` is that of ``L`` with its ``s``
+zeros replaced by ``alpha``.
 """
 
 from __future__ import annotations
@@ -121,13 +122,12 @@ class ResistanceWorkspace:
     matrices, ``L`` and ``Z``, which is all that the determinant, the
     inverse, ``T`` and single resistance blocks need.  The shifted
     inverse ``X`` and the resistance matrix ``R``, the pseudoinverse and
-    the spectra (`laplacian_spectrum`, the one with eigenvectors, and
-    `resistance_eigenvalues`) are cached properties computed on first
-    access, and so are the two small products that two registry checks
-    each read, ``T' R T`` formed with ``R`` and the LU determinant of
-    ``R``.  What a single registry check alone reads, such as the
-    incidence matrix or the spectral pseudoinverse, that check builds
-    and lets go.
+    the two spectra (`laplacian_eigenvalues` and `resistance_eigenvalues`,
+    values only) are cached properties computed on first access, and so
+    are the two small products that two registry checks each read,
+    ``T' R T`` formed with ``R`` and the LU determinant of ``R``.  What a
+    single registry check alone reads, such as the incidence matrix or the
+    grounded inverse, that check builds and lets go.
 
     Every matrix attribute is a read-only float64 array, so an in-place
     write raises ``ValueError`` instead of silently invalidating what was
@@ -138,8 +138,8 @@ class ResistanceWorkspace:
     ------
     NumericError
         If the shifted Laplacian is numerically singular (input effectively
-        disconnected), or the deficit quadratic form fails to be positive
-        definite (which would mean an upstream computation bug).
+        disconnected), the deficit quadratic form overflows, or it fails to
+        be positive definite (which would mean an upstream computation bug).
     """
 
     def __init__(self, graph: MatrixWeightedGraph):
@@ -169,11 +169,18 @@ class ResistanceWorkspace:
         # + (8/n)(sum_i X_ii - I_s/alpha); TAURTAU_FORM checks it against
         # the product with R.
         xbar = self.diag_stack
-        total = xbar.reshape(n, s, s).sum(axis=0)
-        form = 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
-            total - np.eye(s) / self.shift_scale
-        )
-        self.deficit_form = frozen((form + form.T) / 2.0)
+        # Near the double range the form overflows; refused without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = xbar.reshape(n, s, s).sum(axis=0)
+            form = 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
+                total - np.eye(s) / self.shift_scale
+            )
+        if not np.isfinite(form).all():
+            raise linalg.NumericError(
+                "deficit quadratic form T' R T overflows: the resistances are "
+                "too large for double precision"
+            )
+        self.deficit_form = frozen(linalg.symmetric_mean(form))
         form_values = linalg.sym_eigenvalues(self.deficit_form)
         largest = float(form_values[0])
         smallest = float(form_values[-1])
@@ -235,8 +242,9 @@ class ResistanceWorkspace:
     # lazily computed spectral objects
 
     @cached_property
-    def laplacian_spectrum(self) -> linalg.SpectralDecomposition:
-        return linalg.sym_eigen(self.laplacian)
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``L``, descending; no eigenvectors."""
+        return linalg.sym_eigenvalues(self.laplacian)
 
     @cached_property
     def resistance_eigenvalues(self) -> np.ndarray:
@@ -246,8 +254,8 @@ class ResistanceWorkspace:
     @property
     def shift_extremes(self) -> tuple[float, float]:
         """The largest and smallest eigenvalues of ``M``, read from
-        `laplacian_spectrum`: ``max(lambda_1, alpha), min(lambda_{ns-s}, alpha)``."""
-        lam, alpha = self.laplacian_spectrum.eigenvalues, self.shift_scale
+        `laplacian_eigenvalues`: ``max(lambda_1, alpha), min(lambda_{ns-s}, alpha)``."""
+        lam, alpha = self.laplacian_eigenvalues, self.shift_scale
         return max(float(lam[0]), alpha), min(float(lam[-self.graph.s - 1]), alpha)
 
     @property
@@ -331,7 +339,7 @@ class ResistanceWorkspace:
         over the positive Laplacian eigenvalues (descending)."""
         n, s = self.graph.n, self.graph.s
         count = n * s - s
-        lam = self.laplacian_spectrum.eigenvalues
+        lam = self.laplacian_eigenvalues
         mu = self.resistance_eigenvalues
         rows = []
         for i in range(1, count + 1):

@@ -7,12 +7,12 @@ apply to a graph (the tree identities, and the scalar reduction) come back
 skipped, and skipped checks never flip a suite's overall result.
 
 Checks never reuse the quantity they are checking: each one recomputes its
-right-hand side through an independent route (spectral pseudoinverse vs
-shifted-inverse algebra, LU determinants vs closed forms, LU minors vs the
-cofactor from Cholesky pivots, ``T' R T`` from the resistance matrix vs the
-engine's ``R``-free expression, block path sums vs resistance blocks on
-trees, the defining edge sum of the deficit blocks vs the engine's
-``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants and cofactors
+right-hand side through an independent route (the projected grounded
+inverse vs shifted-inverse algebra, LU determinants vs closed forms, LU
+minors vs the cofactor from Cholesky pivots, ``T' R T`` from the
+resistance matrix vs the engine's ``R``-free expression, block path sums
+vs resistance blocks on trees, the defining edge sum of the deficit blocks
+vs the engine's ``L xbar + (2/n)(1 (x) I_s)``, and so on).  Determinants and cofactors
 are compared as exact ``(sign, log|.|)`` pairs, so values beyond the
 double range are still compared, not two infinities or zeros.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,8 +73,7 @@ class CheckResult:
 
     ``passed`` is exactly ``residual <= tolerance`` for checks that ran;
     skipped checks report ``passed=True`` with the skip reason in
-    ``details``.  ``wall_time`` (seconds) is measured per check but kept
-    out of the JSON form so reports stay byte-identical across runs.
+    ``details``.
     """
 
     check_id: str
@@ -84,7 +82,6 @@ class CheckResult:
     passed: bool
     skipped: bool
     details: str
-    wall_time: float
 
     def as_dict(self) -> dict:
         return {
@@ -253,8 +250,8 @@ def _check_l_eq_qqt(ws: ResistanceWorkspace):
 
 
 def _check_shift_nonsing(ws: ResistanceWorkspace):
-    # The spectrum of M read from the Laplacian's eigendecomposition, a
-    # route independent of the engine's Cholesky verdict.
+    # The spectrum of M read from the Laplacian's eigenvalues, a route
+    # independent of the engine's Cholesky verdict.
     largest, smallest = ws.shift_extremes
     band = linalg.default_rank_tol(ws.graph.n * ws.graph.s) * largest
     residual = _margin_residual(smallest, band)
@@ -263,10 +260,19 @@ def _check_shift_nonsing(ws: ResistanceWorkspace):
 
 
 def _check_lplus(ws: ResistanceWorkspace):
-    spectral = linalg.pseudo_inverse_from(ws.laplacian_spectrum)
-    residual = linalg.max_norm(ws.pseudoinverse - spectral)
-    tol = 1e-8 * (1.0 + linalg.max_norm(spectral))
-    return residual, tol, "shifted-inverse route vs spectral pseudoinverse"
+    n, s = ws.graph.n, ws.graph.s
+    # L^+ = Pi G Pi (Pi = I - P) for any generalized inverse G of L; here
+    # G inverts L without vertex 0's block row and column by LU, and Pi
+    # takes off the block means over block rows, then block columns.
+    grounded = np.zeros_like(ws.laplacian)
+    grounded[s:, s:] = np.linalg.inv(ws.laplacian[s:, s:])
+    blocks = grounded.reshape(n, s, n, s)
+    blocks -= blocks.mean(axis=0)
+    blocks -= blocks.mean(axis=2, keepdims=True)
+    tol = 1e-8 * (1.0 + linalg.max_norm(grounded))
+    grounded -= ws.pseudoinverse
+    residual = linalg.max_norm(grounded)
+    return residual, tol, "shifted-inverse route vs projected grounded inverse"
 
 
 def _check_commute(ws: ResistanceWorkspace):
@@ -615,7 +621,6 @@ def _require_known(ids) -> None:
 def _execute(
     definition: _CheckDef, g: MatrixWeightedGraph, ws: ResistanceWorkspace | None
 ) -> CheckResult:
-    start = time.perf_counter()
     reason = definition.applies(g)
     if reason is None:
         if ws is None:
@@ -632,7 +637,6 @@ def _execute(
         passed=residual <= tolerance,
         skipped=reason is not None,
         details=details,
-        wall_time=time.perf_counter() - start,
     )
 
 

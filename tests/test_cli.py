@@ -198,30 +198,38 @@ class TestCompute:
             + "\n  ]\n}\n"
         )
 
-    @pytest.mark.parametrize("what, decompositions", [("inertia", 0), ("interlace", 1)])
+    @pytest.mark.parametrize(
+        "what, laplacian_spectra", [("inertia", 0), ("interlace", 1)]
+    )
     def test_spectra_decompose_only_the_laplacian(
-        self, capsys, monkeypatch, block_file, what, decompositions
+        self, capsys, monkeypatch, block_file, what, laplacian_spectra
     ):
-        # The resistance spectrum is eigenvalues only; interlace also reads
-        # the Laplacian's, by the one eigendecomposition a workspace takes.
+        # No ns x ns eigendecomposition with eigenvectors: the resistance
+        # spectrum is eigenvalues only, and interlace also reads the
+        # Laplacian's eigenvalues, with no eigenvectors either.
         from resmat.laplacian import build_laplacian
 
-        eigh = np.linalg.eigh
-        calls = []
+        calls = {"eigh": [], "eigvalsh": []}
 
-        def recording(a, *args, **kwargs):
-            calls.append(np.array(a))
-            return eigh(a, *args, **kwargs)
+        def recording(name):
+            solver = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+            def record(a, *args, **kwargs):
+                calls[name].append(np.array(a))
+                return solver(a, *args, **kwargs)
+
+            return record
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, recording(name))
         code, out, _ = run_cli(capsys, "compute", block_file, what)
         assert code == EXIT_OK
         if what == "inertia":
             assert out == "positive 2\nnegative 6\nzero 0\n"
-        square = [a for a in calls if a.shape == (8, 8)]
-        assert len(square) == decompositions
+        assert [a for a in calls["eigh"] if a.shape == (8, 8)] == []
         laplacian = build_laplacian(parse_graph(Path(block_file).read_text()))
-        assert all(np.array_equal(a, laplacian) for a in square)
+        spectra = [a for a in calls["eigvalsh"] if np.array_equal(a, laplacian)]
+        assert len(spectra) == laplacian_spectra
 
     def test_matrix_json_shape(self, capsys, block_file):
         code, out, _ = run_cli(
@@ -371,6 +379,48 @@ class TestCompute:
         assert "Traceback" not in run.stderr
         assert run.stderr.startswith("error: edge #1: malformed weight: ")
         assert run.stdout == ""
+
+    @pytest.mark.parametrize(
+        "weight, what, code, err",
+        [
+            # T' R T = 2 W is beyond the double range; L is not.
+            ("[[1.7976931348623157e308]]", "det", EXIT_NUMERIC,
+             "error: deficit quadratic form T' R T overflows: the resistances "
+             "are too large for double precision\n"),
+            ("[[1.7976931348623157e308]]", "laplacian", EXIT_OK, ""),
+            ("[[1.0, 1.7e308], [-1.7e308, 1.0]]", "det", EXIT_INPUT,
+             "error: edge #1 (1, 2): weight is not symmetric (max asymmetry inf)\n"),
+        ],
+    )
+    def test_weight_near_float_max(self, capsys, tmp_path, weight, what, code, err):
+        # Sums beyond the double range reach neither stderr (the suite
+        # turns numpy's warnings into errors) nor the reason given.
+        s = len(json.loads(weight))
+        path = tmp_path / "large.json"
+        path.write_text(
+            f'{{"n": 2, "s": {s}, "edges": [{{"u": 1, "v": 2, "w": {weight}}}]}}'
+        )
+        got = run_cli(capsys, "compute", str(path), what)
+        assert (got[0], got[2]) == (code, err)
+
+    def test_weight_near_float_max_in_range(self, capsys, tmp_path):
+        # At 8e307 every closed form is in range: R = [[0, w], [w, 0]],
+        # det R = -w^2 and R^{-1} = [[0, 1/w], [1/w, 0]].
+        path = tmp_path / "large.json"
+        path.write_text('{"n": 2, "s": 1, "edges": [{"u": 1, "v": 2, "w": [[8e307]]}]}')
+        outputs = {}
+        for what in ("det", "resistance", "inverse"):
+            code, outputs[what], err = run_cli(capsys, "compute", str(path), what)
+            assert (code, err) == (EXIT_OK, "")
+        assert outputs["det"] == "-6.40000000000e+615\n"
+        assert outputs["resistance"] == (
+            "0.00000000000e+00 8.00000000000e+307\n"
+            "8.00000000000e+307 0.00000000000e+00\n"
+        )
+        assert outputs["inverse"] == (
+            "0.00000000000e+00 1.25000000000e-308\n"
+            "1.25000000000e-308 0.00000000000e+00\n"
+        )
 
 
 class TestClosedFormsSkipXAndR:
