@@ -403,40 +403,20 @@ def _suite_text(report) -> str:
 
 
 def _parse_corpus_file(path: str) -> list:
-    from .verify import GraphSpec
-
     try:
         entries = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise UsageError(f"corpus file is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise UsageError("corpus file must hold a JSON list of generation specs")
-    specs = []
-    for position, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or not {"model", "n", "s", "seed"} <= set(
-            entry
-        ):
-            raise UsageError(
-                f"corpus entry #{position} must be an object with at least "
-                "the keys model, n, s, seed"
-            )
-        unknown = set(entry) - {"model", "n", "s", "seed", "p"}
-        if unknown:
-            raise UsageError(
-                f"corpus entry #{position} has unknown key(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        specs.append(GraphSpec(**entry))
-    return specs
+    return entries
 
 
 def _corpus_text(entries) -> str:
     lines = []
     for e in entries:
         spec = e.spec
-        label = f"model={spec.model} n={spec.n} s={spec.s} seed={spec.seed}"
-        if spec.p is not None:
-            label += f" p={spec.p}"
+        label = " ".join(f"{key}={value}" for key, value in spec.as_dict().items())
         if e.error is not None:
             lines.append(f"{label}: GENERATION FAILURE ({e.error})")
         else:

@@ -105,8 +105,8 @@ class MatrixWeightedGraph:
     it finds, else stores ``endpoints`` as the read-only ``(m, 2)`` intp
     array of the pairs, ``u < v``, sorted lexicographically, and
     ``weights`` as the read-only ``(m, s, s)`` float64 stack of the
-    weights in the same order, each exactly symmetrized
-    (``(W + W') / 2``).  :attr:`edges` presents the same data
+    weights in the same order, each exactly symmetrized (``(W + W') / 2``)
+    once, by the validation.  :attr:`edges` presents the same data
     as :class:`Edge` records, built on first access.
     """
 
@@ -118,7 +118,7 @@ class MatrixWeightedGraph:
     def __post_init__(self):
         endpoints, stack = _checked(self.n, self.s, self.endpoints, self.weights)
         object.__setattr__(self, "endpoints", linalg.frozen(endpoints))
-        object.__setattr__(self, "weights", linalg.frozen(linalg.symmetric_mean(stack)))
+        object.__setattr__(self, "weights", linalg.frozen(stack))
 
     @property
     def m(self) -> int:
@@ -230,8 +230,8 @@ def _require_sizes(n, s) -> None:
 def _checked(n, s, endpoints, weights):
     """Validate graph data given as endpoint pairs and per-edge weights.
 
-    Returns the ``(m, 2)`` endpoint pairs and ``(m, s, s)`` weights, both
-    sorted lexicographically by endpoint pair, or raises
+    Returns the ``(m, 2)`` endpoint pairs and the symmetrized ``(m, s, s)``
+    weights, both sorted lexicographically by endpoint pair, or raises
     :class:`GraphError` listing every problem in edge order, joined by
     ``"; "``.  Checks: vertex and block counts, endpoint ranges and
     ordering, duplicate edges, weight shape, finiteness, symmetry
@@ -284,7 +284,8 @@ def _checked(n, s, endpoints, weights):
     for k, shape in wrong.items():
         found[k] = f"{label(k)}: weight shape {shape} != ({s}, {s})"
     usable = usable[~np.isin(usable, list(wrong))]
-    for position, message in _weight_problems(stack).items():
+    problems, stack = _weight_problems(stack)
+    for position, message in problems.items():
         k = usable[position]
         found[k] = f"{label(k)}: {message}"
 
@@ -295,13 +296,14 @@ def _checked(n, s, endpoints, weights):
     return pairs[order], stack[order]
 
 
-def _weight_problems(stack: np.ndarray) -> dict[int, str]:
+def _weight_problems(stack: np.ndarray) -> tuple[dict[int, str], np.ndarray]:
     """The first finiteness, symmetry or definiteness problem of each
-    weight of an ``(k, s, s)`` stack that has one, keyed by its position.
+    weight of an ``(k, s, s)`` stack that has one, keyed by its position,
+    and :func:`linalg.symmetric_mean` of its finite, symmetric weights.
     A weight is definite when ``lambda_min > s eps lambda_max``."""
     found: dict[int, str] = {}
     if not len(stack):
-        return found
+        return found, stack
     finite = np.isfinite(stack).all(axis=(1, 2))
     for k in np.flatnonzero(~finite):
         found[k] = "weight has non-finite entries"
@@ -315,20 +317,18 @@ def _weight_problems(stack: np.ndarray) -> dict[int, str]:
     for k, g in zip(checked[asymmetric], gap[asymmetric]):
         found[k] = f"weight is not symmetric (max asymmetry {g:.3e})"
     checked = checked[~asymmetric]
-    w = w[~asymmetric]
-    w = linalg.symmetric_mean(w)
+    w = linalg.symmetric_mean(w[~asymmetric])
     # One batched Cholesky proves the usual case definite; the eigenvalues
     # decide, and name the smallest, only when it gives no proof.
     rtol = linalg.default_rank_tol(stack.shape[1])
     if linalg.certified_definite(w, rtol):
-        return found
+        return found, w
     spectra = np.linalg.eigvalsh(w)
-    largest = spectra[:, -1]
-    smallest = spectra[:, 0]
+    smallest, largest = spectra[:, 0], spectra[:, -1]
     lost = (largest <= 0.0) | (smallest <= rtol * largest)
     for k, low in zip(checked[lost], smallest[lost]):
         found[k] = f"weight is not positive definite (smallest eigenvalue {low:.6e})"
-    return found
+    return found, w
 
 
 def from_edges(n: int, s: int, edges) -> MatrixWeightedGraph:

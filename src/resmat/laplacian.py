@@ -57,12 +57,16 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     floating-point terms (residuals at the level of the last place, far
     below any tolerance used downstream).
 
-    Raises :class:`NumericError` when an inverse weight overflows: the
-    trace, which bounds every entry of the semidefinite ``L``, is not finite.
+    Raises :class:`NumericError`, its message naming the cause, when an
+    inverse weight or the trace (which bounds every entry of ``L``) overflows.
     """
     n, s = g.n, g.s
     us, vs = g.endpoints.T
     inverse_weights = linalg._symmetric_inverse(g.weights)
+    if not np.isfinite(inverse_weights).all():
+        raise linalg.NumericError(
+            "Laplacian trace is not finite: an inverse edge weight overflows"
+        )
     body = np.zeros((n * s, n * s))
     blocks = body.reshape(n, s, n, s)
     blocks[us, :, vs, :] = -inverse_weights
@@ -70,14 +74,14 @@ def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     # Interleave each edge's two endpoints so ``add.at`` (which applies its
     # updates in order) sums every vertex's blocks in canonical edge order.
     diagonal = np.zeros((n, s, s))
-    np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
-    vertices = np.arange(n)
-    blocks[vertices, :, vertices, :] = diagonal
     with np.errstate(over="ignore"):
+        np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
+        vertices = np.arange(n)
+        blocks[vertices, :, vertices, :] = diagonal
         trace = np.trace(body)
     if not math.isfinite(trace):
         raise linalg.NumericError(
-            "Laplacian trace is not finite: an inverse edge weight overflows"
+            "Laplacian trace is not finite: a sum of inverse edge weights overflows"
         )
     return linalg.frozen(body)
 

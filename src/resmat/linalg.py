@@ -144,8 +144,8 @@ def certified_definite(a: np.ndarray, rtol: float) -> bool:
 
 
 def symmetric_mean(a: np.ndarray) -> np.ndarray:
-    """``(A + A') / 2`` over the last two axes, bit for bit, save that an
-    entry whose sum overflows is ``a / 2 + a' / 2``, exact there."""
+    """The package's one ``(A + A') / 2``, over the last two axes: bit for
+    bit, save that an entry whose sum overflows is ``a / 2 + a' / 2``, exact there."""
     t = np.swapaxes(a, -1, -2)
     with np.errstate(over="ignore"):
         mean = a + t
@@ -240,8 +240,7 @@ def pseudo_inverse(a) -> np.ndarray:
     keep = values > band
     inverted = np.zeros(n)
     inverted[keep] = 1.0 / values[keep]
-    g = (v * inverted) @ v.T
-    return (g + g.T) / 2.0
+    return symmetric_mean((v * inverted) @ v.T)
 
 
 def _symmetric_inverse(w: np.ndarray) -> np.ndarray:
@@ -255,12 +254,11 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
     """Inverse square root ``W^{-1/2}`` of each matrix of an exactly
     symmetric positive definite float64 ``(..., k, k)`` stack, by one
     batched eigensolve: the unique symmetric positive definite ``S`` with
-    ``S W S = I``, symmetrized so it is exactly symmetric."""
+    ``S W S = I``, made exactly symmetric by :func:`symmetric_mean`."""
     values, vectors = np.linalg.eigh(w)
-    root = (vectors * (1.0 / np.sqrt(values))[..., None, :]) @ np.swapaxes(
-        vectors, -1, -2
+    return symmetric_mean(
+        (vectors * (1.0 / np.sqrt(values))[..., None, :]) @ np.swapaxes(vectors, -1, -2)
     )
-    return (root + np.swapaxes(root, -1, -2)) / 2.0
 
 
 def value_from_slog(sign: float, log_abs: float) -> float:

@@ -62,13 +62,17 @@ __all__ = [
 #: flagged low-confidence in reports (computation still proceeds).
 CONDITION_CONFIDENCE_LIMIT = 1e12
 
-#: Each side of an interlacing inequality holds with slack
-#: ``INTERLACE_SLACK_RTOL * (1 + |bound|)``.
+#: Relative slack of each side of an interlacing inequality.
 INTERLACE_SLACK_RTOL = 1e-9
 
 #: Largest diagonal block of the recursive triangular inverse that LAPACK
 #: inverts directly.
 _LEAF_ORDER = 64
+
+
+def _interlace_slack(bound: float) -> float:
+    """``INTERLACE_SLACK_RTOL * (1 + |bound|)``: each side's slack in a row."""
+    return INTERLACE_SLACK_RTOL * (1.0 + abs(bound))
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,7 @@ class InterlaceRow:
 
     ``index`` is the 1-based ``i``; ``lower`` and ``upper`` are the two
     resistance eigenvalues, ``bound`` the negated reciprocal Laplacian
-    eigenvalue; ``holds`` allows slack ``INTERLACE_SLACK_RTOL * (1 + |bound|)``
-    per side.
+    eigenvalue; ``holds`` allows each side the slack of :func:`_interlace_slack`.
     """
 
     index: int
@@ -321,13 +324,11 @@ class ResistanceWorkspace:
         """Inverse of the resistance matrix by the closed form
         ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve).
 
-        The sums run in place, so three ``ns x ns`` temporaries suffice."""
+        Summing in place, three float and one bool ``ns x ns`` temporaries suffice."""
         middle = np.linalg.solve(self.deficit_form, self.deficit.T)
         f = -0.5 * self.laplacian
         f += self.deficit @ middle
-        symmetric = f + f.T
-        symmetric /= 2.0
-        return symmetric
+        return linalg.symmetric_mean(f)
 
     def inertia(self) -> linalg.Inertia:
         """Eigenvalue sign counts of the resistance matrix (always
@@ -352,7 +353,7 @@ class ResistanceWorkspace:
             bound = -2.0 / lam_i
             lower = float(mu[s + i - 1])
             upper = float(mu[i - 1])
-            slack = INTERLACE_SLACK_RTOL * (1.0 + abs(bound))
+            slack = _interlace_slack(bound)
             holds = (lower <= bound + slack) and (bound <= upper + slack)
             rows.append(InterlaceRow(i, lower, bound, upper, holds))
         return rows

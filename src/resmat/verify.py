@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .graph import (
     star_graph,
 )
 from .laplacian import _shift, build_incidence, stacked_identity
-from .resistance import INTERLACE_SLACK_RTOL, ResistanceWorkspace
+from .resistance import ResistanceWorkspace, _interlace_slack
 
 __all__ = [
     "UnknownCheckError",
@@ -115,7 +115,8 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Parameters for one :func:`random_graph` call in a corpus run."""
+    """Parameters for one :func:`random_graph` call in a corpus run; a dict
+    corpus entry gives them as its keys, each field without a default required."""
 
     model: str
     n: int
@@ -124,10 +125,7 @@ class GraphSpec:
     p: float | None = None
 
     def as_dict(self) -> dict:
-        d = {"model": self.model, "n": self.n, "s": self.s, "seed": self.seed}
-        if self.p is not None:
-            d["p"] = self.p
-        return d
+        return {k: v for k, v in asdict(self).items() if k != "p" or v is not None}
 
 
 @dataclass(frozen=True)
@@ -401,9 +399,8 @@ def _check_interlace(ws: ResistanceWorkspace):
     worst = 0.0
     failing = []
     for row in rows:
-        slack = INTERLACE_SLACK_RTOL * (1.0 + abs(row.bound))
         violation = max(row.lower - row.bound, row.bound - row.upper)
-        worst = max(worst, violation - slack)
+        worst = max(worst, violation - _interlace_slack(row.bound))
         if not row.holds:
             failing.append(row.index)
     residual = max(0.0, worst)
@@ -434,17 +431,19 @@ def _check_cofactor_eq(ws: ResistanceWorkspace):
 #: Index sets each ``PINV_SUBMATRIX`` instance aims to sample.
 _PINV_SETS_PER_INSTANCE = 5
 
+#: Relative scale at which each test of ``PINV_SUBMATRIX`` calls a matrix singular.
+_NONSINGULAR_RTOL = 1e-10
+
 
 def _pinv_submatrix_sets(rng, a: np.ndarray, max_size: int):
     """Sample index sets ``S`` whose principal submatrix ``A[S, S]`` of the
     positive semidefinite ``a`` is numerically invertible.
 
     A draw is accepted when the Cholesky factorization of ``A[S, S]``
-    succeeds and its smallest squared pivot clears ``1e-10`` times the
-    largest diagonal entry of ``A[S, S]`` (the largest entry of a positive
-    semidefinite matrix), the relative scale of
-    :func:`numerically_nonsingular`.  Up to ``_PINV_SETS_PER_INSTANCE``
-    sets are returned, each after at most 40 draws.
+    succeeds and its smallest squared pivot clears ``_NONSINGULAR_RTOL``
+    times its largest diagonal entry (the largest entry of a positive
+    semidefinite matrix).  Up to ``_PINV_SETS_PER_INSTANCE`` sets are
+    returned, each after at most 40 draws.
     """
     order = a.shape[0]
     sets = []
@@ -457,7 +456,7 @@ def _pinv_submatrix_sets(rng, a: np.ndarray, max_size: int):
                 pivots = np.diag(np.linalg.cholesky(block))
             except np.linalg.LinAlgError:
                 continue
-            if float(pivots.min()) ** 2 > 1e-10 * float(block.diagonal().max()):
+            if float(pivots.min()) ** 2 > _NONSINGULAR_RTOL * block.diagonal().max():
                 sets.append(rows)
                 break
     return sets
@@ -483,10 +482,10 @@ def numerically_nonsingular(b) -> bool:
     eigenvectors.
     """
     b = linalg.symmetrize(b)
-    if linalg.certified_definite(b, 1e-10):
+    if linalg.certified_definite(b, _NONSINGULAR_RTOL):
         return True
-    singular_values = np.abs(np.linalg.eigvalsh(b))
-    return float(singular_values.min()) > 1e-10 * float(singular_values.max())
+    singular_values = np.abs(np.linalg.eigvalsh(b)).tolist()
+    return min(singular_values) > _NONSINGULAR_RTOL * max(singular_values)
 
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
@@ -690,16 +689,33 @@ def run_suite(
     return SuiteReport(_descriptor(g, ws, model, seed), results, passed)
 
 
+def _spec(position: int, entry) -> GraphSpec:
+    """Corpus entry ``position`` (1-based) as a :class:`GraphSpec`, else GraphError."""
+    if isinstance(entry, GraphSpec):
+        return entry
+    required = [f.name for f in fields(GraphSpec) if f.default is MISSING]
+    if not isinstance(entry, dict) or not entry.keys() >= set(required):
+        raise GraphError(
+            f"corpus entry #{position} must be an object with at least "
+            f"the keys {', '.join(required)}"
+        )
+    unknown = sorted(map(str, entry.keys() - {f.name for f in fields(GraphSpec)}))
+    if unknown:
+        raise GraphError(
+            f"corpus entry #{position} has unknown key(s): {', '.join(unknown)}"
+        )
+    return GraphSpec(**entry)
+
+
 def run_corpus(specs) -> list[CorpusEntry]:
-    """Run the full registry over a list of :class:`GraphSpec` entries.
+    """Run the full registry over a list of :class:`GraphSpec` entries, or
+    dicts of their fields, all validated before any graph is generated.
 
     Generation failures (retry exhaustion, invalid parameters) are captured
     per entry rather than aborting the run.
     """
     entries = []
-    for spec in specs:
-        if not isinstance(spec, GraphSpec):
-            spec = GraphSpec(**spec)
+    for spec in [_spec(position, entry) for position, entry in enumerate(specs, 1)]:
         try:
             g = random_graph(spec.n, spec.s, spec.model, spec.seed, spec.p)
         except (GraphError, GenerationError) as exc:

@@ -362,6 +362,26 @@ class TestCompute:
             "an inverse edge weight overflows\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", what] for what in ("laplacian", "det", "chi", "inverse")]
+        + [["verify"]],
+    )
+    def test_overflowing_laplacian_trace(self, capsys, tmp_path, argv):
+        # The inverse weight 1e308 is finite, but the trace 2e308 is not: the
+        # message names the sum, not the weight.
+        path = tmp_path / "tiny.json"
+        path.write_text(
+            '{"n": 2, "s": 1, "edges": [{"u": 1, "v": 2, "w": [[1e-308]]}]}'
+        )
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == (
+            "error: Laplacian trace is not finite: "
+            "a sum of inverse edge weights overflows\n"
+        )
+
     def test_weight_beyond_float_range(self, tmp_path):
         # json reads the literal as a Python int that float64 cannot hold.
         path = tmp_path / "huge.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resmat import graph
+from resmat import graph, linalg
 from resmat.graph import (
     GNP_MAX_ATTEMPTS,
     RANDOM_MODELS,
@@ -1009,7 +1009,10 @@ class TestDefinitenessScreen:
         # the cutoff is ever certified.
         if any(r is not None and r <= s * EPS for r in ratios):
             assert not certified
-        assert graph._weight_problems(stack) == _reference_weight_problems(stack)
+        problems, symmetric = graph._weight_problems(stack)
+        assert problems == _reference_weight_problems(stack)
+        # The stack is exactly symmetric, so its mean is the stack itself.
+        assert symmetric.tobytes() == stack.tobytes()
 
     def test_valid_document_needs_no_eigenvalues(self, monkeypatch):
         text = serialize(random_graph(100, 3, "gnp", seed=11000, p=0.25))
@@ -1027,9 +1030,30 @@ class TestDefinitenessScreen:
 
     def test_a_refused_weight_is_named_by_its_eigenvalue(self):
         stack = np.array([np.eye(2), np.diag([1.0, -2.0]), np.eye(2)])
-        assert graph._weight_problems(stack) == {
+        assert graph._weight_problems(stack)[0] == {
             1: "weight is not positive definite (smallest eigenvalue -2.000000e+00)"
         }
+
+    def test_construction_averages_the_weights_once(self, monkeypatch):
+        calls = []
+        mean = linalg.symmetric_mean
+
+        def counting(a):
+            calls.append(a.shape)
+            return mean(a)
+
+        # Slightly asymmetric weights, given out of canonical order.
+        rng = np.random.default_rng(7)
+        weights = [
+            random_pd_weight(rng, 3) + 1e-12 * rng.standard_normal((3, 3))
+            for _ in range(4)
+        ]
+        monkeypatch.setattr(linalg, "symmetric_mean", counting)
+        g = MatrixWeightedGraph(5, 3, [(3, 4), (0, 1), (1, 2), (0, 3)], weights)
+        assert calls == [(4, 3, 3)]
+        for stored, k in zip(g.weights, (1, 3, 2, 0)):
+            w = weights[k]
+            assert stored.tobytes() == ((w + w.T) / 2.0).tobytes()
 
 
 class TestEdgeDataclass:

@@ -197,6 +197,24 @@ class TestBuildLaplacian:
             build()
             assert len(calls) == 1, name
 
+    @pytest.mark.parametrize(
+        "g, cause",
+        [
+            # The inverse weight 1e310 is beyond the double range.
+            (path_graph(2, 1, np.array([[1e-310]])), "an inverse edge weight"),
+            (path_graph(2, 2, 1e-310 * np.eye(2)), "an inverse edge weight"),
+            # The inverse weight 1e308 is finite; the trace 2e308 is not.
+            (path_graph(2, 1, np.array([[1e-308]])), "a sum of inverse edge weights"),
+            # So is the center's diagonal block, a sum of two such weights.
+            (star_graph(2, 1, np.array([[1e-308]])), "a sum of inverse edge weights"),
+        ],
+        ids=["weight", "weight-s2", "trace", "diagonal-block"],
+    )
+    def test_overflow_names_its_cause(self, g, cause):
+        with pytest.raises(NumericError) as info:
+            build_laplacian(g)
+        assert str(info.value) == f"Laplacian trace is not finite: {cause} overflows"
+
     def test_unit_weights_reduce_to_scalar_laplacian(self):
         g = cycle_graph(4, 3)
         scalar = build_laplacian(cycle_graph(4))

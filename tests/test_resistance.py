@@ -29,6 +29,7 @@ from resmat.linalg import (
     max_norm,
     pseudo_inverse,
     sym_eigenvalues,
+    symmetrize,
     value_from_slog,
 )
 from resmat.resistance import (
@@ -40,7 +41,7 @@ from resmat.resistance import (
     _invert_lower,
     _shift,
 )
-from resmat.verify import run_suite
+from resmat.verify import run_suite, standard_corpus
 
 
 @pytest.fixture(scope="module")
@@ -736,3 +737,38 @@ class TestRFreeRoute:
             big.resistance
         )
         assert max_norm(big.deficit - ws.deficit) <= 1e-12
+
+
+
+def test_means_bitwise_equal_to_written_out_expressions():
+    # The means of a matrix and its transpose, all taken by
+    # linalg.symmetric_mean, against the expressions each site used to
+    # write out, on every graph of the standard corpus.
+    for _, g in standard_corpus():
+        ws = ResistanceWorkspace(g)
+        f = -0.5 * ws.laplacian
+        f += ws.deficit @ np.linalg.solve(ws.deficit_form, ws.deficit.T)
+        assert ws.inverse().tobytes() == ((f + f.T) / 2.0).tobytes()
+
+        values, vectors = np.linalg.eigh(g.weights)
+        root = (vectors * (1.0 / np.sqrt(values))[..., None, :]) @ np.swapaxes(
+            vectors, -1, -2
+        )
+        roots = (root + np.swapaxes(root, -1, -2)) / 2.0
+        q = np.zeros((g.n * g.s, g.m * g.s))
+        blocks = q.reshape(g.n, g.s, g.m, g.s)
+        for k, (u, v) in enumerate(g.endpoints.tolist()):
+            blocks[u, :, k, :] = roots[k]
+            blocks[v, :, k, :] = -roots[k]
+        assert build_incidence(g).tobytes() == q.tobytes()
+
+        if g.s == 1:
+            values, vectors = np.linalg.eigh(symmetrize(ws.laplacian))
+            values, v = values[::-1], np.ascontiguousarray(vectors[:, ::-1])
+            band = g.n * np.finfo(float).eps * float(np.max(np.abs(values)))
+            keep = values > band
+            inverted = np.zeros(g.n)
+            inverted[keep] = 1.0 / values[keep]
+            h = (v * inverted) @ v.T
+            expected = (h + h.T) / 2.0
+            assert pseudo_inverse(ws.laplacian).tobytes() == expected.tobytes()

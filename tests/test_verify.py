@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from resmat.graph import (
+    GraphError,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -25,6 +26,7 @@ from resmat.linalg import (
     max_norm,
     symmetrize,
 )
+from resmat.cli import main
 from resmat.resistance import InterlaceRow, ResistanceWorkspace
 from resmat.verify import (
     CHECK_IDS,
@@ -40,6 +42,11 @@ from resmat.verify import (
     scalar_resistance_oracle,
     standard_corpus,
     tree_distance_matrix,
+)
+
+#: The error of a corpus entry that is not an object with every required key.
+MISSING_KEYS = (
+    "corpus entry #1 must be an object with at least the keys model, n, s, seed"
 )
 
 EXPECTED_IDS = (
@@ -712,6 +719,45 @@ class TestRunCorpus:
             "seed": 9,
         }
         assert GraphSpec("gnp", 4, 2, seed=9, p=0.5).as_dict()["p"] == 0.5
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                {"model": "tree", "n": 4, "s": 1, "seed": 1, "bogus": 2, "extra": 3},
+                "corpus entry #1 has unknown key(s): bogus, extra",
+            ),
+            ({"model": "tree", "n": 4, "s": 1}, MISSING_KEYS),
+            (["tree", 4, 1, 1], MISSING_KEYS),
+            (7, MISSING_KEYS),
+        ],
+        ids=["unknown-keys", "no-seed", "list", "number"],
+    )
+    def test_malformed_dict_spec(self, capsys, tmp_path, entry, message):
+        with pytest.raises(GraphError) as info:
+            run_corpus([entry])
+        assert str(info.value) == message
+        # The same text the CLI prints for the same corpus file.
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([entry]))
+        assert main(["verify", "--corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_every_entry_is_checked_before_any_runs(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return random_graph(*args)
+
+        monkeypatch.setattr(verify, "random_graph", counting)
+        good = {"model": "tree", "n": 4, "s": 1, "seed": 1}
+        with pytest.raises(GraphError, match="corpus entry #2 has unknown key"):
+            run_corpus([good, {**good, "bogus": 2}])
+        assert calls == []
+        run_corpus([good, GraphSpec("tree", 4, 1, seed=1)])
+        assert len(calls) == 2
 
     def test_corpus_entry_passed_logic(self):
         spec = GraphSpec("tree", 4, 1, seed=0)
