@@ -142,7 +142,9 @@ def shifted_cholesky(
         smallest = float(np.min(pivots)) ** 2
     except np.linalg.LinAlgError:
         smallest = 0.0
-    if smallest <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
+    # max|M| with no |M| temporary; M is finite.
+    largest = max(shift_body.max(), -shift_body.min())
+    if smallest <= linalg.default_rank_tol(n * s) * largest:
         raise linalg.NumericError(
             "shifted Laplacian is numerically singular; "
             "the graph is not usably connected"

@@ -43,7 +43,7 @@ from .graph import (
     random_pd_weight,
     star_graph,
 )
-from .laplacian import _shift, build_incidence, stacked_identity
+from .laplacian import build_incidence, stacked_identity
 from .resistance import ResistanceWorkspace, _interlace_slack
 
 __all__ = [
@@ -435,31 +435,56 @@ _PINV_SETS_PER_INSTANCE = 5
 _NONSINGULAR_RTOL = 1e-10
 
 
-def _pinv_submatrix_sets(rng, a: np.ndarray, max_size: int):
-    """Sample index sets ``S`` whose principal submatrix ``A[S, S]`` of the
-    positive semidefinite ``a`` is numerically invertible.
+def _shifted_block(source: np.ndarray, rows: np.ndarray, n: int, s: int, scale):
+    """``_shift(source, n, s, scale)[rows][:, rows]`` bit for bit, with no
+    shifted copy of ``source``: the principal block is gathered, then the
+    projector's ``scale / n`` is added where ``p = q (mod s)`` and ``0.0``
+    elsewhere, as the shift adds it (turning ``-0.0`` into ``0.0``).  With
+    ``scale=None`` it is ``source[rows][:, rows]``."""
+    block = source.take(rows, axis=0).take(rows, axis=1)
+    if scale is not None:
+        phase = rows % s
+        block += (scale / n) * np.equal.outer(phase, phase)
+    return block
 
-    A draw is accepted when the Cholesky factorization of ``A[S, S]``
-    succeeds and its smallest squared pivot clears ``_NONSINGULAR_RTOL``
-    times its largest diagonal entry (the largest entry of a positive
-    semidefinite matrix).  Up to ``_PINV_SETS_PER_INSTANCE`` sets are
-    returned, each after at most 40 draws.
+
+def _pinv_submatrix_sets(rng, source: np.ndarray, n: int, s: int, scale=None):
+    """Sample index sets ``S`` whose principal submatrix ``A[S, S]`` of the
+    positive semidefinite ``A``, that is ``source`` shifted by ``scale``
+    as in :func:`_shifted_block`, is numerically invertible.
+
+    Each draw takes a size from 1 to ``ns - s``, then that many distinct
+    indices.  It is accepted when the Cholesky factorization of
+    ``A[S, S]`` succeeds and its smallest squared pivot clears
+    ``_NONSINGULAR_RTOL`` times its largest diagonal entry (the largest
+    entry of a positive semidefinite matrix).  Up to
+    ``_PINV_SETS_PER_INSTANCE`` sets are returned, each after at most 40
+    draws.
     """
-    order = a.shape[0]
+    order = n * s
     sets = []
     for _ in range(_PINV_SETS_PER_INSTANCE):
         for _ in range(40):
-            size = int(rng.integers(1, max_size + 1))
+            size = int(rng.integers(1, order - s + 1))
             rows = np.sort(rng.choice(order, size=size, replace=False))
-            block = a[rows[:, np.newaxis], rows]
+            block = _shifted_block(source, rows, n, s, scale)
             try:
-                pivots = np.diag(np.linalg.cholesky(block))
+                pivots = np.linalg.cholesky(block).diagonal()
             except np.linalg.LinAlgError:
                 continue
             if float(pivots.min()) ** 2 > _NONSINGULAR_RTOL * block.diagonal().max():
                 sets.append(rows)
                 break
     return sets
+
+
+def _nonsingular(b: np.ndarray) -> bool:
+    """:func:`numerically_nonsingular`'s rule on an exactly symmetric,
+    finite float64 ``b``, whose diagonal it shifts and puts back."""
+    if linalg.certified_definite(b, _NONSINGULAR_RTOL):
+        return True
+    singular_values = np.abs(np.linalg.eigvalsh(b)).tolist()
+    return min(singular_values) > _NONSINGULAR_RTOL * max(singular_values)
 
 
 def numerically_nonsingular(b) -> bool:
@@ -481,34 +506,43 @@ def numerically_nonsingular(b) -> bool:
     nearly singular ``B``), the eigenvalues of ``B`` decide, taken with no
     eigenvectors.
     """
-    b = linalg.symmetrize(b)
-    if linalg.certified_definite(b, _NONSINGULAR_RTOL):
-        return True
-    singular_values = np.abs(np.linalg.eigvalsh(b)).tolist()
-    return min(singular_values) > _NONSINGULAR_RTOL * max(singular_values)
+    return _nonsingular(linalg.symmetrize(b))
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """True when ``a`` is finite and equals its transpose bit for bit, signed
+    zeros included, so that :func:`linalg.symmetrize` would hand back a
+    copy of each of its principal blocks, shifted or not."""
+    bits = a.view(np.int64)
+    return bool(np.isfinite(a).all() and np.array_equal(bits, bits.T))
 
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
     g = ws.graph
-    ns = g.n * g.s
+    lap, x, lap_pinv = ws.laplacian, ws.shifted_inverse, ws.pseudoinverse
+    # A block of an exactly symmetric source goes to the rule directly,
+    # since symmetrize would hand it back unchanged.
+    decide_lap, decide_x = (
+        _nonsingular if _exactly_symmetric(a) else numerically_nonsingular
+        for a in (lap, x)
+    )
     # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and
-    # P act on complementary subspaces.
+    # P act on complementary subspaces.  Each instance is A and its
+    # inverse, each a cached source with the scale of its shift, and the
+    # inverse's rule; only the sampled blocks are ever shifted.
     instances = [
-        lambda: (ws.pseudoinverse, ws.laplacian),
-        lambda: (_shift(ws.laplacian, g.n, g.s, ws.shift_scale), ws.shifted_inverse),
-        lambda: (_shift(ws.pseudoinverse, g.n, g.s), _shift(ws.laplacian, g.n, g.s)),
+        (lap_pinv, None, lap, None, decide_lap),
+        (lap, ws.shift_scale, x, None, decide_x),
+        (lap_pinv, 1.0, lap, 1.0, decide_lap),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0
     sampled = 0
-    # Each instance is built in its turn and let go before the next.
-    for instance in instances:
-        a, a_pinv = instance()
-        for rows in _pinv_submatrix_sets(rng, a, ns - g.s):
+    for a, a_scale, a_pinv, pinv_scale, decide in instances:
+        for rows in _pinv_submatrix_sets(rng, a, g.n, g.s, a_scale):
             sampled += 1
-            if not numerically_nonsingular(a_pinv[rows[:, np.newaxis], rows]):
+            if not decide(_shifted_block(a_pinv, rows, g.n, g.s, pinv_scale)):
                 violations += 1
-        del a, a_pinv
     targeted = len(instances) * _PINV_SETS_PER_INSTANCE
     details = (
         f"sampled {sampled} of {targeted} targeted invertible principal "

@@ -103,6 +103,45 @@ class TestSymmetricMean:
 
 
 class TestSymmetrize:
+    @staticmethod
+    def counting_means(monkeypatch):
+        calls = []
+
+        def recording(a):
+            calls.append(a.shape)
+            return symmetric_mean(a)
+
+        monkeypatch.setattr("resmat.linalg.symmetric_mean", recording)
+        return calls
+
+    def test_exactly_symmetric_input_is_copied(self, monkeypatch):
+        # Signed zeros, subnormals and entries whose sum overflows: the
+        # mean of a bitwise symmetric matrix is the matrix, and so is the
+        # copy returned at once.
+        big = 1.7e308
+        a = np.array(
+            [
+                [-0.0, 5e-324, -big, 0.0],
+                [5e-324, big, -0.0, 3e-310],
+                [-big, -0.0, -5e-324, 1.0],
+                [0.0, 3e-310, 1.0, big],
+            ]
+        )
+        calls = self.counting_means(monkeypatch)
+        out = symmetrize(a)
+        assert calls == []
+        assert out.tobytes() == symmetric_mean(a).tobytes() == a.tobytes()
+        assert out is not a and not np.shares_memory(out, a)
+        assert out.flags.writeable
+
+    def test_mismatched_signed_zeros_take_the_mean(self, monkeypatch):
+        a = np.array([[1.0, -0.0, 2.0], [0.0, 1.0, 3.0], [2.0, 3.0, 1.0]])
+        calls = self.counting_means(monkeypatch)
+        out = symmetrize(a)
+        assert calls == [(3, 3)]
+        assert out.tobytes() == symmetric_mean(a).tobytes()
+        assert not np.signbit(out).any()
+
     def test_averages_roundoff_asymmetry(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
         out = symmetrize(a)

@@ -545,7 +545,9 @@ class TestPinvSubmatrixSampling:
         assert result.details.startswith("sampled 0 of 15 targeted")
 
     def test_singular_submatrix_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(verify, "numerically_nonsingular", lambda b: False)
+        # Every block, of an exactly symmetric source or not, is decided by
+        # the one rule.
+        monkeypatch.setattr(verify, "_nonsingular", lambda b: False)
         result = run_check(cycle_graph(4, 2), "PINV_SUBMATRIX")
         sampled = int(re.match(r"sampled (\d+) of 15 targeted", result.details)[1])
         assert not result.passed
@@ -554,9 +556,118 @@ class TestPinvSubmatrixSampling:
     def test_screen_accepts_tiny_well_conditioned_sets(self):
         # The screen is relative: a perfectly conditioned matrix of tiny
         # entries is accepted, where an absolute |det| cutoff rejects it.
+        # Sizes are drawn from 1 to ns - s = 19.
         rng = np.random.default_rng(0)
-        sets = verify._pinv_submatrix_sets(rng, 1e-6 * np.eye(20), 19)
+        sets = verify._pinv_submatrix_sets(rng, 1e-6 * np.eye(20), 20, 1)
         assert len(sets) == 5
+        assert all(1 <= rows.size <= 19 for rows in sets)
+        # So is its tiny shift: 1e-6 (I + P) with P = (1/10) J (x) I_2.
+        rng = np.random.default_rng(0)
+        sets = verify._pinv_submatrix_sets(rng, 1e-6 * np.eye(20), 10, 2, 1e-6)
+        assert len(sets) == 5
+
+    @pytest.mark.parametrize("scale", [None, 1.0, 0.75])
+    def test_block_is_the_shifted_matrix_block_bit_for_bit(self, scale):
+        # Identity weights put -0.0 in L's off-diagonal blocks; the shift
+        # adds 0.0 there and turns it into 0.0, and so must the block.
+        g = path_graph(5, 2)
+        ws = ResistanceWorkspace(g)
+        lap = ws.laplacian
+        assert np.signbit(lap[lap == 0.0]).any()
+        rng = np.random.default_rng(5)
+        for source in (lap, ws.shifted_inverse, ws.pseudoinverse):
+            shifted = source if scale is None else _shift(source, g.n, g.s, scale)
+            for size in list(range(1, 11)) * 3:
+                rows = np.sort(rng.choice(10, size=size, replace=False))
+                block = verify._shifted_block(source, rows, g.n, g.s, scale)
+                expected = shifted[np.ix_(rows, rows)]
+                assert block.tobytes() == expected.tobytes()
+
+    def test_exact_symmetry_counts_the_sign_of_zero(self):
+        a = np.array([[1.0, -0.0], [-0.0, 1.0]])
+        assert verify._exactly_symmetric(a)
+        a[1, 0] = 0.0
+        assert np.array_equal(a, a.T) and not verify._exactly_symmetric(a)
+        assert not verify._exactly_symmetric(np.full((2, 2), np.inf))
+
+    @staticmethod
+    def materialized_route(ws):
+        """The sets and verdicts of the route that built each instance as a
+        matrix: ``_shift`` copies, blocks indexed from them and decided by
+        ``numerically_nonsingular``."""
+        g = ws.graph
+        n, s = g.n, g.s
+        instances = [
+            (ws.pseudoinverse, ws.laplacian),
+            (_shift(ws.laplacian, n, s, ws.shift_scale), ws.shifted_inverse),
+            (_shift(ws.pseudoinverse, n, s), _shift(ws.laplacian, n, s)),
+        ]
+        rng = np.random.default_rng([g.n, g.s, g.m, 1202])
+        sets, verdicts = [], []
+        for a, a_pinv in instances:
+            for _ in range(5):
+                for _ in range(40):
+                    size = int(rng.integers(1, n * s - s + 1))
+                    rows = np.sort(rng.choice(n * s, size=size, replace=False))
+                    block = a[np.ix_(rows, rows)]
+                    try:
+                        pivots = np.diag(np.linalg.cholesky(block))
+                    except np.linalg.LinAlgError:
+                        continue
+                    if pivots.min() ** 2 > 1e-10 * block.diagonal().max():
+                        sets.append(rows)
+                        b = a_pinv[np.ix_(rows, rows)]
+                        verdicts.append((symmetrize(b).tobytes(), numerically_nonsingular(b)))
+                        break
+        return sets, verdicts
+
+    def test_same_sets_and_verdicts_as_the_materialized_route(self, monkeypatch, corpus):
+        graphs = [g for _, g in corpus] + [path_graph(5, 2)]
+        workspaces = [ResistanceWorkspace(g) for g in graphs]
+        expected = [self.materialized_route(ws) for ws in workspaces]
+        sets, verdicts = [], []
+        sampler, rule = verify._pinv_submatrix_sets, verify._nonsingular
+
+        def sampling(*args):
+            drawn = sampler(*args)
+            sets.extend(drawn)
+            return drawn
+
+        def deciding(b):
+            before = b.tobytes()
+            verdict = rule(b)
+            verdicts.append((before, verdict))
+            return verdict
+
+        monkeypatch.setattr(verify, "_pinv_submatrix_sets", sampling)
+        monkeypatch.setattr(verify, "_nonsingular", deciding)
+        # The workspace's L and X are exactly symmetric, so no block of
+        # theirs is symmetrized.
+        symmetrized = []
+        monkeypatch.setattr(linalg, "symmetrize", symmetrized.append)
+        for g, ws, (old_sets, old_verdicts) in zip(graphs, workspaces, expected):
+            sets.clear()
+            verdicts.clear()
+            result = run_check(g, "PINV_SUBMATRIX", ws)
+            assert symmetrized == []
+            assert [r.tolist() for r in sets] == [r.tolist() for r in old_sets]
+            assert verdicts == old_verdicts
+            assert result.residual == sum(not v for _, v in verdicts)
+
+    def test_a_source_not_exactly_symmetric_is_symmetrized(self, monkeypatch):
+        g = cycle_graph(4, 2)
+        direct = run_check(g, "PINV_SUBMATRIX")
+        calls = []
+        screen = verify.numerically_nonsingular
+
+        def recording(b):
+            calls.append(b.shape)
+            return screen(b)
+
+        monkeypatch.setattr(verify, "_exactly_symmetric", lambda a: False)
+        monkeypatch.setattr(verify, "numerically_nonsingular", recording)
+        assert run_check(g, "PINV_SUBMATRIX") == direct
+        assert len(calls) == 15
 
 
 class TestSharedProducts:
