@@ -156,10 +156,14 @@ def symmetric_mean(a: np.ndarray) -> np.ndarray:
     return mean
 
 
+def _bitwise_symmetric(a: np.ndarray) -> bool:
+    """True when the float64 ``a`` equals ``a'`` bit for bit, signed zeros included."""
+    return np.array_equal(a.view(np.int64), a.T.view(np.int64))
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return ``(A + A') / 2``, by :func:`symmetric_mean` (a copy of A if A
-    equals A' bit for bit), after checking A is symmetric to within
-    :data:`SYMMETRY_RTOL`.
+    """Return ``(A + A') / 2``, by :func:`symmetric_mean`, after checking A
+    is symmetric to within :data:`SYMMETRY_RTOL`.
 
     Raises
     ------
@@ -169,8 +173,8 @@ def symmetrize(a) -> np.ndarray:
         averaging it away would mask the bug.
     """
     a = _checked(a)
-    if np.array_equal(a.view(np.int64), a.T.view(np.int64)):
-        return a.copy()
+    if _bitwise_symmetric(a):
+        return a.copy()  # bit for bit its own mean
     # A gap beyond the double range is inf, which the test refuses.
     with np.errstate(over="ignore"):
         gap = np.abs(a - a.T).max()
@@ -195,8 +199,11 @@ class Inertia:
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only and return it: every matrix the
-    engine builds is, so no caller can change what others derived from it."""
+    """Mark a freshly built array read-only and return it.
+
+    Every matrix the engine builds is handed out this way, so no caller can
+    change a result that others have derived from.
+    """
     a.setflags(write=False)
     return a
 

@@ -509,21 +509,16 @@ def numerically_nonsingular(b) -> bool:
     return _nonsingular(linalg.symmetrize(b))
 
 
-def _exactly_symmetric(a: np.ndarray) -> bool:
-    """True when ``a`` is finite and equals its transpose bit for bit, signed
-    zeros included, so that :func:`linalg.symmetrize` would hand back a
-    copy of each of its principal blocks, shifted or not."""
-    bits = a.view(np.int64)
-    return bool(np.isfinite(a).all() and np.array_equal(bits, bits.T))
-
-
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
     g = ws.graph
     lap, x, lap_pinv = ws.laplacian, ws.shifted_inverse, ws.pseudoinverse
-    # A block of an exactly symmetric source goes to the rule directly,
-    # since symmetrize would hand it back unchanged.
+    # Each principal block of a finite, bitwise symmetric source, shifted
+    # or not, is one that symmetrize would hand back unchanged, so it goes
+    # to the rule directly; L and X are built so.
     decide_lap, decide_x = (
-        _nonsingular if _exactly_symmetric(a) else numerically_nonsingular
+        _nonsingular
+        if np.isfinite(a).all() and linalg._bitwise_symmetric(a)
+        else numerically_nonsingular
         for a in (lap, x)
     )
     # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and

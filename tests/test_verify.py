@@ -583,13 +583,6 @@ class TestPinvSubmatrixSampling:
                 expected = shifted[np.ix_(rows, rows)]
                 assert block.tobytes() == expected.tobytes()
 
-    def test_exact_symmetry_counts_the_sign_of_zero(self):
-        a = np.array([[1.0, -0.0], [-0.0, 1.0]])
-        assert verify._exactly_symmetric(a)
-        a[1, 0] = 0.0
-        assert np.array_equal(a, a.T) and not verify._exactly_symmetric(a)
-        assert not verify._exactly_symmetric(np.full((2, 2), np.inf))
-
     @staticmethod
     def materialized_route(ws):
         """The sets and verdicts of the route that built each instance as a
@@ -621,16 +614,33 @@ class TestPinvSubmatrixSampling:
                         break
         return sets, verdicts
 
+    @staticmethod
+    def with_x(g, index, change):
+        """A workspace for ``g`` whose ``X`` (and so ``L^+``) is a copy with
+        ``X[index]`` changed by ``change``, as no construction of the
+        package leaves it."""
+        ws = ResistanceWorkspace(g)
+        x = ws.shifted_inverse.copy()
+        x[index] = change(x[index])
+        ws.__dict__["shifted_inverse"] = x
+        return ws
+
     def test_same_sets_and_verdicts_as_the_materialized_route(self, monkeypatch, corpus):
         graphs = [g for _, g in corpus] + [path_graph(5, 2)]
         workspaces = [ResistanceWorkspace(g) for g in graphs]
+        # X one ulp off symmetric in one entry: its blocks are symmetrized.
+        graphs.append(cycle_graph(4, 2))
+        workspaces.append(self.with_x(graphs[-1], (1, 0), lambda v: np.nextafter(v, 1)))
         expected = [self.materialized_route(ws) for ws in workspaces]
-        sets, verdicts = [], []
-        sampler, rule = verify._pinv_submatrix_sets, verify._nonsingular
+        sets, drawn_per_instance, verdicts, symmetrized = [], [], [], []
+        sampler, rule, symmetrize = (
+            verify._pinv_submatrix_sets, verify._nonsingular, linalg.symmetrize
+        )
 
         def sampling(*args):
             drawn = sampler(*args)
             sets.extend(drawn)
+            drawn_per_instance.append(len(drawn))
             return drawn
 
         def deciding(b):
@@ -639,35 +649,34 @@ class TestPinvSubmatrixSampling:
             verdicts.append((before, verdict))
             return verdict
 
+        def symmetrizing(b):
+            symmetrized.append(b.shape)
+            return symmetrize(b)
+
         monkeypatch.setattr(verify, "_pinv_submatrix_sets", sampling)
         monkeypatch.setattr(verify, "_nonsingular", deciding)
-        # The workspace's L and X are exactly symmetric, so no block of
-        # theirs is symmetrized.
-        symmetrized = []
-        monkeypatch.setattr(linalg, "symmetrize", symmetrized.append)
+        monkeypatch.setattr(linalg, "symmetrize", symmetrizing)
         for g, ws, (old_sets, old_verdicts) in zip(graphs, workspaces, expected):
-            sets.clear()
-            verdicts.clear()
+            for log in (sets, drawn_per_instance, verdicts, symmetrized):
+                log.clear()
             result = run_check(g, "PINV_SUBMATRIX", ws)
-            assert symmetrized == []
             assert [r.tolist() for r in sets] == [r.tolist() for r in old_sets]
             assert verdicts == old_verdicts
             assert result.residual == sum(not v for _, v in verdicts)
+            # L and X as built are exactly symmetric: no block of theirs is
+            # symmetrized.  The nudged X's blocks, of instance 2, all are.
+            nudged = ws is workspaces[-1]
+            assert len(symmetrized) == (drawn_per_instance[1] if nudged else 0)
 
-    def test_a_source_not_exactly_symmetric_is_symmetrized(self, monkeypatch):
+    def test_a_non_finite_source_is_refused_as_before(self):
+        # An inf on X's diagonal is bitwise symmetric, but its blocks still
+        # reach symmetrize, which refuses them as the materialized route did.
         g = cycle_graph(4, 2)
-        direct = run_check(g, "PINV_SUBMATRIX")
-        calls = []
-        screen = verify.numerically_nonsingular
-
-        def recording(b):
-            calls.append(b.shape)
-            return screen(b)
-
-        monkeypatch.setattr(verify, "_exactly_symmetric", lambda a: False)
-        monkeypatch.setattr(verify, "numerically_nonsingular", recording)
-        assert run_check(g, "PINV_SUBMATRIX") == direct
-        assert len(calls) == 15
+        ws = self.with_x(g, (0, 0), lambda v: np.inf)
+        with pytest.raises(NumericError, match="non-finite"):
+            self.materialized_route(self.with_x(g, (0, 0), lambda v: np.inf))
+        with pytest.raises(NumericError, match="non-finite"):
+            run_check(g, "PINV_SUBMATRIX", ws)
 
 
 class TestSharedProducts:
