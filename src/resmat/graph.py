@@ -486,18 +486,25 @@ def parse_graph(text) -> MatrixWeightedGraph:
 def serialize(g: MatrixWeightedGraph) -> str:
     """Serialize to the JSON interchange form (1-based vertices).
 
-    ``parse_graph(serialize(g))`` reproduces the weights bit-for-bit, and
-    the output is byte-identical for equal graphs.
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)`` of the
+    payload ``{"n", "s", "edges": [{"u", "v", "w"}, ...]}``, written
+    directly: one ``%d``/``%r`` template per edge, filled from the nested
+    lists of the endpoints and weights.  ``%r`` is json's text for a finite
+    float, and every weight is finite.  ``parse_graph(serialize(g))``
+    reproduces the weights bit-for-bit, and the output is byte-identical
+    for equal graphs.
     """
-    payload = {
-        "n": g.n,
-        "s": g.s,
-        "edges": [
-            {"u": u + 1, "v": v + 1, "w": w}
-            for (u, v), w in zip(g.endpoints.tolist(), g.weights.tolist())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    row = "        [\n" + ",\n".join(["          %r"] * g.s) + "\n        ]"
+    edge = (
+        '    {\n      "u": %d,\n      "v": %d,\n      "w": [\n'
+        + ",\n".join([row] * g.s)
+        + "\n      ]\n    }"
+    )
+    edges = ",\n".join([
+        edge % (u + 1, v + 1, *chain.from_iterable(w))
+        for (u, v), w in zip(g.endpoints.tolist(), g.weights.tolist())
+    ])
+    return '{\n  "edges": [\n%s\n  ],\n  "n": %d,\n  "s": %d\n}' % (edges, g.n, g.s)
 
 
 def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
@@ -518,27 +525,39 @@ def is_tree(g: MatrixWeightedGraph) -> bool:
 
 def random_pd_weight(rng: np.random.Generator, s: int) -> np.ndarray:
     """One random ``s x s`` positive definite weight: ``B'B + 0.1 s I`` with
-    ``B`` uniform on [-1, 1]."""
-    b = rng.uniform(-1.0, 1.0, size=(s, s))
-    return b.T @ b + 0.1 * s * np.eye(s)
+    ``B`` uniform on [-1, 1]; the single-weight case of :func:`_pd_weights`."""
+    return _pd_weights(rng, 1, s)[0]
 
 
-def _cycle_pairs(n: int) -> list[tuple[int, int]]:
-    """The edges of the ``n``-cycle in canonical order."""
+def _pd_weights(rng: np.random.Generator, m: int, s: int) -> np.ndarray:
+    """``m`` random weights as one ``(m, s, s)`` stack: one uniform draw of
+    the ``(m, s, s)`` block ``B`` on [-1, 1], then ``B'B + 0.1 s I`` for
+    each matrix.  Bit for bit ``m`` successive :func:`random_pd_weight`
+    calls: the generator fills the block from the stream in that order,
+    and the batched product runs the same per-matrix kernel as ``b.T @ b``."""
+    b = rng.uniform(-1.0, 1.0, size=(m, s, s))
+    return b.swapaxes(1, 2) @ b + 0.1 * s * np.eye(s)
+
+
+def _cycle_pairs(n: int) -> np.ndarray:
+    """The edges of the ``n``-cycle in canonical order, as one ``(n, 2)``
+    array."""
     if n < 3:
         raise GraphError("cycle model requires n >= 3")
-    return [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+    return np.array([(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)])
 
 
-def _complete_pairs(n: int) -> list[tuple[int, int]]:
-    """The edges of the complete graph on ``n`` vertices in canonical order."""
-    return [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
+def _complete_pairs(n: int) -> np.ndarray:
+    """The edges of the complete graph on ``n`` vertices in canonical order,
+    as one ``(n (n - 1) / 2, 2)`` array."""
+    return np.column_stack(np.triu_indices(n, 1))
 
 
-def _gnp_pairs(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
+def _gnp_pairs(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    candidates = _complete_pairs(n)
     for _ in range(GNP_MAX_ATTEMPTS):
-        pairs = [pair for pair in _complete_pairs(n) if rng.random() < p]
-        if len(pairs) >= n - 1 and _is_connected(n, pairs):
+        pairs = candidates[rng.random(len(candidates)) < p]
+        if len(pairs) >= n - 1 and _is_connected(n, pairs.tolist()):
             return pairs
     raise GenerationError(
         f"no connected G({n}, {p}) sample in {GNP_MAX_ATTEMPTS} attempts"
@@ -554,9 +573,16 @@ def random_graph(
     ``complete``, and ``gnp`` (Erdos-Renyi, requires a real ``p`` in
     [0, 1]; resampled until connected, up to ``GNP_MAX_ATTEMPTS`` then
     :class:`GenerationError`).  ``seed`` must be a non-negative Python or
-    numpy integer (not a bool): there is no draw from OS entropy.  The
-    shape is drawn first, then one weight per edge in canonical edge
-    order, so equal arguments give bitwise-equal graphs.
+    numpy integer (not a bool): there is no draw from OS entropy.
+
+    The draws, in order, from ``numpy.random.default_rng(seed)``: the shape
+    first (``tree``: one ``integers(0, v)`` parent per vertex ``v = 1 ..
+    n - 1``; ``gnp``: per attempt, one uniform per candidate pair ``u < v``
+    in canonical order, keeping the pairs whose uniform is below ``p``),
+    then one ``(m, s, s)`` uniform block ``B`` on [-1, 1], whose matrix
+    ``k`` makes the weight ``B'B + 0.1 s I`` of edge ``k`` in canonical
+    order.  Each array draw reads the stream as the same scalar or
+    per-edge calls would, so equal arguments give bitwise-equal graphs.
     """
     _require_sizes(n, s)
     if model not in RANDOM_MODELS:
@@ -576,15 +602,16 @@ def random_graph(
 
     rng = np.random.default_rng(seed)
     if model == "tree":
-        pairs = sorted((int(rng.integers(0, v)), v) for v in range(1, n))
+        children = np.arange(1, n)
+        pairs = np.column_stack((rng.integers(0, children), children))
+        pairs = pairs[np.lexsort((children, pairs[:, 0]))]
     elif model == "cycle":
         pairs = _cycle_pairs(n)
     elif model == "complete":
         pairs = _complete_pairs(n)
     else:
         pairs = _gnp_pairs(rng, n, p)
-    weights = [random_pd_weight(rng, s) for _ in pairs]
-    return MatrixWeightedGraph(n, s, pairs, weights)
+    return MatrixWeightedGraph(n, s, pairs, _pd_weights(rng, len(pairs), s))
 
 
 def _shape(n: int, s: int, pairs_of, weights) -> MatrixWeightedGraph:

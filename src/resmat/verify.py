@@ -34,13 +34,13 @@ from .graph import (
     GenerationError,
     GraphError,
     MatrixWeightedGraph,
+    _pd_weights,
     adjacency,
     complete_graph,
     cycle_graph,
     is_tree,
     path_graph,
     random_graph,
-    random_pd_weight,
     star_graph,
 )
 from .laplacian import build_incidence, stacked_identity
@@ -784,8 +784,7 @@ def standard_corpus() -> list[tuple[dict, MatrixWeightedGraph]]:
             seed = None
             if s > 1:
                 seed = 1000 + 10 * shape_index + s
-                rng = np.random.default_rng(seed)
-                weights = [random_pd_weight(rng, s) for _ in range(g.m)]
+                weights = _pd_weights(np.random.default_rng(seed), g.m, s)
                 g = replace(g, weights=weights)
             descriptor = {"model": name, "n": g.n, "s": s, "seed": seed}
             corpus.append((descriptor, g))

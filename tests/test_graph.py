@@ -1,6 +1,7 @@
 """Tests for graph construction, validation, JSON interchange, generation."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -389,6 +390,39 @@ class TestParseSerialize:
         data = json.loads(text)
         assert list(data) == ["edges", "n", "s"]
 
+    @pytest.mark.parametrize("g", [
+        # -0.0 off the diagonal, integral floats, a subnormal, a weight near
+        # the top of the double range, 17-digit values, endpoints past 9.
+        path_graph(12, 2, [
+            np.array([[2.0, -0.0], [-0.0, 3.0]]),
+            np.array([[1e-310, -0.0], [-0.0, 1e-310]]),
+            np.array([[8e307, 0.0], [0.0, 8e307]]),
+            np.array([[0.1 + 0.2, 1 / 3], [1 / 3, 1 + 2 / 3]]),
+        ] * 2 + [np.eye(2)] * 3),
+        path_graph(11, 1, [np.array([[x]]) for x in (
+            5e-324, 1e-310, 8e307, 1.7976931348623157e308, 2.0, 1e16, 1e-5,
+            0.1 + 0.2, 123456789.12345679, 1.0000000000000002)]),
+        random_graph(9, 3, "gnp", seed=4, p=0.5),
+        random_graph(12, 5, "tree", seed=9),
+    ], ids=["special-s2", "special-s1", "gnp-s3", "tree-s5"])
+    def test_serialize_is_json_dumps(self, g):
+        payload = {
+            "n": g.n,
+            "s": g.s,
+            "edges": [
+                {"u": u + 1, "v": v + 1, "w": w}
+                for (u, v), w in zip(g.endpoints.tolist(), g.weights.tolist())
+            ],
+        }
+        text = serialize(g)
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        assert_bitwise(parse_graph(text), g)
+
+    def test_serialize_keeps_the_sign_of_zero(self):
+        g = path_graph(2, 2, [np.array([[2.0, -0.0], [-0.0, 3.0]])])
+        assert g.weights[0, 0, 1].tobytes() == np.float64(-0.0).tobytes()
+        assert '          -0.0,\n' in serialize(g)
+
 
 def _document(n, s, edges):
     return json.dumps({"n": n, "s": s, "edges": edges})
@@ -658,6 +692,33 @@ class TestFactories:
             path_graph(3, 1, [np.eye(1)])
 
 
+#: sha256 of the concatenated `resmat gen` bytes of
+#: ``TestRandom.test_gen_bytes_pinned``'s grid, one per model.
+GEN_GRID_DIGESTS = {
+    "tree": "62b9f17759210e6db0298dcd20ecbe311bafb2c5acbe1d6ef18ace34e569c789",
+    "cycle": "bd515f1618dcbbbc6a005bbfaf48d175c1be4a86d9f81ca3a8160ef5fa3b7728",
+    "complete": "e0251ceb4389a4ab3304e176a9a2a0575713de5c82c239c4bfa4547491c3509d",
+    "gnp": "22b628442f8c0910f2229933a197e1b9b4e44a9232b35e0fd2f7f033fa89f25e",
+}
+
+
+def gen_bytes(*args) -> bytes:
+    """The bytes `resmat gen` writes for ``random_graph(*args)``."""
+    return (serialize(random_graph(*args)) + "\n").encode()
+
+
+def scalar_weight(rng, s):
+    """One weight drawn and formed on its own: the per-edge reference."""
+    b = rng.uniform(-1.0, 1.0, size=(s, s))
+    return b.T @ b + 0.1 * s * np.eye(s)
+
+
+def assert_bitwise(g, h):
+    assert (g.n, g.s) == (h.n, h.s)
+    assert g.endpoints.tobytes() == h.endpoints.tobytes()
+    assert g.weights.tobytes() == h.weights.tobytes()
+
+
 class TestRandom:
     def test_model_list(self):
         assert RANDOM_MODELS == ("tree", "cycle", "complete", "gnp")
@@ -725,14 +786,30 @@ class TestRandom:
         assert random_graph(6, 2, "tree", seed=np.int64(7)) == g
         assert random_graph(6, 2, "tree", seed=np.uint8(7)) == g
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("model", RANDOM_MODELS)
-    def test_documented_draw_order(self, model, s):
-        # Replays the documented order from the seed: the shape first (gnp
-        # at p = 1 draws one uniform per vertex pair and keeps them all),
-        # then one random_pd_weight per edge in canonical order.
-        n, seed = 7, 20 + s
+    @pytest.mark.parametrize(
+        "n, s, model, seed, p, resampled",
+        [pytest.param(7, s, model, 20 + s, 1.0 if model == "gnp" else None, False,
+                      id=f"{model}-{s}")
+         for model in RANDOM_MODELS for s in (1, 2, 3)]
+        + [
+            # Candidates rejected: p < 1 keeps some pairs and drops others.
+            pytest.param(40, 1, "gnp", 5, 0.3, False, id="gnp-rejects-1"),
+            pytest.param(40, 3, "gnp", 6, 0.3, False, id="gnp-rejects-3"),
+            # The first attempt is disconnected, so the draws of a second
+            # (and third) attempt follow those of the first.
+            pytest.param(7, 2, "gnp", 2, 0.3, True, id="gnp-resamples-2"),
+            pytest.param(12, 1, "gnp", 3, 0.2, True, id="gnp-resamples-1"),
+            # Bounded parents up to 599.
+            pytest.param(600, 2, "tree", 8, None, False, id="tree-600"),
+        ],
+    )
+    def test_documented_draw_order(self, n, s, model, seed, p, resampled):
+        # Replays the documented order from the seed with scalar calls: the
+        # shape first (one integers(0, v) per tree parent, or per gnp
+        # attempt one random() per vertex pair in canonical order), then
+        # one B'B + 0.1 s I per edge in canonical order.
         rng = np.random.default_rng(seed)
+        attempts = 1
         if model == "tree":
             pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
         elif model == "cycle":
@@ -740,11 +817,49 @@ class TestRandom:
         else:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             if model == "gnp":
-                assert all(rng.random() < 1.0 for _ in pairs)
+                candidates = pairs
+                pairs = [pair for pair in candidates if rng.random() < p]
+                while validation_message(n, 1, [(u, v, unit()) for u, v in pairs]):
+                    attempts += 1
+                    pairs = [pair for pair in candidates if rng.random() < p]
+        assert (attempts > 1) == resampled
         pairs.sort()
-        edges = [(u, v, random_pd_weight(rng, s)) for u, v in pairs]
-        p = 1.0 if model == "gnp" else None
-        assert random_graph(n, s, model, seed, p) == from_edges(n, s, edges)
+        edges = [(u, v, scalar_weight(rng, s)) for u, v in pairs]
+        assert_bitwise(random_graph(n, s, model, seed, p), from_edges(n, s, edges))
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_random_pd_weight_is_the_scalar_formula(self, s):
+        rng, again = np.random.default_rng(s), np.random.default_rng(s)
+        for _ in range(3):
+            assert random_pd_weight(rng, s).tobytes() == scalar_weight(again, s).tobytes()
+        assert rng.random() == again.random()
+
+    @pytest.mark.parametrize("model", RANDOM_MODELS)
+    def test_gen_bytes_pinned(self, model):
+        # The sha256 of what `resmat gen` writes over a grid of sizes and
+        # seeds, recorded when generation and serialization still ran one
+        # scalar draw, one weight and one json.dumps node at a time.
+        digest = hashlib.sha256()
+        for s in (1, 2, 3, 5):
+            for seed in (0, 1, 2):
+                for n in (7, 40):
+                    p = 0.3 if model == "gnp" else None
+                    digest.update(gen_bytes(n, s, model, seed, p))
+        assert digest.hexdigest() == GEN_GRID_DIGESTS[model]
+
+    @pytest.mark.parametrize("name, args, expected", [
+        ("dense 11", (100, 3, "gnp", 11000, 0.25),
+         "868f3c3b22d20b6d391fd957e196f2788eacd6a7659ccdc326707c1a8ec40031"),
+        ("tree 11", (600, 1, "tree", 11000),
+         "1e62b3a50752602fac3e9211f972c58ea3a78e8a49d8eb95c4f0f1e0b813fa12"),
+        ("dense 7919", (100, 3, "gnp", 7919000, 0.25),
+         "f78a362108c462ca01d724a72195b5c1a226eda1bffd146001ccb577b19fe07b"),
+        ("tree 7919", (600, 1, "tree", 7919000),
+         "1f939d4fbc45577e1ad8198711fa4a6430db3a67cdbdb021eb4880c955a8b671"),
+    ])
+    def test_gen_bytes_pinned_for_the_bench_specs(self, name, args, expected):
+        # The benchmark's dense and tree inputs at seeds 11 and 7919.
+        assert hashlib.sha256(gen_bytes(*args)).hexdigest() == expected
 
     def test_non_gnp_rejects_p(self):
         with pytest.raises(GraphError, match="does not take"):
