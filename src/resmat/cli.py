@@ -430,24 +430,13 @@ def _corpus_text(entries) -> str:
 
 
 def _cmd_verify_corpus(args) -> int:
-    from .verify import run_corpus
+    from .verify import corpus_json, run_corpus
 
     if args.check:
         raise UsageError("--corpus runs the full registry; --check does not apply")
     entries = run_corpus(_parse_corpus_file(args.corpus))
     if args.format == "json":
-        payload = {
-            "entries": [
-                {
-                    "spec": e.spec.as_dict(),
-                    "error": e.error,
-                    "report": None if e.report is None else e.report.as_dict(),
-                }
-                for e in entries
-            ],
-            "passed": all(e.passed for e in entries),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(corpus_json(entries) + "\n")
     else:
         sys.stdout.write(_corpus_text(entries))
     return EXIT_OK if all(e.passed for e in entries) else EXIT_CHECK

@@ -249,27 +249,27 @@ def _checked(n, s, endpoints, weights):
     def label(k) -> str:
         return f"edge #{k + 1} ({int(u[k]) + 1}, {int(v[k]) + 1})"
 
-    # Each edge reports the first problem it has, in the order checked
-    # here; messages are built for failing edges only.
+    # Each edge reports the first problem it has, in the order checked here.
     found: dict[int, str] = {}
     outside = ~((u >= 0) & (u < n) & (v >= 0) & (v < n))
-    for k in np.flatnonzero(outside):
-        found[k] = f"{label(k)}: endpoints out of range 1..{n}"
     loop = ~outside & (u == v)
-    for k in np.flatnonzero(loop):
-        found[k] = f"edge #{k + 1}: self-loop at vertex {int(u[k]) + 1}"
     reverse = ~outside & (u > v)
-    for k in np.flatnonzero(reverse):
-        found[k] = f"{label(k)}: endpoints must satisfy u < v"
+    kept = np.flatnonzero(~(outside | loop | reverse))
+    if len(kept) < len(pairs):  # messages are built for failing edges only
+        for k in np.flatnonzero(outside):
+            found[k] = f"{label(k)}: endpoints out of range 1..{n}"
+        for k in np.flatnonzero(loop):
+            found[k] = f"edge #{k + 1}: self-loop at vertex {int(u[k]) + 1}"
+        for k in np.flatnonzero(reverse):
+            found[k] = f"{label(k)}: endpoints must satisfy u < v"
     # The stable sort puts the first occurrence of a pair ahead of its
     # repeats, which are the duplicates.
-    kept = np.flatnonzero(~(outside | loop | reverse))
     order = np.lexsort((v[kept], u[kept]))
     su, sv = u[kept][order], v[kept][order]
     repeats = order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]
     for k in kept[repeats]:
         found[k] = f"{label(k)}: duplicate edge"
-    usable = np.delete(kept, repeats)
+    usable = np.delete(kept, repeats) if len(repeats) else kept
 
     if isinstance(weights, np.ndarray):
         fits = weights.shape[1:] == (s, s)
@@ -283,7 +283,7 @@ def _checked(n, s, endpoints, weights):
         stack = np.array([w for w in arrays if w.shape == (s, s)]).reshape(-1, s, s)
     for k, shape in wrong.items():
         found[k] = f"{label(k)}: weight shape {shape} != ({s}, {s})"
-    usable = usable[~np.isin(usable, list(wrong))]
+    usable = usable[~np.isin(usable, list(wrong))] if wrong else usable
     problems, stack = _weight_problems(stack)
     for position, message in problems.items():
         k = usable[position]

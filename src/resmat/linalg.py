@@ -88,7 +88,7 @@ def _checked(a) -> np.ndarray:
 def max_norm(a) -> float:
     """Largest absolute entry (0.0 for an empty array)."""
     a = np.asarray(a, dtype=np.float64)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(max(a.max(), -a.min())) + 0.0 if a.size else 0.0
 
 
 def default_rank_tol(order: int) -> float:

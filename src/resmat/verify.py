@@ -57,6 +57,7 @@ __all__ = [
     "run_check",
     "run_suite",
     "run_corpus",
+    "corpus_json",
     "scalar_resistance_oracle",
     "tree_distance_matrix",
     "standard_corpus",
@@ -65,6 +66,52 @@ __all__ = [
 
 class UnknownCheckError(ValueError):
     """A check id not present in the registry."""
+
+
+# ----------------------------------------------------------------------
+# JSON reports, written as ``json.dumps(..., indent=2, sort_keys=True)``
+# writes them: with an indent, json encodes in pure Python.
+
+#: How ``json.dumps`` writes a value of each exact type; any other value
+#: (a container, a subclass) goes through ``json.dumps`` itself.
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    bool: lambda x: "true" if x else "false",
+    int: int.__repr__,
+    # json spells the non-finite floats NaN, Infinity and -Infinity.
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    type(None): lambda x: "null",
+}
+
+
+def _json_value(x, indent: str) -> str:
+    """``x`` as json's indenting encoder writes the value of a key that
+    sits at ``indent``."""
+    write = _JSON_SCALARS.get(type(x))
+    if write is not None:
+        return write(x)
+    # Encoded strings hold no raw newline: each one is a line break.
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _object_template(keys, indent: str) -> str:
+    """A ``%s`` template of a JSON object with these keys, one value per
+    key in sorted order, whose closing brace sits at ``indent``."""
+    lines = ",\n".join(f'{indent}  "{k}": %s' for k in sorted(keys))
+    return f"{{\n{lines}\n{indent}}}"
+
+
+#: The indent of the keys of an object that is an item of a top-level list.
+_ITEM_INDENT = " " * 6
+_CHECK_JSON = "    " + _object_template(
+    ("details", "id", "passed", "residual", "skipped", "tolerance"), "    "
+)
+_GRAPH_ORDER = ("low_confidence", "m", "model", "n", "s", "seed")
+_GRAPH_KEYS = frozenset(_GRAPH_ORDER)
+_GRAPH_JSON = _object_template(_GRAPH_ORDER, "  ")
+_REPORT_JSON = _object_template(("checks", "graph", "passed"), "")
+_ENTRY_JSON = "    " + _object_template(("error", "report", "spec"), "    ")
+_CORPUS_JSON = _object_template(("entries", "passed"), "")
 
 
 @dataclass(frozen=True)
@@ -110,7 +157,31 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.as_dict(), indent=2, sort_keys=True)``, written
+        directly: json's indenting encoder runs in pure Python."""
+        checks = ",\n".join(
+            _CHECK_JSON
+            % (
+                _json_value(c.details, _ITEM_INDENT),
+                _json_value(c.check_id, _ITEM_INDENT),
+                _json_value(c.passed, _ITEM_INDENT),
+                _json_value(c.residual, _ITEM_INDENT),
+                _json_value(c.skipped, _ITEM_INDENT),
+                _json_value(c.tolerance, _ITEM_INDENT),
+            )
+            for c in self.checks
+        )
+        graph = self.graph
+        if isinstance(graph, dict) and graph.keys() == _GRAPH_KEYS:
+            values = tuple(_json_value(graph[k], "    ") for k in _GRAPH_ORDER)
+            descriptor = _GRAPH_JSON % values
+        else:
+            descriptor = _json_value(graph, "  ")
+        return _REPORT_JSON % (
+            f"[\n{checks}\n  ]" if checks else "[]",
+            descriptor,
+            _json_value(self.passed, "  "),
+        )
 
 
 @dataclass(frozen=True)
@@ -753,6 +824,29 @@ def run_corpus(specs) -> list[CorpusEntry]:
         report = run_suite(g, model=spec.model, seed=spec.seed)
         entries.append(CorpusEntry(spec, report, None))
     return entries
+
+
+def corpus_json(entries) -> str:
+    """The JSON document of a :func:`run_corpus` result: one object per
+    entry with its ``spec`` (``GraphSpec.as_dict``), ``error`` and
+    ``report`` (``null`` on a generation failure), and ``passed`` for the
+    whole corpus, in the layout of ``json.dumps(..., indent=2,
+    sort_keys=True)``."""
+    items = ",\n".join(
+        _ENTRY_JSON
+        % (
+            _json_value(e.error, _ITEM_INDENT),
+            "null"
+            if e.report is None
+            else e.report.to_json().replace("\n", "\n" + _ITEM_INDENT),
+            _json_value(e.spec.as_dict(), _ITEM_INDENT),
+        )
+        for e in entries
+    )
+    return _CORPUS_JSON % (
+        f"[\n{items}\n  ]" if items else "[]",
+        _json_value(all(e.passed for e in entries), "  "),
+    )
 
 
 # ----------------------------------------------------------------------

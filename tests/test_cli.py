@@ -767,6 +767,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", p2_file, "--format", "json")
         assert code == EXIT_OK
         data = json.loads(out)
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert set(data) == {"graph", "checks", "passed"}
         assert data["passed"] is True
         check = data["checks"][0]
@@ -856,6 +857,7 @@ class TestVerifyCorpus:
         )
         assert code == EXIT_OK
         data = json.loads(out)
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert data["passed"] is True
         entry = data["entries"][0]
         assert entry["error"] is None

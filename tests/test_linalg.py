@@ -78,6 +78,39 @@ class TestMaxNorm:
     def test_empty(self):
         assert max_norm(np.zeros((0,))) == 0.0
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [-0.0],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [5e-324, -5e-324],
+            [-1e-310, 2.2e-308],
+            [1.7e308, -1.7e308],
+            [-1.7976931348623157e308, 1.0],
+            [3.0, -3.0, 2.0],
+            [-3.0, 3.0],
+        ],
+    )
+    def test_bitwise_the_absolute_maximum(self, entries):
+        a = np.array(entries)
+        expected = float(np.abs(a).max())
+        result = max_norm(a)
+        assert type(result) is float
+        assert math.copysign(1.0, result) == 1.0
+        assert np.array([result]).tobytes() == np.array([expected]).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=seeds, log_scale=st.integers(min_value=-320, max_value=300))
+    def test_bitwise_the_absolute_maximum_on_random_input(self, seed, log_scale):
+        a = np.random.default_rng(seed).standard_normal((5, 4)) * 10.0**log_scale
+        expected = float(np.abs(a).max())
+        assert np.array([max_norm(a)]).tobytes() == np.array([expected]).tobytes()
+
+    def test_nan_propagates(self):
+        assert math.isnan(max_norm([1.0, np.nan, -2.0]))
+        assert math.isnan(max_norm([np.nan]))
+
 
 class TestSymmetricMean:
     @settings(deadline=None, max_examples=40)

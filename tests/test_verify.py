@@ -35,6 +35,7 @@ from resmat.verify import (
     GraphSpec,
     SuiteReport,
     UnknownCheckError,
+    corpus_json,
     numerically_nonsingular,
     run_check,
     run_corpus,
@@ -804,6 +805,111 @@ class TestRunSuite:
         first = run_suite(g, model="gnp", seed=77).to_json()
         second = run_suite(g, model="gnp", seed=77).to_json()
         assert first == second
+
+
+def indented_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def corpus_payload(entries) -> dict:
+    """What ``verify --corpus --format json`` prints, as a dict for json.dumps."""
+    return {
+        "entries": [
+            {
+                "spec": e.spec.as_dict(),
+                "error": e.error,
+                "report": None if e.report is None else e.report.as_dict(),
+            }
+            for e in entries
+        ],
+        "passed": all(e.passed for e in entries),
+    }
+
+
+class TestJsonReports:
+    """``SuiteReport.to_json`` and ``corpus_json`` write the bytes of
+    ``json.dumps(..., indent=2, sort_keys=True)`` directly."""
+
+    @staticmethod
+    def with_checks(report, **changes):
+        checks = tuple(dataclasses.replace(c, **changes) for c in report.checks)
+        return dataclasses.replace(report, checks=checks)
+
+    def test_standard_corpus(self, corpus):
+        for descriptor, g in corpus:
+            report = run_suite(g, model=descriptor["model"], seed=descriptor["seed"])
+            assert report.to_json() == indented_json(report.as_dict())
+
+    def test_no_checks(self):
+        report = run_suite(path_graph(3), [])
+        assert '"checks": [],' in report.to_json()
+        assert report.to_json() == indented_json(report.as_dict())
+
+    @pytest.mark.parametrize(
+        "value, spelled",
+        [
+            (float("nan"), "NaN"),
+            (float("inf"), "Infinity"),
+            (float("-inf"), "-Infinity"),
+            (-0.0, "-0.0"),
+            (5e-324, "5e-324"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (np.float64(0.1), "0.1"),
+            (3, "3"),
+            (None, "null"),
+        ],
+    )
+    def test_residual_and_tolerance_values(self, value, spelled):
+        report = run_suite(path_graph(3), ["LAP_KERNEL", "LRL"])
+        report = self.with_checks(report, residual=value, tolerance=value)
+        text = report.to_json()
+        assert f'"residual": {spelled},' in text
+        assert text == indented_json(report.as_dict())
+
+    def test_details_escapes(self):
+        details = (
+            'quote " backslash \\ control \x01\x1f tab \t newline \n é ∞ \U0001f600'
+        )
+        report = self.with_checks(run_suite(path_graph(3), ["LRL"]), details=details)
+        text = report.to_json()
+        assert text.isascii() and "\\u00e9" in text and "\\ud83d\\ude00" in text
+        assert text == indented_json(report.as_dict())
+
+    @pytest.mark.parametrize(
+        "model, seed", [(None, None), ("gnp", 7), ("p\u00e4th", None)]
+    )
+    def test_descriptor(self, model, seed):
+        report = run_suite(cycle_graph(4, 2), ["COMMUTE"], model=model, seed=seed)
+        assert report.to_json() == indented_json(report.as_dict())
+
+    @pytest.mark.parametrize(
+        "graph", [{}, {"n": 3, "extra": [1, {"b": None, "a": 2.5}]}, {"n": 3}]
+    )
+    def test_other_graph_dicts(self, graph):
+        report = dataclasses.replace(run_suite(path_graph(3), ["LRL"]), graph=graph)
+        assert report.to_json() == indented_json(report.as_dict())
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [],
+            [{"model": "gnp", "n": 4, "s": 1, "seed": 0, "p": 0.0}],
+            [
+                {"model": ["x", 1], "n": 4, "s": 1, "seed": 1, "p": 2},
+                {"model": "tree", "n": 4.0, "s": 1, "seed": 1},
+                {"model": "tree", "n": 5, "s": 1, "seed": None},
+                {"model": 'tr\u00e9"\\\n', "n": 5, "s": 1, "seed": 2, "p": [1, {}]},
+                {"model": "gnp", "n": 5, "s": 2, "seed": 2, "p": 0.7},
+            ],
+        ],
+        ids=["empty", "generation-failure", "non-string-spec-values"],
+    )
+    def test_corpus(self, specs):
+        entries = run_corpus(specs)
+        text = corpus_json(entries)
+        assert text == indented_json(corpus_payload(entries))
+        if not specs:
+            assert '"entries": [],' in text
 
 
 class TestRunCorpus:
