@@ -17,7 +17,8 @@ the parser, :func:`from_edges`, the named shapes and :func:`random_graph`
 all hand it endpoint pairs and weights, as do direct construction and
 :func:`dataclasses.replace`.  A single conversion makes the weight stack and
 validation runs on the arrays, so every graph that exists is valid.  The
-per-edge :class:`Edge` records are built only when ``edges`` is first read.
+per-edge :class:`Edge` records are built only when ``edges`` is first read;
+no code in the package reads them, and they are kept as a view for callers.
 
 Generation is fully deterministic: every random quantity flows from an
 explicit non-negative integer seed through ``numpy.random.default_rng``,
@@ -271,10 +272,8 @@ def _checked(n, s, endpoints, weights):
         found[k] = f"{label(k)}: duplicate edge"
     usable = np.delete(kept, repeats) if len(repeats) else kept
 
-    if isinstance(weights, np.ndarray):
-        fits = weights.shape[1:] == (s, s)
-        wrong = {} if fits else dict.fromkeys(usable.tolist(), weights.shape[1:])
-        stack = weights[usable if fits else usable[:0]]
+    if isinstance(weights, np.ndarray) and weights.shape[1:] == (s, s):
+        wrong, stack = {}, weights[usable]
     else:
         arrays = [weights[k] for k in usable.tolist()]
         wrong = {
@@ -299,33 +298,23 @@ def _checked(n, s, endpoints, weights):
 def _weight_problems(stack: np.ndarray) -> tuple[dict[int, str], np.ndarray]:
     """The first finiteness, symmetry or definiteness problem of each
     weight of an ``(k, s, s)`` stack that has one, keyed by its position,
-    and :func:`linalg.symmetric_mean` of its finite, symmetric weights.
-    A weight is definite when ``lambda_min > s eps lambda_max``."""
+    and :func:`linalg.symmetric_mean` of its finite, symmetric weights."""
     found: dict[int, str] = {}
-    if not len(stack):
-        return found, stack
     finite = np.isfinite(stack).all(axis=(1, 2))
     for k in np.flatnonzero(~finite):
         found[k] = "weight has non-finite entries"
     checked = np.flatnonzero(finite)
     w = stack[checked]
-    # A gap beyond the double range is inf, which the test refuses.
-    with np.errstate(over="ignore"):
-        gap = np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    limit = linalg.SYMMETRY_RTOL * (1.0 + np.abs(w).max(axis=(1, 2), initial=0.0))
-    asymmetric = gap > limit
+    asymmetric, gap = linalg._asymmetric(w)
     for k, g in zip(checked[asymmetric], gap[asymmetric]):
         found[k] = f"weight is not symmetric (max asymmetry {g:.3e})"
     checked = checked[~asymmetric]
     w = linalg.symmetric_mean(w[~asymmetric])
     # One batched Cholesky proves the usual case definite; the eigenvalues
     # decide, and name the smallest, only when it gives no proof.
-    rtol = linalg.default_rank_tol(stack.shape[1])
-    if linalg.certified_definite(w, rtol):
+    if linalg.certified_definite(w, linalg.default_rank_tol(stack.shape[1])):
         return found, w
-    spectra = np.linalg.eigvalsh(w)
-    smallest, largest = spectra[:, 0], spectra[:, -1]
-    lost = (largest <= 0.0) | (smallest <= rtol * largest)
+    lost, smallest = linalg._not_definite(w)
     for k, low in zip(checked[lost], smallest[lost]):
         found[k] = f"weight is not positive definite (smallest eigenvalue {low:.6e})"
     return found, w
@@ -510,11 +499,11 @@ def serialize(g: MatrixWeightedGraph) -> str:
 def adjacency(g: MatrixWeightedGraph) -> list[list[tuple[int, int]]]:
     """Per-vertex list of ``(neighbor, edge_index)``, neighbors ascending."""
     table: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        table[e.u].append((e.v, e.index))
-        table[e.v].append((e.u, e.index))
-    for row in table:
-        row.sort()
+    # In canonical order a vertex's smaller neighbours come first, ascending,
+    # then its larger ones, so every row is appended already sorted.
+    for index, (u, v) in enumerate(g.endpoints.tolist()):
+        table[u].append((v, index))
+        table[v].append((u, index))
     return table
 
 

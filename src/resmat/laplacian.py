@@ -142,9 +142,7 @@ def shifted_cholesky(
         smallest = float(np.min(pivots)) ** 2
     except np.linalg.LinAlgError:
         smallest = 0.0
-    # max|M| with no |M| temporary; M is finite.
-    largest = max(shift_body.max(), -shift_body.min())
-    if smallest <= linalg.default_rank_tol(n * s) * largest:
+    if smallest <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
         raise linalg.NumericError(
             "shifted Laplacian is numerically singular; "
             "the graph is not usably connected"

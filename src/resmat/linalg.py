@@ -101,6 +101,15 @@ def default_rank_tol(order: int) -> float:
     return max(int(order), 1) * EPS
 
 
+def _not_definite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one definiteness rule, by one batched ``eigvalsh`` of an exactly
+    symmetric float64 ``(..., k, k)`` stack: whether each matrix fails
+    ``lambda_min > k eps lambda_max > 0``, and its ``lambda_min``."""
+    values = np.linalg.eigvalsh(a)
+    low, high = values[..., 0], values[..., -1]
+    return (high <= 0.0) | (low <= default_rank_tol(a.shape[-1]) * high), low
+
+
 def certified_definite(a: np.ndarray, rtol: float) -> bool:
     """True when one batched Cholesky factorization proves that every
     matrix ``A`` of the exactly symmetric float64 ``(..., k, k)`` stack
@@ -161,6 +170,16 @@ def _bitwise_symmetric(a: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), a.T.view(np.int64))
 
 
+def _asymmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one asymmetry test, on each matrix ``A`` of a finite float64
+    ``(..., k, k)`` stack: whether ``max|A - A'| > SYMMETRY_RTOL (1 + max|A|)``,
+    and the gap ``max|A - A'|``."""
+    # A gap beyond the double range is inf, which the test refuses.
+    with np.errstate(over="ignore"):
+        gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    return gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max(axis=(-2, -1))), gap
+
+
 def symmetrize(a) -> np.ndarray:
     """Return ``(A + A') / 2``, by :func:`symmetric_mean`, after checking A
     is symmetric to within :data:`SYMMETRY_RTOL`.
@@ -175,10 +194,8 @@ def symmetrize(a) -> np.ndarray:
     a = _checked(a)
     if _bitwise_symmetric(a):
         return a.copy()  # bit for bit its own mean
-    # A gap beyond the double range is inf, which the test refuses.
-    with np.errstate(over="ignore"):
-        gap = np.abs(a - a.T).max()
-    if gap > SYMMETRY_RTOL * (1.0 + np.abs(a).max()):
+    asymmetric, gap = _asymmetric(a)
+    if asymmetric:
         raise NumericError(
             f"matrix is not symmetric: max asymmetry {gap:.3e} "
             f"exceeds relative tolerance {SYMMETRY_RTOL:.1e}"
@@ -234,7 +251,7 @@ def pseudo_inverse(a) -> np.ndarray:
     values = values[::-1]
     v = np.ascontiguousarray(vectors[:, ::-1])
     n = values.size
-    scale = float(np.max(np.abs(values)))
+    scale = max_norm(values)
     if scale == 0.0:
         return np.zeros((n, n))
     band = default_rank_tol(n) * scale
@@ -332,8 +349,7 @@ def count_inertia(values) -> Inertia:
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    scale = float(np.max(np.abs(values))) if n else 0.0
-    band = default_rank_tol(n) * scale
+    band = default_rank_tol(n) * max_norm(values)
     positive = int(np.sum(values > band))
     negative = int(np.sum(values < -band))
     return Inertia(positive, negative, n - positive - negative)

@@ -184,13 +184,11 @@ class ResistanceWorkspace:
                 "too large for double precision"
             )
         self.deficit_form = frozen(linalg.symmetric_mean(form))
-        form_values = linalg.sym_eigenvalues(self.deficit_form)
-        largest = float(form_values[0])
-        smallest = float(form_values[-1])
-        if largest <= 0.0 or smallest <= linalg.default_rank_tol(s) * largest:
+        lost, smallest = linalg._not_definite(self.deficit_form)
+        if lost:
             raise linalg.NumericError(
                 "deficit quadratic form is not positive definite "
-                f"(smallest eigenvalue {smallest:.6e}); this indicates an "
+                f"(smallest eigenvalue {float(smallest):.6e}); this indicates an "
                 "upstream computation bug"
             )
 

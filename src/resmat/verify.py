@@ -225,13 +225,14 @@ def scalar_resistance_oracle(g: MatrixWeightedGraph) -> np.ndarray:
     """
     if g.s != 1:
         raise linalg.DimensionError(f"scalar oracle requires s=1, got s={g.s}")
+    u, v = g.endpoints.T
+    c = 1.0 / g.weights[:, 0, 0]
     lap = np.zeros((g.n, g.n))
-    for e in g.edges:
-        c = 1.0 / float(e.weight[0, 0])
-        lap[e.u, e.v] -= c
-        lap[e.v, e.u] -= c
-        lap[e.u, e.u] += c
-        lap[e.v, e.v] += c
+    lap[u, v] = lap[v, u] = -c
+    # A vertex's edges to smaller neighbours come first in canonical order,
+    # so each diagonal entry sums its terms in edge order.
+    np.add.at(lap, (v, v), c)
+    np.add.at(lap, (u, u), c)
     h = linalg.pseudo_inverse(lap)
     d = np.diag(h)
     return d[:, np.newaxis] + d[np.newaxis, :] - h - h.T
@@ -426,7 +427,7 @@ def _check_taurtau_pd(ws: ResistanceWorkspace):
     # T' R T formed with R, not the engine's closed expression, whose
     # definiteness the workspace already required.
     values = linalg.sym_eigenvalues(ws.deficit_form_direct)
-    band = linalg.default_rank_tol(values.size) * float(np.abs(values).max())
+    band = linalg.default_rank_tol(values.size) * linalg.max_norm(values)
     smallest = float(values[-1])
     residual = _margin_residual(smallest, band)
     details = f"smallest eigenvalue {smallest:.6e}, zero band {band:.6e}"
@@ -474,13 +475,8 @@ def _check_interlace(ws: ResistanceWorkspace):
         worst = max(worst, violation - _interlace_slack(row.bound))
         if not row.holds:
             failing.append(row.index)
-    residual = max(0.0, worst)
-    details = (
-        f"{len(rows)} rows, all hold"
-        if not failing
-        else f"violated at rows {failing}"
-    )
-    return residual, 0.0, details
+    held = f"{len(rows)} rows, all hold"
+    return max(0.0, worst), 0.0, f"violated at rows {failing}" if failing else held
 
 
 def _check_cofactor_eq(ws: ResistanceWorkspace):
@@ -653,9 +649,7 @@ def _applies_always(g: MatrixWeightedGraph) -> str | None:
 
 
 def _applies_tree_square_incidence(g: MatrixWeightedGraph) -> str | None:
-    if is_tree(g):
-        return None
-    return (
+    return None if is_tree(g) else (
         "identity requires the incidence matrix to have full column rank, "
         "which holds only for trees (m = n - 1)"
     )

@@ -28,7 +28,14 @@ from resmat.graph import (
     serialize,
     star_graph,
 )
-from resmat.linalg import EPS, certified_definite, sym_eigenvalues
+from resmat.linalg import (
+    EPS,
+    SYMMETRY_RTOL,
+    NumericError,
+    certified_definite,
+    sym_eigenvalues,
+    symmetrize,
+)
 
 
 def unit(s=1):
@@ -93,6 +100,27 @@ class TestValidation:
         message = validation_message(2, 2, [(0, 1, w)])
         assert message == (
             "edge #1 (1, 2): weight is not symmetric (max asymmetry 5.000e-01)"
+        )
+
+    @pytest.mark.parametrize("w, gap", [
+        # max|W| = 1, so the limit is exactly 2 * SYMMETRY_RTOL: on it the
+        # weight is averaged, one ulp above it and far beyond it refused.
+        ([[1.0, 0.0], [2 * SYMMETRY_RTOL, 1.0]], None),
+        ([[1.0, 0.0], [np.nextafter(2 * SYMMETRY_RTOL, 1.0), 1.0]], "2.000e-10"),
+        ([[1.0, 1.7e308], [-1.7e308, 1.0]], "inf"),
+    ])
+    def test_asymmetry_verdict_and_gap_match_symmetrize(self, w, gap):
+        # The constructor and linalg.symmetrize share one asymmetry test.
+        message = validation_message(2, 2, [(0, 1, w)])
+        if gap is None:
+            symmetrize(w)
+            assert message == ""
+            return
+        with pytest.raises(NumericError) as exc:
+            symmetrize(w)
+        assert f"max asymmetry {gap} exceeds" in str(exc.value)
+        assert message == (
+            f"edge #1 (1, 2): weight is not symmetric (max asymmetry {gap})"
         )
 
     def test_indefinite_weight(self):
@@ -456,6 +484,21 @@ class TestParseErrorsPinned:
         ])
         assert _parse_error(text) == (
             "edge #2 must be an object with exactly the keys u, v, w"
+        )
+
+    def test_three_keys_that_are_not_u_v_w(self):
+        text = _document(2, 1, [{"u": 1, "v": 2, "x": [[1.0]]}])
+        assert _parse_error(text) == (
+            "edge #1 must be an object with exactly the keys u, v, w"
+        )
+
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_integer_entry_beyond_float_range(self, position):
+        # json reads the literal as a Python int that float64 cannot hold.
+        edges = [{"u": 1, "v": 2, "w": [[1.0]]}, {"u": 2, "v": 3, "w": [[1.0]]}]
+        edges[position - 1]["w"] = [[10**400]]
+        assert _parse_error(_document(3, 1, edges)) == (
+            f"edge #{position}: malformed weight: int too large to convert to float"
         )
 
     def test_unconvertible_entry_after_good_edges(self):

@@ -13,6 +13,7 @@ from resmat.linalg import (
     DimensionError,
     NumericError,
     _inverse_sqrt,
+    _not_definite,
     _symmetric_inverse,
     block_cofactor_slog,
     certified_definite,
@@ -110,6 +111,35 @@ class TestMaxNorm:
     def test_nan_propagates(self):
         assert math.isnan(max_norm([1.0, np.nan, -2.0]))
         assert math.isnan(max_norm([np.nan]))
+
+
+class TestDefinitenessRule:
+    def test_batched_rule_is_the_per_matrix_eigenvalue_rule(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        stack = np.array([
+            np.eye(3),
+            symmetric_mean((q * [1.0, 2.0, 3.0]) @ q.T),  # definite, rotated
+            np.diag([1.0, 1.0, 6 * EPS]),  # above the cutoff 3 eps lambda_max
+            np.diag([1.0, 1.0, 3 * EPS]),  # at it
+            np.diag([2.0, 1.0, 0.0]),  # semidefinite
+            symmetric_mean((q * [1.0, 0.0, 2.0]) @ q.T),  # semidefinite, rotated
+            np.diag([1.0, -1.0, 2.0]),  # indefinite
+            -np.eye(3),  # lambda_max < 0
+            np.zeros((3, 3)),  # lambda_max = 0
+        ])
+        lost, smallest = _not_definite(stack)
+        expected = []
+        for k, w in enumerate(stack):
+            values = np.linalg.eigvalsh(w)
+            expected.append(values[-1] <= 0.0 or values[0] <= 3 * EPS * values[-1])
+            assert smallest[k] == values[0]
+        assert lost.tolist() == expected
+        assert expected == [False, False, False, True, True, True, True, True, True]
+
+    def test_one_matrix(self):
+        lost, smallest = _not_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert (bool(lost), float(smallest)) == (True, -1.0)
 
 
 class TestSymmetricMean:

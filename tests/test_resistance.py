@@ -5,10 +5,13 @@ random graphs exercise every identity against independent routes (spectral
 pseudoinverse, brute-force LU inversion, path sums on trees).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resmat import linalg, resistance
 from resmat.graph import (
     adjacency,
     complete_graph,
@@ -548,6 +551,43 @@ class TestErrorPaths:
         # roundoff, so zero slack may flag it while the default slack holds.
         ws3 = ResistanceWorkspace(path_graph(3))
         assert all(row.holds for row in ws3.interlacing())
+
+    def test_deficit_form_not_definite_is_refused(self, monkeypatch):
+        # A shift understated by 1e20 puts -(8/n) I/alpha' into T' R T,
+        # which the shared definiteness rule refuses.
+        cholesky, rule, calls = resistance.shifted_cholesky, linalg._not_definite, []
+
+        def understated(laplacian, n, s):
+            factor, alpha, cofactor = cholesky(laplacian, n, s)
+            return factor, 1e-20 * alpha, cofactor
+
+        def counted(a):
+            calls.append(a.shape)
+            return rule(a)
+
+        monkeypatch.setattr(resistance, "shifted_cholesky", understated)
+        monkeypatch.setattr(linalg, "_not_definite", counted)
+        with pytest.raises(NumericError) as exc:
+            ResistanceWorkspace(path_graph(3, 2))
+        assert calls == [(2, 2)]
+        assert re.fullmatch(
+            r"deficit quadratic form is not positive definite \(smallest "
+            r"eigenvalue -\d\.\d{6}e\+\d\d\); this indicates an upstream "
+            r"computation bug",
+            str(exc.value),
+        )
+
+    def test_interlacing_refuses_a_nonpositive_laplacian_eigenvalue(self):
+        ws = ResistanceWorkspace(path_graph(3))
+        lam = ws.laplacian_eigenvalues.copy()
+        lam[1] = 0.0
+        ws.__dict__["laplacian_eigenvalues"] = lam
+        with pytest.raises(NumericError) as exc:
+            ws.interlacing()
+        assert str(exc.value) == (
+            "Laplacian eigenvalue 2 is not positive (0.000000e+00); "
+            "rank deficiency exceeds the kernel dimension"
+        )
 
     def test_workspace_graph_attribute(self):
         g = path_graph(4)

@@ -120,6 +120,25 @@ class TestOracles:
         r = scalar_resistance_oracle(g)
         assert r[0, 1] == pytest.approx(5.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "g",
+        [g for _, g in standard_corpus() if g.s == 1]
+        + [path_graph(200, 1, np.array([[w]])) for w in (1e3, 1e6)],
+    )
+    def test_scalar_oracle_is_bitwise_the_edge_loop(self, g):
+        # The per-edge loop the array assembly replaced, as the reference.
+        lap = np.zeros((g.n, g.n))
+        for e in g.edges:
+            c = 1.0 / float(e.weight[0, 0])
+            lap[e.u, e.v] -= c
+            lap[e.v, e.u] -= c
+            lap[e.u, e.u] += c
+            lap[e.v, e.v] += c
+        h = linalg.pseudo_inverse(lap)
+        d = np.diag(h)
+        expected = d[:, np.newaxis] + d[np.newaxis, :] - h - h.T
+        assert scalar_resistance_oracle(g).tobytes() == expected.tobytes()
+
     def test_scalar_oracle_rejects_blocks(self):
         with pytest.raises(DimensionError, match="s=1"):
             scalar_resistance_oracle(path_graph(2, 2))
