@@ -44,7 +44,8 @@ from .linalg import (
 )
 
 # The engine and the verifier load on first use, so that building, parsing
-# and generating graphs (``resmat gen``) do not import and execute them.
+# and generating graphs (``resmat gen``) do not import and execute them; nor
+# does ``resmat.text``, which exports nothing and loads with ``compute``.
 _LAZY_MODULES = {
     "laplacian": (
         "build_incidence",

@@ -58,6 +58,7 @@ __all__ = [
     "run_suite",
     "run_corpus",
     "corpus_json",
+    "corpus_text",
     "scalar_resistance_oracle",
     "tree_distance_matrix",
     "standard_corpus",
@@ -183,6 +184,25 @@ class SuiteReport:
             _json_value(self.passed, "  "),
         )
 
+    def to_text(self) -> str:
+        """The text report: a ``graph:`` header, one line per check and
+        ``overall: PASS`` or ``FAIL``."""
+        g = self.graph
+        lines = [
+            f"graph: n={g['n']} s={g['s']} m={g['m']}"
+            + (f" model={g['model']}" if g["model"] else "")
+            + (f" seed={g['seed']}" if g["seed"] is not None else "")
+            + (" LOW-CONFIDENCE" if g["low_confidence"] else "")
+        ]
+        for c in self.checks:
+            status = "SKIP" if c.skipped else ("PASS" if c.passed else "FAIL")
+            lines.append(
+                f"{c.check_id:<16} {status:<4} residual {c.residual:.5e} "
+                f"tolerance {c.tolerance:.5e}  {c.details}"
+            )
+        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
+        return "\n".join(lines) + "\n"
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -226,13 +246,16 @@ def scalar_resistance_oracle(g: MatrixWeightedGraph) -> np.ndarray:
     if g.s != 1:
         raise linalg.DimensionError(f"scalar oracle requires s=1, got s={g.s}")
     u, v = g.endpoints.T
-    c = 1.0 / g.weights[:, 0, 0]
     lap = np.zeros((g.n, g.n))
-    lap[u, v] = lap[v, u] = -c
-    # A vertex's edges to smaller neighbours come first in canonical order,
-    # so each diagonal entry sums its terms in edge order.
-    np.add.at(lap, (v, v), c)
-    np.add.at(lap, (u, u), c)
+    # An inverse weight or a diagonal sum that overflows is left to
+    # ``pseudo_inverse``, which refuses the non-finite matrix.
+    with np.errstate(over="ignore", divide="ignore"):
+        c = 1.0 / g.weights[:, 0, 0]
+        lap[u, v] = lap[v, u] = -c
+        # A vertex's edges to smaller neighbours come first in canonical
+        # order, so each diagonal entry sums its terms in edge order.
+        np.add.at(lap, (v, v), c)
+        np.add.at(lap, (u, u), c)
     h = linalg.pseudo_inverse(lap)
     d = np.diag(h)
     return d[:, np.newaxis] + d[np.newaxis, :] - h - h.T
@@ -841,6 +864,23 @@ def corpus_json(entries) -> str:
         f"[\n{items}\n  ]" if items else "[]",
         _json_value(all(e.passed for e in entries), "  "),
     )
+
+
+def corpus_text(entries) -> str:
+    """The text report of a :func:`run_corpus` result: one line per entry
+    with its spec and outcome, then ``overall: PASS`` or ``FAIL``."""
+    lines = []
+    for e in entries:
+        label = " ".join(f"{key}={value}" for key, value in e.spec.as_dict().items())
+        if e.error is not None:
+            lines.append(f"{label}: GENERATION FAILURE ({e.error})")
+        else:
+            status = "PASS" if e.report.passed else "FAIL"
+            ran = sum(1 for c in e.report.checks if not c.skipped)
+            skipped = sum(1 for c in e.report.checks if c.skipped)
+            lines.append(f"{label}: {status} ({ran} checks, {skipped} skipped)")
+    lines.append(f"overall: {'PASS' if all(e.passed for e in entries) else 'FAIL'}")
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """End-to-end CLI tests: in-process `main()` with captured stdout/stderr."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,18 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import resmat
-from resmat.cli import (
-    EXIT_CHECK,
-    EXIT_INPUT,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    _matrix_output,
-    _slog_text,
-    main,
-)
+from resmat.cli import EXIT_CHECK, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from resmat.graph import parse_graph, path_graph, serialize, star_graph
 from resmat.resistance import ResistanceWorkspace
-from resmat.verify import CHECK_IDS
+from resmat.text import _matrix_output, _slog_text
+from resmat.verify import CHECK_IDS, GraphSpec
 
 
 @pytest.fixture
@@ -909,6 +904,58 @@ class TestVerifyCorpus:
         code, _, err = run_cli(capsys, "verify", "--corpus", corpus)
         assert code == EXIT_INPUT
         assert "unknown key" in err
+
+    def test_help_lists_the_spec_keys(self, capsys):
+        """The ``--corpus`` help names GraphSpec's fields, the required ones
+        first and then the one with a default, marked optional.  The parser
+        writes them out itself, since building it imports nothing from
+        ``verify`` (see ``TestLayers``)."""
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        keys = re.search(r"\(entries \{(.*?)\}\)", help_text).group(1)
+        fields = dataclasses.fields(GraphSpec)
+        required = [f'"{f.name}"' for f in fields if f.default is dataclasses.MISSING]
+        optional = [f'"{f.name}"?' for f in fields if f.default is not dataclasses.MISSING]
+        assert keys == ", ".join(required + optional)
+
+
+class TestLayers:
+    def test_each_command_loads_its_own_layers(self, tmp_path):
+        """In a fresh interpreter, ``gen`` loads neither the engine, nor the
+        text of ``compute``, nor the verifier; ``compute det`` then loads
+        the engine and its text, still without the verifier."""
+        script = "\n".join(
+            [
+                "import json, sys",
+                "from resmat.cli import main",
+                "def loaded():",
+                "    return sorted(m for m in sys.modules if m.startswith('resmat.'))",
+                "assert main(sys.argv[1:]) == 0",
+                "after_gen = loaded()",
+                "assert main(['compute', sys.argv[2], 'det']) == 0",
+                "print(json.dumps([after_gen, loaded()]))",
+            ]
+        )
+        graph = str(tmp_path / "g.json")
+        gen = ["gen", graph, "--n", "5", "--s", "2", "--model", "tree", "--seed", "1"]
+        src = str(Path(resmat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, *gen],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        after_gen, after_compute = json.loads(run.stdout.splitlines()[-1])
+        engine = {"resmat.laplacian", "resmat.resistance"}
+        assert not (engine | {"resmat.text", "resmat.verify"}) & set(after_gen)
+        assert engine | {"resmat.text"} <= set(after_compute)
+        assert "resmat.verify" not in after_compute
 
 
 class TestGen:

@@ -139,6 +139,20 @@ class TestOracles:
         expected = d[:, np.newaxis] + d[np.newaxis, :] - h - h.T
         assert scalar_resistance_oracle(g).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            from_edges(2, 1, [(0, 1, [[1e-310]])]),
+            from_edges(3, 1, [(0, 1, [[1e-308]]), (1, 2, [[1e-308]])]),
+        ],
+        ids=["inverse-weight-overflows", "diagonal-sum-overflows"],
+    )
+    def test_scalar_oracle_overflow_is_an_error_without_warnings(self, g):
+        # Under pytest's filterwarnings = error, a numpy RuntimeWarning from
+        # the assembly would surface here instead of the NumericError.
+        with pytest.raises(NumericError, match="non-finite"):
+            scalar_resistance_oracle(g)
+
     def test_scalar_oracle_rejects_blocks(self):
         with pytest.raises(DimensionError, match="s=1"):
             scalar_resistance_oracle(path_graph(2, 2))
