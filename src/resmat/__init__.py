@@ -29,7 +29,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     from_edges,
-    parse_graph,
     path_graph,
     random_graph,
     serialize,
@@ -43,10 +42,12 @@ from .linalg import (
     slogdet_lu,
 )
 
-# The engine and the verifier load on first use, so that building, parsing
-# and generating graphs (``resmat gen``) do not import and execute them; nor
-# does ``resmat.text``, which exports nothing and loads with ``compute``.
+# The reader of the JSON format, the engine and the verifier load on first
+# use, so that building, generating and writing graphs (``resmat gen``) do
+# not import and execute them; nor does ``resmat.text``, which exports
+# nothing and loads with ``compute``.
 _LAZY_MODULES = {
+    "reader": ("parse_graph",),
     "laplacian": (
         "build_incidence",
         "build_laplacian",
@@ -96,7 +97,6 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "from_edges",
-    "parse_graph",
     "path_graph",
     "random_graph",
     "serialize",
@@ -107,6 +107,7 @@ __all__ = [
     "NumericError",
     "pseudo_inverse",
     "slogdet_lu",
-    # the laplacian, resistance engine and verifier, loaded on first use
+    # the reader, the laplacian, resistance engine and verifier, loaded on
+    # first use
     *_LAZY_NAMES,
 ]

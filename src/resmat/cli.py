@@ -12,10 +12,11 @@ Three subcommands::
 ``chi``, ``interlace``); ``verify`` runs registry checks and emits a suite
 report; ``gen`` writes a seeded random graph in the JSON interchange form.
 
-Each command loads only its own layers: ``gen`` the graph model and its
-generators, ``compute`` also the engine and :mod:`resmat.text`, which
-writes what it prints, and ``verify`` the engine and :mod:`resmat.verify`,
-whose reports render themselves.
+Each command loads only its own layers: ``gen`` the graph model, its
+generators and its writer, ``compute`` also the reader of the JSON format
+(:mod:`resmat.reader`), the engine and :mod:`resmat.text`, which writes
+what it prints, and ``verify`` the reader, the engine and
+:mod:`resmat.verify`, whose reports render themselves.
 
 Exit codes: 0 success; 1 parse/validation/usage failure; 2 numeric or
 generation failure; 3 verification check failure (verify only, report
@@ -36,7 +37,6 @@ from .graph import (
     RANDOM_MODELS,
     GenerationError,
     GraphError,
-    parse_graph,
     random_graph,
     serialize,
 )
@@ -119,9 +119,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_compute(args) -> int:
-    # The engine and the text of its objects load here, and the verifier in
-    # the verify commands, so ``gen`` starts without any of them.
+    # The reader, the engine and the text of its objects load here, and the
+    # verifier in the verify commands, so ``gen`` starts without any of them.
     from .laplacian import build_laplacian, laplacian_cofactor_slog
+    from .reader import parse_graph
     from .resistance import ResistanceWorkspace
     from .text import (
         _inertia_output,
@@ -194,6 +195,7 @@ def _cmd_verify_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reader import parse_graph
     from .verify import UnknownCheckError, run_suite
 
     if args.corpus is not None:

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import resmat
 from resmat.cli import EXIT_CHECK, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from resmat.graph import parse_graph, path_graph, serialize, star_graph
+from resmat.graph import path_graph, serialize, star_graph
+from resmat.reader import parse_graph
 from resmat.resistance import ResistanceWorkspace
 from resmat.text import _matrix_output, _slog_text
 from resmat.verify import CHECK_IDS, GraphSpec
@@ -922,18 +923,21 @@ class TestVerifyCorpus:
 
 class TestLayers:
     def test_each_command_loads_its_own_layers(self, tmp_path):
-        """In a fresh interpreter, ``gen`` loads neither the engine, nor the
-        text of ``compute``, nor the verifier; ``compute det`` then loads
-        the engine and its text, still without the verifier."""
+        """In a fresh interpreter, ``gen`` loads neither the reader of the
+        JSON format, nor the engine, nor the text of ``compute``, nor the
+        verifier.  ``compute det`` then loads the reader, the engine and its
+        text, still without the verifier; ``verify --all``, in another fresh
+        interpreter, loads the reader, the engine and the verifier."""
         script = "\n".join(
             [
                 "import json, sys",
                 "from resmat.cli import main",
                 "def loaded():",
                 "    return sorted(m for m in sys.modules if m.startswith('resmat.'))",
-                "assert main(sys.argv[1:]) == 0",
+                "gen, command = json.loads(sys.argv[1])",
+                "assert main(gen) == 0",
                 "after_gen = loaded()",
-                "assert main(['compute', sys.argv[2], 'det']) == 0",
+                "assert main(command) == 0",
                 "print(json.dumps([after_gen, loaded()]))",
             ]
         )
@@ -944,18 +948,26 @@ class TestLayers:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        run = subprocess.run(
-            [sys.executable, "-c", script, *gen],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        after_gen, after_compute = json.loads(run.stdout.splitlines()[-1])
+
+        def layers(command):
+            run = subprocess.run(
+                [sys.executable, "-c", script, json.dumps([gen, command])],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return map(set, json.loads(run.stdout.splitlines()[-1]))
+
+        reader = {"resmat.reader"}
         engine = {"resmat.laplacian", "resmat.resistance"}
-        assert not (engine | {"resmat.text", "resmat.verify"}) & set(after_gen)
-        assert engine | {"resmat.text"} <= set(after_compute)
+        after_gen, after_compute = layers(["compute", graph, "det"])
+        assert not (reader | engine | {"resmat.text", "resmat.verify"}) & after_gen
+        assert reader | engine | {"resmat.text"} <= after_compute
         assert "resmat.verify" not in after_compute
+        after_gen, after_verify = layers(["verify", graph, "--all"])
+        assert not reader & after_gen
+        assert reader | engine | {"resmat.verify"} <= after_verify
 
 
 class TestGen:

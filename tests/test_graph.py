@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resmat import graph, linalg
+from resmat import graph, linalg, reader
 from resmat.graph import (
     GNP_MAX_ATTEMPTS,
     RANDOM_MODELS,
@@ -21,7 +21,6 @@ from resmat.graph import (
     cycle_graph,
     from_edges,
     is_tree,
-    parse_graph,
     path_graph,
     random_graph,
     random_pd_weight,
@@ -36,6 +35,7 @@ from resmat.linalg import (
     sym_eigenvalues,
     symmetrize,
 )
+from resmat.reader import parse_graph
 
 
 def unit(s=1):
@@ -337,6 +337,20 @@ class TestIntegerEndpoints:
         ]
 
 
+def awkward_weights(m, s, seed):
+    """``m`` random positive definite ``s x s`` weights, each scaled entry by
+    entry by up to 1e-12 relative, so that (for ``s > 1``) none equals its
+    own transpose bit for bit; for ``s > 1`` the first is the identity with
+    -0.0 above the diagonal and 0.0 below it."""
+    rng = np.random.default_rng(seed)
+    w = np.array([random_pd_weight(rng, s) for _ in range(m)])
+    w *= 1 + 1e-12 * rng.uniform(-1.0, 1.0, size=w.shape)
+    if s > 1:
+        w[0] = np.eye(s)
+        w[0][np.triu_indices(s, 1)] = -0.0
+    return w
+
+
 class TestParseSerialize:
     def test_minimal_document(self):
         g = parse_graph('{"n": 2, "s": 1, "edges": [{"u": 1, "v": 2, "w": [[1.0]]}]}')
@@ -432,7 +446,10 @@ class TestParseSerialize:
             0.1 + 0.2, 123456789.12345679, 1.0000000000000002)]),
         random_graph(9, 3, "gnp", seed=4, p=0.5),
         random_graph(12, 5, "tree", seed=9),
-    ], ids=["special-s2", "special-s1", "gnp-s3", "tree-s5"])
+        complete_graph(5, 4, list(awkward_weights(10, 4, seed=8))),
+        path_graph(2, 2, [[[1, -0.0], [0.0, 1]]]),
+    ], ids=["special-s2", "special-s1", "gnp-s3", "tree-s5", "complete-s4",
+            "signed-zero-pair"])
     def test_serialize_is_json_dumps(self, g):
         payload = {
             "n": g.n,
@@ -450,6 +467,64 @@ class TestParseSerialize:
         g = path_graph(2, 2, [np.array([[2.0, -0.0], [-0.0, 3.0]])])
         assert g.weights[0, 0, 1].tobytes() == np.float64(-0.0).tobytes()
         assert '          -0.0,\n' in serialize(g)
+
+
+def _made_graphs():
+    """One graph for every way a graph is made, each from weights that are
+    not bitwise symmetric where ``s > 1``."""
+    cases = {
+        "parse_graph": parse_graph(json.dumps({"n": 3, "s": 2, "edges": [
+            {"u": 1, "v": 2, "w": [[1, -0.0], [0.0, 1]]},
+            {"u": 2, "v": 3, "w": [[2.0, 0.5], [0.5 * (1 + 1e-12), 1.0]]},
+        ]})),
+        "from_edges": from_edges(4, 3, [
+            (u, v, w) for (u, v), w in zip(
+                [(0, 1), (1, 2), (2, 3), (0, 3)], awkward_weights(4, 3, seed=1))
+        ]),
+        "direct": MatrixWeightedGraph(
+            4, 2, [(2, 3), (0, 1), (1, 2)], awkward_weights(3, 2, seed=2)),
+        "replace": dataclasses.replace(
+            path_graph(4, 3), weights=awkward_weights(3, 3, seed=3)),
+    }
+    shapes = {
+        "path": (path_graph, 5, 4),
+        "cycle": (cycle_graph, 5, 5),
+        "complete": (complete_graph, 5, 10),
+        "star": (star_graph, 4, 4),
+    }
+    for name, (build, size, m) in shapes.items():
+        for s in (1, 2, 3):
+            per_edge = awkward_weights(m, s, seed=10 + s)
+            cases[f"{name}-s{s}-shared"] = build(size, s, per_edge[0])
+            cases[f"{name}-s{s}-per-edge"] = build(size, s, list(per_edge))
+    for model in RANDOM_MODELS:
+        for s in (1, 2, 3, 5):
+            p = 0.5 if model == "gnp" else None
+            cases[f"random-{model}-s{s}"] = random_graph(7, s, model, seed=s, p=p)
+    return cases
+
+
+MADE_GRAPHS = _made_graphs()
+
+
+class TestBitwiseSymmetricWeights:
+    """Every stored weight equals its own transpose bit for bit, signed
+    zeros included, however the graph is made: ``serialize`` formats the
+    upper triangle only and mirrors the text."""
+
+    @pytest.mark.parametrize("g", MADE_GRAPHS.values(), ids=MADE_GRAPHS.keys())
+    def test_weights_equal_their_transpose_bitwise(self, g):
+        bits = g.weights.view(np.int64)
+        assert np.array_equal(bits, bits.swapaxes(1, 2))
+
+    def test_the_inputs_were_not_bitwise_symmetric(self):
+        for s in (2, 3, 5):
+            bits = awkward_weights(4, s, seed=s).view(np.int64)
+            assert not (bits == bits.swapaxes(1, 2)).all(axis=(1, 2)).any()
+
+    def test_signed_zero_pair_reads_as_zero_on_both_sides(self):
+        w = MADE_GRAPHS["parse_graph"].weights[0]
+        assert w[0, 1].tobytes() == w[1, 0].tobytes() == np.float64(0.0).tobytes()
 
 
 def _document(n, s, edges):
@@ -641,7 +716,7 @@ class TestBulkConversion:
         raw = json.loads(json.dumps(
             [{"u": 1, "v": 2, "w": ws[0]}, {"u": 2, "v": 3, "w": ws[1]}]
         ))
-        endpoints, stack = graph._edge_arrays(raw, 2)
+        endpoints, stack = reader._edge_arrays(raw, 2)
         assert endpoints.dtype == np.intp and endpoints.tolist() == [[0, 1], [1, 2]]
         expected = np.asarray(ws, dtype=np.float64)
         assert stack.dtype == np.float64 and stack.shape == (2, 2, 2)

@@ -14,7 +14,6 @@ from resmat.graph import (
     complete_graph,
     cycle_graph,
     from_edges,
-    parse_graph,
     path_graph,
     random_graph,
     serialize,
@@ -33,6 +32,7 @@ from resmat.linalg import (
     sym_eigenvalues,
     value_from_slog,
 )
+from resmat.reader import parse_graph
 from resmat.resistance import ResistanceWorkspace
 
 #: Every array a workspace holds or caches.
