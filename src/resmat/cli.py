@@ -148,20 +148,23 @@ def _cmd_compute(args) -> int:
         return EXIT_OK
 
     ws = ResistanceWorkspace(g)
-    if what == "resistance" and args.pair is not None:
-        i, j = args.pair
-        if not (1 <= i <= g.n and 1 <= j <= g.n):
-            raise UsageError(f"--pair indices must be in 1..{g.n}")
-        block = ws.resistance_block(i - 1, j - 1)
-        sys.stdout.writelines(_matrix_output(block, g.s, fmt))
-    elif what == "resistance":
-        sys.stdout.writelines(_matrix_output(ws.resistance, g.s, fmt))
-    elif what == "pinv":
-        sys.stdout.writelines(_matrix_output(ws.pseudoinverse, g.s, fmt))
-    elif what == "tau":
-        sys.stdout.writelines(_matrix_output(ws.deficit, g.s, fmt))
-    elif what == "inverse":
-        sys.stdout.writelines(_matrix_output(ws.inverse(), g.s, fmt))
+    if what in _MATRIX_OBJECTS:
+        if args.pair is not None:
+            i, j = args.pair
+            if not (1 <= i <= g.n and 1 <= j <= g.n):
+                raise UsageError(f"--pair indices must be in 1..{g.n}")
+            matrix = ws.resistance_block(i - 1, j - 1)
+        elif what == "resistance":
+            matrix = ws.resistance
+        elif what == "pinv":
+            matrix = ws.pseudoinverse
+        elif what == "tau":
+            matrix = ws.deficit
+        else:
+            matrix = ws.inverse()
+        # The workspace, L and Z with it, is freed before the text is written.
+        del ws
+        sys.stdout.writelines(_matrix_output(matrix, g.s, fmt))
     elif what == "det":
         sys.stdout.write(_scalar_output(*ws.determinant_slog(), fmt))
     elif what == "inertia":

@@ -11,8 +11,9 @@ inverse square root) check nothing: every graph's weights were tested for
 symmetry and definiteness when the graph was constructed.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
-read-only, and returns freshly allocated arrays.  Block indices are
-0-based throughout this module.
+read-only, and returns freshly allocated arrays, save for
+:func:`symmetric_mean_in_place`, which writes over its input.  Block
+indices are 0-based throughout this module.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "default_rank_tol",
     "certified_definite",
     "symmetric_mean",
+    "symmetric_mean_in_place",
     "symmetrize",
     "sym_eigenvalues",
     "pseudo_inverse",
@@ -152,10 +154,9 @@ def certified_definite(a: np.ndarray, rtol: float) -> bool:
         diagonal[...] = kept
 
 
-def symmetric_mean(a: np.ndarray) -> np.ndarray:
-    """The package's one ``(A + A') / 2``, over the last two axes: bit for
-    bit, save that an entry whose sum overflows is ``a / 2 + a' / 2``, exact there."""
-    t = np.swapaxes(a, -1, -2)
+def _mean(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``(a + t) / 2`` entrywise, as a new array: bit for bit, save that an
+    entry whose sum overflows is ``a / 2 + t / 2``, exact there."""
     with np.errstate(over="ignore"):
         mean = a + t
     spilled = np.isinf(mean)
@@ -163,6 +164,29 @@ def symmetric_mean(a: np.ndarray) -> np.ndarray:
     if spilled.any():
         mean[spilled] = a[spilled] / 2.0 + t[spilled] / 2.0
     return mean
+
+
+def symmetric_mean(a: np.ndarray) -> np.ndarray:
+    """The package's one ``(A + A') / 2``, over the last two axes: bit for
+    bit, save that an entry whose sum overflows is ``a / 2 + a' / 2``, exact there."""
+    return _mean(a, np.swapaxes(a, -1, -2))
+
+
+def symmetric_mean_in_place(a: np.ndarray, rows: int) -> None:
+    """Overwrite the square ``a`` with :func:`symmetric_mean` of it, bit for
+    bit, ``rows`` rows at a time.
+
+    Each band ``a[r:r+rows, r:]`` of the upper triangle is averaged with its
+    mirror ``a[r:, r:r+rows]'``, which no earlier band has written, and the
+    mean goes to both; the mean of two entries does not depend on their
+    order, so the result is exactly symmetric.  Only one band's mean is
+    ever allocated.
+    """
+    for r in range(0, a.shape[0], rows):
+        band, mirror = a[r : r + rows, r:], a[r:, r : r + rows]
+        band[...] = _mean(band, mirror.T)
+        # The square the two share now holds its own, symmetric, mean.
+        mirror[rows:] = band[:, rows:].T
 
 
 def _bitwise_symmetric(a: np.ndarray) -> bool:

@@ -69,6 +69,10 @@ INTERLACE_SLACK_RTOL = 1e-9
 #: inverts directly.
 _LEAF_ORDER = 64
 
+#: Entries per band of the passes that build ``R`` and ``R^{-1}`` in one
+#: ``ns x ns`` buffer; each band's temporaries are this size.
+_BAND_ENTRIES = 4096
+
 
 def _interlace_slack(bound: float) -> float:
     """``INTERLACE_SLACK_RTOL * (1 + |bound|)``: each side's slack in a row."""
@@ -206,18 +210,27 @@ class ResistanceWorkspace:
     @cached_property
     def resistance(self) -> np.ndarray:
         """The block resistance matrix ``R_ij = X_ii + X_jj - 2 X_ij``,
-        assembled for all block pairs at once from ``X`` itself.  A
-        workspace that has not built ``X`` builds it for this alone and lets
-        it go, so it holds ``L``, ``Z`` and ``R``, not ``X`` as well."""
+        assembled from ``X`` one band of block rows at a time.  A workspace
+        that has not built ``X`` computes the product ``Z' Z`` and builds
+        ``R`` in that product's buffer, so it holds ``L``, ``Z`` and ``R``,
+        not ``X`` as well; a cached ``X`` is read into a new array."""
         n, s = self.graph.n, self.graph.s
         x = self.__dict__.get("shifted_inverse")
-        x_blocks = (self._gram() if x is None else x).reshape(n, s, n, s)
+        resistance = self._gram() if x is None else np.empty_like(x)
+        x_blocks = (resistance if x is None else x).reshape(n, s, n, s)
         vertices = np.arange(n)
         diagonal = x_blocks[vertices, :, vertices, :]
-        resistance = np.empty((n * s, n * s))
         r_blocks = resistance.reshape(n, s, n, s)
-        np.add(diagonal[:, :, np.newaxis, :], diagonal.transpose(1, 0, 2), out=r_blocks)
-        r_blocks -= 2.0 * x_blocks
+        step = max(1, _BAND_ENTRIES // (n * s * s))
+        for i in range(0, n, step):
+            band = slice(i, i + step)
+            twice = 2.0 * x_blocks[band]
+            np.add(
+                diagonal[band, :, np.newaxis, :],
+                diagonal.transpose(1, 0, 2),
+                out=r_blocks[band],
+            )
+            r_blocks[band] -= twice
         return frozen(resistance)
 
     @cached_property
@@ -322,11 +335,19 @@ class ResistanceWorkspace:
         """Inverse of the resistance matrix by the closed form
         ``-(1/2) L + T (T' R T)^{-1} T'`` (one tiny ``s x s`` solve).
 
-        Summing in place, three float and one bool ``ns x ns`` temporaries suffice."""
+        The product ``T (T' R T)^{-1} T'`` is the result's buffer: ``L / 2``
+        is subtracted from it and it is made exactly symmetric by
+        :func:`linalg.symmetric_mean_in_place`, one band of rows at a time,
+        so no ``ns x ns`` temporary is made beyond the result."""
         middle = np.linalg.solve(self.deficit_form, self.deficit.T)
-        f = -0.5 * self.laplacian
-        f += self.deficit @ middle
-        return linalg.symmetric_mean(f)
+        f = self.deficit @ middle
+        rows = max(1, _BAND_ENTRIES // f.shape[1])
+        # P - L/2 is -L/2 + P bit for bit: L/2 is exact and IEEE
+        # subtraction is addition of the negation.
+        for r in range(0, f.shape[0], rows):
+            f[r : r + rows] -= 0.5 * self.laplacian[r : r + rows]
+        linalg.symmetric_mean_in_place(f, rows)
+        return f
 
     def inertia(self) -> linalg.Inertia:
         """Eigenvalue sign counts of the resistance matrix (always

@@ -5,7 +5,8 @@ Matrices print with 12 significant digits, one row per line, with blank
 lines between block-row boundaries.  Each entry has the bytes of
 ``"%.11e" % x``: numpy builds the text of many rows at once with exact
 float arithmetic, and Python formats only the entries whose rounding that
-arithmetic cannot decide (near-ties, non-finite and extreme values).  A
+arithmetic cannot decide (near-ties, non-finite and extreme values).
+JSON matrices are written a row at a time, in ``json.dumps``'s bytes.  A
 determinant or cofactor beyond the double range prints in the same layout,
 computed from its exact logarithm; JSON then gives ``"value": null``
 beside the exact ``sign`` and ``log_abs``.
@@ -165,13 +166,24 @@ def _matrix_output(a: np.ndarray, s: int, fmt: str):
         return _matrix_lines(a, s, " ", block_gaps=s > 1)
     if fmt == "csv":
         return _matrix_lines(a, s, ",", block_gaps=False)
-    payload = {
-        "block_size": s,
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "entries": a.tolist(),
-    }
-    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+    return _matrix_json(a, s)
+
+
+def _matrix_json(a: np.ndarray, s: int):
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of the
+    matrix payload, byte for byte, written one row at a time: each entry is
+    its ``float.__repr__``, and a non-finite one is spelled ``NaN``,
+    ``Infinity`` or ``-Infinity`` as ``json.dumps`` spells it (no finite
+    ``repr`` holds ``nan`` or ``inf``)."""
+    rows, cols = a.shape
+    yield f'{{\n  "block_size": {s},\n  "cols": {cols},\n  "entries": ['
+    for r in range(rows):
+        entries = ",\n      ".join(map(float.__repr__, a[r].tolist()))
+        entries = entries.replace("nan", "NaN").replace("inf", "Infinity")
+        item = f"\n      {entries}\n    " if cols else ""
+        yield f"{',' if r else ''}\n    [{item}]"
+    close = "\n  ]" if rows else "]"
+    yield f'{close},\n  "rows": {rows}\n}}\n'
 
 
 def _slog_text(sign: float, log_abs: float) -> str:

@@ -525,22 +525,25 @@ _PINV_SETS_PER_INSTANCE = 5
 _NONSINGULAR_RTOL = 1e-10
 
 
-def _shifted_block(source: np.ndarray, rows: np.ndarray, n: int, s: int, scale):
+def _shifted_block(source: np.ndarray, rows: np.ndarray, n: int, s: int, *scales):
     """``_shift(source, n, s, scale)[rows][:, rows]`` bit for bit, with no
     shifted copy of ``source``: the principal block is gathered, then the
     projector's ``scale / n`` is added where ``p = q (mod s)`` and ``0.0``
-    elsewhere, as the shift adds it (turning ``-0.0`` into ``0.0``).  With
-    ``scale=None`` it is ``source[rows][:, rows]``."""
+    elsewhere, as the shift adds it (turning ``-0.0`` into ``0.0``).  Each
+    of ``scales`` is added so in turn, as nested shifts add them; with
+    none it is ``source[rows][:, rows]``."""
     block = source.take(rows, axis=0).take(rows, axis=1)
-    if scale is not None:
+    if scales:
         phase = rows % s
-        block += (scale / n) * np.equal.outer(phase, phase)
+        same = np.equal.outer(phase, phase)
+        for scale in scales:
+            block += (scale / n) * same
     return block
 
 
-def _pinv_submatrix_sets(rng, source: np.ndarray, n: int, s: int, scale=None):
+def _pinv_submatrix_sets(rng, source: np.ndarray, n: int, s: int, *scales):
     """Sample index sets ``S`` whose principal submatrix ``A[S, S]`` of the
-    positive semidefinite ``A``, that is ``source`` shifted by ``scale``
+    positive semidefinite ``A``, that is ``source`` shifted by ``scales``
     as in :func:`_shifted_block`, is numerically invertible.
 
     Each draw takes a size from 1 to ``ns - s``, then that many distinct
@@ -557,7 +560,7 @@ def _pinv_submatrix_sets(rng, source: np.ndarray, n: int, s: int, scale=None):
         for _ in range(40):
             size = int(rng.integers(1, order - s + 1))
             rows = np.sort(rng.choice(order, size=size, replace=False))
-            block = _shifted_block(source, rows, n, s, scale)
+            block = _shifted_block(source, rows, n, s, *scales)
             try:
                 pivots = np.linalg.cholesky(block).diagonal()
             except np.linalg.LinAlgError:
@@ -601,7 +604,7 @@ def numerically_nonsingular(b) -> bool:
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
     g = ws.graph
-    lap, x, lap_pinv = ws.laplacian, ws.shifted_inverse, ws.pseudoinverse
+    lap, x = ws.laplacian, ws.shifted_inverse
     # Each principal block of a finite, bitwise symmetric source, shifted
     # or not, is one that symmetrize would hand back unchanged, so it goes
     # to the rule directly; L and X are built so.
@@ -613,20 +616,29 @@ def _check_pinv_submatrices(ws: ResistanceWorkspace):
     )
     # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and
     # P act on complementary subspaces.  Each instance is A and its
-    # inverse, each a cached source with the scale of its shift, and the
-    # inverse's rule; only the sampled blocks are ever shifted.
+    # inverse, each a cached source with the scales of its shifts, and the
+    # inverse's rule; only the sampled blocks are ever shifted.  L^+ is
+    # X shifted by -1/alpha, as the workspace builds it: its blocks are
+    # read from L^+ where an earlier check (LPLUS) has cached it, and are
+    # otherwise gathered from X with that shift added, bit for bit the
+    # same, so this check never builds L^+.
+    lap_pinv = ws.__dict__.get("pseudoinverse")
+    if lap_pinv is None:
+        lap_pinv, pinv_shift = x, (-1.0 / ws.shift_scale,)
+    else:
+        pinv_shift = ()
     instances = [
-        (lap_pinv, None, lap, None, decide_lap),
-        (lap, ws.shift_scale, x, None, decide_x),
-        (lap_pinv, 1.0, lap, 1.0, decide_lap),
+        (lap_pinv, pinv_shift, lap, (), decide_lap),
+        (lap, (ws.shift_scale,), x, (), decide_x),
+        (lap_pinv, (*pinv_shift, 1.0), lap, (1.0,), decide_lap),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0
     sampled = 0
-    for a, a_scale, a_pinv, pinv_scale, decide in instances:
-        for rows in _pinv_submatrix_sets(rng, a, g.n, g.s, a_scale):
+    for a, a_scales, a_pinv, pinv_scales, decide in instances:
+        for rows in _pinv_submatrix_sets(rng, a, g.n, g.s, *a_scales):
             sampled += 1
-            if not decide(_shifted_block(a_pinv, rows, g.n, g.s, pinv_scale)):
+            if not decide(_shifted_block(a_pinv, rows, g.n, g.s, *pinv_scales)):
                 violations += 1
     targeted = len(instances) * _PINV_SETS_PER_INSTANCE
     details = (

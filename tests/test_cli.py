@@ -1,12 +1,15 @@
 """End-to-end CLI tests: in-process `main()` with captured stdout/stderr."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import resmat
 from resmat.cli import EXIT_CHECK, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from resmat.graph import path_graph, serialize, star_graph
+from resmat.graph import path_graph, random_graph, serialize, star_graph
 from resmat.reader import parse_graph
 from resmat.resistance import ResistanceWorkspace
 from resmat.text import _matrix_output, _slog_text
@@ -652,6 +655,110 @@ class TestMatrixPrinting:
         """NaN payloads, signed zeros, subnormals, DBL_MAX: every float64."""
         a = _padded_rows(np.array(bits, dtype=np.uint64), cols).view(np.float64)
         _assert_prints_per_entry(a, s, fmt)
+
+
+def _json_dumps_matrix(a, s):
+    """The JSON of a matrix as ``json.dumps`` writes it."""
+    payload = {"block_size": s, "rows": a.shape[0], "cols": a.shape[1], "entries": a.tolist()}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestMatrixJson:
+    """JSON matrices are written a row at a time, in ``json.dumps``'s bytes."""
+
+    @pytest.mark.parametrize("shape,s", [
+        ((6, 6), 1), ((12, 9), 3), ((1, 9), 1), ((9, 1), 3), ((0, 4), 1), ((4, 0), 1),
+    ])
+    def test_bytes_match_json_dumps(self, shape, s):
+        # NaN, both infinities, -0.0 and the smallest subnormal among them.
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        flat = a.reshape(-1)
+        count = min(flat.size, len(TestMatrixPrinting.SPECIAL))
+        flat[:count] = TestMatrixPrinting.SPECIAL[:count]
+        rng.shuffle(flat)
+        assert "".join(_matrix_output(a, s, "json")) == _json_dumps_matrix(a, s)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40),
+        cols=st.integers(min_value=1, max_value=5),
+    )
+    def test_any_bit_pattern_matches_json_dumps(self, bits, cols):
+        a = _padded_rows(np.array(bits, dtype=np.uint64), cols).view(np.float64)
+        assert "".join(_matrix_output(a, 1, "json")) == _json_dumps_matrix(a, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ("laplacian",), ("pinv",), ("resistance",), ("tau",), ("inverse",),
+        ("resistance", "--pair", "1", "4"), ("resistance", "--pair", "3", "2"),
+    ])
+    def test_cli_prints_json_dumps(self, capsys, block_file, argv):
+        ws = ResistanceWorkspace(parse_graph(Path(block_file).read_bytes()))
+        if len(argv) > 1:
+            expected = ws.resistance_block(int(argv[2]) - 1, int(argv[3]) - 1)
+        else:
+            expected = {
+                "laplacian": ws.laplacian,
+                "pinv": ws.pseudoinverse,
+                "resistance": ws.resistance,
+                "tau": ws.deficit,
+                "inverse": ws.inverse(),
+            }[argv[0]]
+        code, out, err = run_cli(capsys, "compute", block_file, *argv, "--format", "json")
+        assert code == EXIT_OK and err == ""
+        assert out == _json_dumps_matrix(expected, 2)
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestMatrixPeakMemory:
+    """``compute resistance`` and ``compute inverse`` need no more memory at
+    peak than ``compute det``, which builds only the factorization: each
+    builds its matrix in one ``ns x ns`` buffer and writes it after the
+    workspace is freed."""
+
+    @staticmethod
+    def traced_peak(argv):
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sink.chars
+
+    @pytest.mark.parametrize("model,n,s,p", [("tree", 400, 1, None), ("gnp", 100, 4, 0.1)])
+    def test_matrix_peaks_within_five_percent_of_det(self, tmp_path, model, n, s, p):
+        path = tmp_path / "graph.json"
+        path.write_text(serialize(random_graph(n, s, model, seed=3, p=p)))
+        commands = {
+            "det": ["compute", str(path), "det"],
+            "resistance": ["compute", str(path), "resistance"],
+            "inverse": ["compute", str(path), "inverse", "--format", "csv"],
+        }
+        # Modules and printing tables load in the first calls, not the measured ones.
+        for argv in commands.values():
+            self.traced_peak(argv)
+        det_peak, _ = self.traced_peak(commands.pop("det"))
+        for name, argv in commands.items():
+            peak, chars = self.traced_peak(argv)
+            assert chars > 17 * (n * s) ** 2, name
+            assert peak <= 1.05 * det_peak, (name, peak / det_peak)
 
 
 class TestFreshProcessDeterminism:

@@ -24,6 +24,7 @@ from resmat.linalg import (
     slogdet_lu,
     sym_eigenvalues,
     symmetric_mean,
+    symmetric_mean_in_place,
     symmetrize,
     value_from_slog,
 )
@@ -157,6 +158,21 @@ class TestSymmetricMean:
         a = np.array([[big, 0.75 * big], [big, 5e-324]])
         mean = symmetric_mean(a)
         assert mean.tolist() == [[big, 0.875 * big], [0.875 * big, 5e-324]]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9, 50])
+    def test_in_place_is_the_mean_bit_for_bit(self, rows):
+        # Bands that end inside the matrix and past it; entries whose sum
+        # overflows, signed zeros and subnormals.
+        big = np.finfo(np.float64).max
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-320, 300, (9, 9))
+        a[0, 5], a[5, 0] = big, 0.75 * big
+        a[2, 3], a[3, 2] = -0.0, -0.0
+        a[4, 1], a[1, 4] = -0.0, 0.0
+        a[8, 7], a[7, 8] = 5e-324, -big
+        expected = symmetric_mean(a)
+        symmetric_mean_in_place(a, rows)
+        assert a.tobytes() == expected.tobytes()
 
     def test_symmetrize_takes_no_overflow(self):
         big = np.finfo(np.float64).max

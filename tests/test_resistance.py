@@ -766,6 +766,27 @@ class TestRFreeRoute:
         expected = diagonal[:, :, np.newaxis, :] + diagonal.transpose(1, 0, 2) - 2.0 * x
         assert np.array_equal(r, expected.reshape(n * s, n * s))
 
+    @pytest.mark.parametrize("entries", [1, 200, 1000])
+    @pytest.mark.parametrize("model,n,s,p", [UP_TO_LEAF[1], *ABOVE_LEAF[:2]])
+    def test_banded_passes_are_the_whole_array_expressions(
+        self, monkeypatch, model, n, s, p, entries
+    ):
+        # R and R^-1 are built one band at a time; with bands down to one
+        # block row each, they are the whole-array expressions bit for bit,
+        # R whether it is built in the buffer of Z'Z or from a cached X.
+        monkeypatch.setattr(resistance, "_BAND_ENTRIES", entries)
+        g = kernel_graph(model, n, s, p)
+        built = ResistanceWorkspace(g).resistance
+        ws = ResistanceWorkspace(g)
+        x = ws.shifted_inverse.reshape(n, s, n, s)
+        diagonal = x[np.arange(n), :, np.arange(n), :]
+        expected = diagonal[:, :, np.newaxis, :] + diagonal.transpose(1, 0, 2) - 2.0 * x
+        assert built.tobytes() == expected.tobytes() == ws.resistance.tobytes()
+
+        f = -0.5 * ws.laplacian
+        f += ws.deficit @ np.linalg.solve(ws.deficit_form, ws.deficit.T)
+        assert ws.inverse().tobytes() == linalg.symmetric_mean(f).tobytes()
+
     def test_scale_invariant_objects(self):
         # alpha cancels from R and T; scaling every weight by c scales R
         # by c and leaves T alone.

@@ -609,13 +609,66 @@ class TestPinvSubmatrixSampling:
         lap = ws.laplacian
         assert np.signbit(lap[lap == 0.0]).any()
         rng = np.random.default_rng(5)
+        scales = () if scale is None else (scale,)
         for source in (lap, ws.shifted_inverse, ws.pseudoinverse):
             shifted = source if scale is None else _shift(source, g.n, g.s, scale)
             for size in list(range(1, 11)) * 3:
                 rows = np.sort(rng.choice(10, size=size, replace=False))
-                block = verify._shifted_block(source, rows, g.n, g.s, scale)
+                block = verify._shifted_block(source, rows, g.n, g.s, *scales)
                 expected = shifted[np.ix_(rows, rows)]
                 assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scales", [(), (1.0,)])
+    def test_pinv_blocks_from_x_are_the_pseudoinverse_blocks_bit_for_bit(self, scales):
+        # L^+ = X shifted by -1/alpha; its blocks, shifted again or not,
+        # come from X with both shifts added in turn.
+        for g in (path_graph(5, 2), cycle_graph(6, 3), random_graph(9, 2, "gnp", seed=4, p=0.5)):
+            ws = ResistanceWorkspace(g)
+            order = g.n * g.s
+            pinv = ws.pseudoinverse
+            for scale in scales:
+                pinv = _shift(pinv, g.n, g.s, scale)
+            rng = np.random.default_rng(6)
+            for size in list(range(1, order + 1)) * 2:
+                rows = np.sort(rng.choice(order, size=size, replace=False))
+                block = verify._shifted_block(
+                    ws.shifted_inverse, rows, g.n, g.s, -1.0 / ws.shift_scale, *scales
+                )
+                assert block.tobytes() == pinv[np.ix_(rows, rows)].tobytes()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_factors_the_blocks_of_the_materialized_route_bit_for_bit(
+        self, monkeypatch, cached
+    ):
+        # Every matrix the check factors, in its screen and its decisions,
+        # is one the route through materialized instances factors, whether
+        # the L^+ blocks come from X or from a cached L^+; that route
+        # decides each set as it draws it, so the orders differ.
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def recording(b):
+            factored.append(np.asarray(b).tobytes())
+            return cholesky(b)
+
+        for g in (path_graph(5, 2), cycle_graph(6, 3), random_graph(9, 2, "gnp", seed=4, p=0.5)):
+            materialized, ws = ResistanceWorkspace(g), ResistanceWorkspace(g)
+            if cached:
+                ws.pseudoinverse
+            monkeypatch.setattr(np.linalg, "cholesky", recording)
+            self.materialized_route(materialized)
+            expected = factored[:]
+            factored.clear()
+            run_check(g, "PINV_SUBMATRIX", ws)
+            monkeypatch.undo()
+            assert expected and sorted(factored) == sorted(expected)
+            factored.clear()
+
+    def test_the_check_never_builds_the_pseudoinverse(self):
+        g = random_graph(8, 2, "gnp", seed=3, p=0.5)
+        ws = ResistanceWorkspace(g)
+        assert run_check(g, "PINV_SUBMATRIX", ws).passed
+        assert "pseudoinverse" not in ws.__dict__
 
     @staticmethod
     def materialized_route(ws):
