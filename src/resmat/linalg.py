@@ -11,9 +11,8 @@ inverse square root) check nothing: every graph's weights were tested for
 symmetry and definiteness when the graph was constructed.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
-read-only, and returns freshly allocated arrays, save for
-:func:`symmetric_mean_in_place`, which writes over its input.  Block
-indices are 0-based throughout this module.
+read-only, and returns freshly allocated arrays.  Block indices are
+0-based throughout this module.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "default_rank_tol",
     "certified_definite",
     "symmetric_mean",
-    "symmetric_mean_in_place",
     "symmetrize",
     "sym_eigenvalues",
     "pseudo_inverse",
@@ -172,7 +170,7 @@ def symmetric_mean(a: np.ndarray) -> np.ndarray:
     return _mean(a, np.swapaxes(a, -1, -2))
 
 
-def symmetric_mean_in_place(a: np.ndarray, rows: int) -> None:
+def _symmetric_mean_in_place(a: np.ndarray, rows: int) -> None:
     """Overwrite the square ``a`` with :func:`symmetric_mean` of it, bit for
     bit, ``rows`` rows at a time.
 

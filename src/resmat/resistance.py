@@ -337,7 +337,7 @@ class ResistanceWorkspace:
 
         The product ``T (T' R T)^{-1} T'`` is the result's buffer: ``L / 2``
         is subtracted from it and it is made exactly symmetric by
-        :func:`linalg.symmetric_mean_in_place`, one band of rows at a time,
+        :func:`linalg._symmetric_mean_in_place`, one band of rows at a time,
         so no ``ns x ns`` temporary is made beyond the result."""
         middle = np.linalg.solve(self.deficit_form, self.deficit.T)
         f = self.deficit @ middle
@@ -346,7 +346,7 @@ class ResistanceWorkspace:
         # subtraction is addition of the negation.
         for r in range(0, f.shape[0], rows):
             f[r : r + rows] -= 0.5 * self.laplacian[r : r + rows]
-        linalg.symmetric_mean_in_place(f, rows)
+        linalg._symmetric_mean_in_place(f, rows)
         return f
 
     def inertia(self) -> linalg.Inertia:

@@ -618,19 +618,14 @@ def _check_pinv_submatrices(ws: ResistanceWorkspace):
     # P act on complementary subspaces.  Each instance is A and its
     # inverse, each a cached source with the scales of its shifts, and the
     # inverse's rule; only the sampled blocks are ever shifted.  L^+ is
-    # X shifted by -1/alpha, as the workspace builds it: its blocks are
-    # read from L^+ where an earlier check (LPLUS) has cached it, and are
-    # otherwise gathered from X with that shift added, bit for bit the
-    # same, so this check never builds L^+.
-    lap_pinv = ws.__dict__.get("pseudoinverse")
-    if lap_pinv is None:
-        lap_pinv, pinv_shift = x, (-1.0 / ws.shift_scale,)
-    else:
-        pinv_shift = ()
+    # X shifted by -1/alpha, as the workspace builds it, so its blocks are
+    # gathered from X with that shift added, bit for bit the same, and
+    # this check never builds L^+.
+    pinv_shift = -1.0 / ws.shift_scale
     instances = [
-        (lap_pinv, pinv_shift, lap, (), decide_lap),
+        (x, (pinv_shift,), lap, (), decide_lap),
         (lap, (ws.shift_scale,), x, (), decide_x),
-        (lap_pinv, (*pinv_shift, 1.0), lap, (1.0,), decide_lap),
+        (x, (pinv_shift, 1.0), lap, (1.0,), decide_lap),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0

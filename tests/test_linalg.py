@@ -15,6 +15,7 @@ from resmat.linalg import (
     _inverse_sqrt,
     _not_definite,
     _symmetric_inverse,
+    _symmetric_mean_in_place,
     block_cofactor_slog,
     certified_definite,
     count_inertia,
@@ -24,7 +25,6 @@ from resmat.linalg import (
     slogdet_lu,
     sym_eigenvalues,
     symmetric_mean,
-    symmetric_mean_in_place,
     symmetrize,
     value_from_slog,
 )
@@ -171,7 +171,7 @@ class TestSymmetricMean:
         a[4, 1], a[1, 4] = -0.0, 0.0
         a[8, 7], a[7, 8] = 5e-324, -big
         expected = symmetric_mean(a)
-        symmetric_mean_in_place(a, rows)
+        _symmetric_mean_in_place(a, rows)
         assert a.tobytes() == expected.tobytes()
 
     def test_symmetrize_takes_no_overflow(self):

@@ -636,14 +636,10 @@ class TestPinvSubmatrixSampling:
                 )
                 assert block.tobytes() == pinv[np.ix_(rows, rows)].tobytes()
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_factors_the_blocks_of_the_materialized_route_bit_for_bit(
-        self, monkeypatch, cached
-    ):
+    def test_factors_the_blocks_of_the_materialized_route_bit_for_bit(self, monkeypatch):
         # Every matrix the check factors, in its screen and its decisions,
-        # is one the route through materialized instances factors, whether
-        # the L^+ blocks come from X or from a cached L^+; that route
-        # decides each set as it draws it, so the orders differ.
+        # is one the route through materialized instances factors; that
+        # route decides each set as it draws it, so the orders differ.
         factored = []
         cholesky = np.linalg.cholesky
 
@@ -653,8 +649,6 @@ class TestPinvSubmatrixSampling:
 
         for g in (path_graph(5, 2), cycle_graph(6, 3), random_graph(9, 2, "gnp", seed=4, p=0.5)):
             materialized, ws = ResistanceWorkspace(g), ResistanceWorkspace(g)
-            if cached:
-                ws.pseudoinverse
             monkeypatch.setattr(np.linalg, "cholesky", recording)
             self.materialized_route(materialized)
             expected = factored[:]
