@@ -11,8 +11,11 @@ inverse square root) check nothing: every graph's weights were tested for
 symmetry and definiteness when the graph was constructed.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
-read-only, and returns freshly allocated arrays.  Block indices are
-0-based throughout this module.
+read-only, and returns freshly allocated arrays, with two exceptions:
+:func:`certified_definite` shifts its argument's diagonal in place and
+puts it back before returning, and the private
+``_symmetric_mean_in_place`` overwrites its argument with the result.
+Block indices are 0-based throughout this module.
 """
 
 from __future__ import annotations

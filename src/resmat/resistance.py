@@ -210,27 +210,26 @@ class ResistanceWorkspace:
     @cached_property
     def resistance(self) -> np.ndarray:
         """The block resistance matrix ``R_ij = X_ii + X_jj - 2 X_ij``,
-        assembled from ``X`` one band of block rows at a time.  A workspace
-        that has not built ``X`` computes the product ``Z' Z`` and builds
-        ``R`` in that product's buffer, so it holds ``L``, ``Z`` and ``R``,
-        not ``X`` as well; a cached ``X`` is read into a new array."""
+        built in place in a buffer that holds ``X``, one band of block rows
+        at a time.  The buffer is the product ``Z' Z`` when ``X`` is not
+        cached, so the workspace holds ``L``, ``Z`` and ``R``, not ``X`` as
+        well; else it is a copy of the cached ``X``."""
         n, s = self.graph.n, self.graph.s
         x = self.__dict__.get("shifted_inverse")
-        resistance = self._gram() if x is None else np.empty_like(x)
-        x_blocks = (resistance if x is None else x).reshape(n, s, n, s)
+        resistance = self._gram() if x is None else x.copy()
+        blocks = resistance.reshape(n, s, n, s)
         vertices = np.arange(n)
-        diagonal = x_blocks[vertices, :, vertices, :]
-        r_blocks = resistance.reshape(n, s, n, s)
+        diagonal = blocks[vertices, :, vertices, :]  # a copy: bands overwrite X
         step = max(1, _BAND_ENTRIES // (n * s * s))
         for i in range(0, n, step):
             band = slice(i, i + step)
-            twice = 2.0 * x_blocks[band]
+            twice = 2.0 * blocks[band]
             np.add(
                 diagonal[band, :, np.newaxis, :],
                 diagonal.transpose(1, 0, 2),
-                out=r_blocks[band],
+                out=blocks[band],
             )
-            r_blocks[band] -= twice
+            blocks[band] -= twice
         return frozen(resistance)
 
     @cached_property

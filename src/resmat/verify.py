@@ -53,7 +53,6 @@ __all__ = [
     "CorpusEntry",
     "GraphSpec",
     "CHECK_IDS",
-    "numerically_nonsingular",
     "run_check",
     "run_suite",
     "run_corpus",
@@ -572,17 +571,9 @@ def _pinv_submatrix_sets(rng, source: np.ndarray, n: int, s: int, *scales):
 
 
 def _nonsingular(b: np.ndarray) -> bool:
-    """:func:`numerically_nonsingular`'s rule on an exactly symmetric,
-    finite float64 ``b``, whose diagonal it shifts and puts back."""
-    if linalg.certified_definite(b, _NONSINGULAR_RTOL):
-        return True
-    singular_values = np.abs(np.linalg.eigvalsh(b)).tolist()
-    return min(singular_values) > _NONSINGULAR_RTOL * max(singular_values)
-
-
-def numerically_nonsingular(b) -> bool:
-    """Scale-aware nonsingularity of a symmetric matrix: the smallest
-    singular value must exceed ``1e-10`` times the largest.
+    """Scale-aware nonsingularity of an exactly symmetric, finite float64
+    ``b``: the smallest singular value must exceed ``1e-10`` times the
+    largest.
 
     The singular values are the absolute eigenvalues.  Equivalently,
     ``|det B|`` must exceed ``1e-10`` times the largest singular value
@@ -591,49 +582,43 @@ def numerically_nonsingular(b) -> bool:
     conditioned 14 x 14 matrix with entries of size 0.05 has a determinant
     around 1e-15.
 
-    ``B`` is first symmetrized by :func:`linalg.symmetrize`, which rejects
-    non-finite entries and material asymmetry.  A positive definite ``B``
-    is then accepted by :func:`linalg.certified_definite` at ``1e-10``,
-    one Cholesky factorization that proves ``lambda_min(B) > 1e-10
-    ||B||_inf``.  Where it gives no proof (an indefinite, singular or
-    nearly singular ``B``), the eigenvalues of ``B`` decide, taken with no
-    eigenvectors.
+    A positive definite ``B`` is accepted by
+    :func:`linalg.certified_definite` at ``1e-10``, one Cholesky
+    factorization that proves ``lambda_min(B) > 1e-10 ||B||_inf``; it
+    shifts ``b``'s diagonal and puts it back.  Where it gives no proof (an
+    indefinite, singular or nearly singular ``B``), the eigenvalues of
+    ``B`` decide, taken with no eigenvectors.
     """
-    return _nonsingular(linalg.symmetrize(b))
+    if linalg.certified_definite(b, _NONSINGULAR_RTOL):
+        return True
+    singular_values = np.abs(np.linalg.eigvalsh(b)).tolist()
+    return min(singular_values) > _NONSINGULAR_RTOL * max(singular_values)
 
 
 def _check_pinv_submatrices(ws: ResistanceWorkspace):
     g = ws.graph
     lap, x = ws.laplacian, ws.shifted_inverse
-    # Each principal block of a finite, bitwise symmetric source, shifted
-    # or not, is one that symmetrize would hand back unchanged, so it goes
-    # to the rule directly; L and X are built so.
-    decide_lap, decide_x = (
-        _nonsingular
-        if np.isfinite(a).all() and linalg._bitwise_symmetric(a)
-        else numerically_nonsingular
-        for a in (lap, x)
-    )
     # (L^+ + P)^{-1} = L + P for the unit-shift projector P, since L^+ and
     # P act on complementary subspaces.  Each instance is A and its
-    # inverse, each a cached source with the scales of its shifts, and the
-    # inverse's rule; only the sampled blocks are ever shifted.  L^+ is
-    # X shifted by -1/alpha, as the workspace builds it, so its blocks are
-    # gathered from X with that shift added, bit for bit the same, and
-    # this check never builds L^+.
+    # inverse, each a cached source with the scales of its shifts; only the
+    # sampled blocks are ever shifted.  L^+ is X shifted by -1/alpha, as
+    # the workspace builds it, so its blocks are gathered from X with that
+    # shift added, bit for bit the same, and this check never builds L^+.
+    # L and X are built finite and exactly symmetric, so each block goes
+    # to the rule as it is gathered.
     pinv_shift = -1.0 / ws.shift_scale
     instances = [
-        (x, (pinv_shift,), lap, (), decide_lap),
-        (lap, (ws.shift_scale,), x, (), decide_x),
-        (x, (pinv_shift, 1.0), lap, (1.0,), decide_lap),
+        (x, (pinv_shift,), lap, ()),
+        (lap, (ws.shift_scale,), x, ()),
+        (x, (pinv_shift, 1.0), lap, (1.0,)),
     ]
     rng = np.random.default_rng([g.n, g.s, g.m, 1202])
     violations = 0
     sampled = 0
-    for a, a_scales, a_pinv, pinv_scales, decide in instances:
+    for a, a_scales, a_pinv, pinv_scales in instances:
         for rows in _pinv_submatrix_sets(rng, a, g.n, g.s, *a_scales):
             sampled += 1
-            if not decide(_shifted_block(a_pinv, rows, g.n, g.s, *pinv_scales)):
+            if not _nonsingular(_shifted_block(a_pinv, rows, g.n, g.s, *pinv_scales)):
                 violations += 1
     targeted = len(instances) * _PINV_SETS_PER_INSTANCE
     details = (
@@ -674,10 +659,6 @@ def _check_tree_det(ws: ResistanceWorkspace):
     return _log_ratio(direct, expected), 1e-10, details
 
 
-def _applies_always(g: MatrixWeightedGraph) -> str | None:
-    return None
-
-
 def _applies_tree_square_incidence(g: MatrixWeightedGraph) -> str | None:
     return None if is_tree(g) else (
         "identity requires the incidence matrix to have full column rank, "
@@ -696,32 +677,33 @@ def _applies_tree(g: MatrixWeightedGraph) -> str | None:
 @dataclass(frozen=True)
 class _CheckDef:
     check_id: str
-    applies: object
     run: object
+    #: Gives a graph's skip reason, or ``None``; ``None`` if it always applies.
+    applies: object = None
 
 
 _REGISTRY: tuple[_CheckDef, ...] = (
-    _CheckDef("LAP_KERNEL", _applies_always, _check_lap_kernel),
-    _CheckDef("L_EQ_QQT", _applies_always, _check_l_eq_qqt),
-    _CheckDef("SHIFT_NONSING", _applies_always, _check_shift_nonsing),
-    _CheckDef("LPLUS", _applies_always, _check_lplus),
-    _CheckDef("COMMUTE", _applies_always, _check_commute),
-    _CheckDef("TAUDEF", _applies_always, _check_taudef),
-    _CheckDef("TAU_SUM", _applies_always, _check_tau_sum),
-    _CheckDef("RWIDEN", _applies_always, _check_rwiden),
-    _CheckDef("LRL", _applies_always, _check_lrl),
-    _CheckDef("QRQ", _applies_tree_square_incidence, _check_qrq),
-    _CheckDef("TAURTAU_PD", _applies_always, _check_taurtau_pd),
-    _CheckDef("TAURTAU_FORM", _applies_always, _check_taurtau_form),
-    _CheckDef("DET_FORMULA", _applies_always, _check_det_formula),
-    _CheckDef("INV_FORMULA", _applies_always, _check_inv_formula),
-    _CheckDef("INERTIA", _applies_always, _check_inertia),
-    _CheckDef("INTERLACE", _applies_always, _check_interlace),
-    _CheckDef("COFACTOR_EQ", _applies_always, _check_cofactor_eq),
-    _CheckDef("PINV_SUBMATRIX", _applies_always, _check_pinv_submatrices),
-    _CheckDef("SCALAR_REDUCTION", _applies_scalar, _check_scalar_reduction),
-    _CheckDef("TREE_DISTANCE", _applies_tree, _check_tree_distance),
-    _CheckDef("TREE_DET", _applies_tree, _check_tree_det),
+    _CheckDef("LAP_KERNEL", _check_lap_kernel),
+    _CheckDef("L_EQ_QQT", _check_l_eq_qqt),
+    _CheckDef("SHIFT_NONSING", _check_shift_nonsing),
+    _CheckDef("LPLUS", _check_lplus),
+    _CheckDef("COMMUTE", _check_commute),
+    _CheckDef("TAUDEF", _check_taudef),
+    _CheckDef("TAU_SUM", _check_tau_sum),
+    _CheckDef("RWIDEN", _check_rwiden),
+    _CheckDef("LRL", _check_lrl),
+    _CheckDef("QRQ", _check_qrq, _applies_tree_square_incidence),
+    _CheckDef("TAURTAU_PD", _check_taurtau_pd),
+    _CheckDef("TAURTAU_FORM", _check_taurtau_form),
+    _CheckDef("DET_FORMULA", _check_det_formula),
+    _CheckDef("INV_FORMULA", _check_inv_formula),
+    _CheckDef("INERTIA", _check_inertia),
+    _CheckDef("INTERLACE", _check_interlace),
+    _CheckDef("COFACTOR_EQ", _check_cofactor_eq),
+    _CheckDef("PINV_SUBMATRIX", _check_pinv_submatrices),
+    _CheckDef("SCALAR_REDUCTION", _check_scalar_reduction, _applies_scalar),
+    _CheckDef("TREE_DISTANCE", _check_tree_distance, _applies_tree),
+    _CheckDef("TREE_DET", _check_tree_det, _applies_tree),
 )
 
 _BY_ID = {d.check_id: d for d in _REGISTRY}
@@ -744,7 +726,7 @@ def _require_known(ids) -> None:
 def _execute(
     definition: _CheckDef, g: MatrixWeightedGraph, ws: ResistanceWorkspace | None
 ) -> CheckResult:
-    reason = definition.applies(g)
+    reason = None if definition.applies is None else definition.applies(g)
     if reason is None:
         if ws is None:
             ws = ResistanceWorkspace(g)

@@ -787,6 +787,44 @@ class TestRFreeRoute:
         f += ws.deficit @ np.linalg.solve(ws.deficit_form, ws.deficit.T)
         assert ws.inverse().tobytes() == linalg.symmetric_mean(f).tobytes()
 
+    def test_pair_blocks_agree_with_r_to_the_dot_product_error(self, corpus):
+        """``resistance_block(i, j)`` and block ``(i, j)`` of ``R`` are both
+        ``X_ii + X_jj - 2 X_ij``, but each entry of ``X`` there is a dot
+        product of two columns of ``Z`` (length ``ns``) summed in another
+        order: the block's come from its own products, ``R``'s from the one
+        product ``Z' Z``.  A dot product of columns ``a`` and ``b`` is
+        within ``gamma_ns sum_k |Z_ka Z_kb| <= gamma_ns ||Z_a|| ||Z_b||`` of
+        the exact one (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, section 3.1, and Cauchy-Schwarz), and the two roundings
+        of ``a + b - 2c`` make it ``gamma_{ns+2}``.  So entry ``(p, q)`` of
+        either route is within ``gamma_{ns+2}`` times
+        ``sqrt(x_ip x_iq) + sqrt(x_jp x_jq) + 2 sqrt(x_ip x_jq)`` of the
+        exact block, with ``x_a = ||Z_a||^2`` the exact diagonal of ``X``,
+        at most the computed one over ``1 - gamma_ns``; the routes differ
+        by at most twice that, and need not agree bit for bit."""
+        unit = np.finfo(np.float64).eps / 2.0
+
+        def gamma(k):
+            return k * unit / (1.0 - k * unit)
+
+        for _, g in corpus:
+            ws = ResistanceWorkspace(g)
+            n, s = g.n, g.s
+            order = n * s
+            # sqrt(x_a) for a = (i, p), from the diagonal blocks of X.
+            root = np.sqrt(ws.diag_stack.reshape(n, s, s).diagonal(axis1=1, axis2=2))
+            blocks = ws.resistance.reshape(n, s, n, s)
+            factor = 2.0 * gamma(order + 2) / (1.0 - gamma(order))
+            for i in range(n):
+                for j in range(n):
+                    scale = (
+                        np.outer(root[i], root[i])
+                        + np.outer(root[j], root[j])
+                        + 2.0 * np.outer(root[i], root[j])
+                    )
+                    gap = np.abs(ws.resistance_block(i, j) - blocks[i, :, j, :])
+                    assert (gap <= factor * scale).all(), (g.n, g.s, i, j)
+
     def test_scale_invariant_objects(self):
         # alpha cancels from R and T; scaling every weight by c scales R
         # by c and leaves T alone.

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from resmat.graph import (
     GraphError,
@@ -36,7 +36,6 @@ from resmat.verify import (
     SuiteReport,
     UnknownCheckError,
     corpus_json,
-    numerically_nonsingular,
     run_check,
     run_corpus,
     run_suite,
@@ -44,6 +43,12 @@ from resmat.verify import (
     standard_corpus,
     tree_distance_matrix,
 )
+
+
+def numerically_nonsingular(b) -> bool:
+    """``PINV_SUBMATRIX``'s rule on the symmetrized ``b``."""
+    return verify._nonsingular(symmetrize(b))
+
 
 #: The error of a corpus entry that is not an object with every required key.
 MISSING_KEYS = (
@@ -695,33 +700,16 @@ class TestPinvSubmatrixSampling:
                         break
         return sets, verdicts
 
-    @staticmethod
-    def with_x(g, index, change):
-        """A workspace for ``g`` whose ``X`` (and so ``L^+``) is a copy with
-        ``X[index]`` changed by ``change``, as no construction of the
-        package leaves it."""
-        ws = ResistanceWorkspace(g)
-        x = ws.shifted_inverse.copy()
-        x[index] = change(x[index])
-        ws.__dict__["shifted_inverse"] = x
-        return ws
-
     def test_same_sets_and_verdicts_as_the_materialized_route(self, monkeypatch, corpus):
         graphs = [g for _, g in corpus] + [path_graph(5, 2)]
         workspaces = [ResistanceWorkspace(g) for g in graphs]
-        # X one ulp off symmetric in one entry: its blocks are symmetrized.
-        graphs.append(cycle_graph(4, 2))
-        workspaces.append(self.with_x(graphs[-1], (1, 0), lambda v: np.nextafter(v, 1)))
         expected = [self.materialized_route(ws) for ws in workspaces]
-        sets, drawn_per_instance, verdicts, symmetrized = [], [], [], []
-        sampler, rule, symmetrize = (
-            verify._pinv_submatrix_sets, verify._nonsingular, linalg.symmetrize
-        )
+        sets, verdicts = [], []
+        sampler, rule = verify._pinv_submatrix_sets, verify._nonsingular
 
         def sampling(*args):
             drawn = sampler(*args)
             sets.extend(drawn)
-            drawn_per_instance.append(len(drawn))
             return drawn
 
         def deciding(b):
@@ -730,34 +718,88 @@ class TestPinvSubmatrixSampling:
             verdicts.append((before, verdict))
             return verdict
 
-        def symmetrizing(b):
-            symmetrized.append(b.shape)
-            return symmetrize(b)
-
         monkeypatch.setattr(verify, "_pinv_submatrix_sets", sampling)
         monkeypatch.setattr(verify, "_nonsingular", deciding)
-        monkeypatch.setattr(linalg, "symmetrize", symmetrizing)
         for g, ws, (old_sets, old_verdicts) in zip(graphs, workspaces, expected):
-            for log in (sets, drawn_per_instance, verdicts, symmetrized):
-                log.clear()
+            sets.clear()
+            verdicts.clear()
             result = run_check(g, "PINV_SUBMATRIX", ws)
             assert [r.tolist() for r in sets] == [r.tolist() for r in old_sets]
             assert verdicts == old_verdicts
             assert result.residual == sum(not v for _, v in verdicts)
-            # L and X as built are exactly symmetric: no block of theirs is
-            # symmetrized.  The nudged X's blocks, of instance 2, all are.
-            nudged = ws is workspaces[-1]
-            assert len(symmetrized) == (drawn_per_instance[1] if nudged else 0)
 
-    def test_a_non_finite_source_is_refused_as_before(self):
-        # An inf on X's diagonal is bitwise symmetric, but its blocks still
-        # reach symmetrize, which refuses them as the materialized route did.
-        g = cycle_graph(4, 2)
-        ws = self.with_x(g, (0, 0), lambda v: np.inf)
-        with pytest.raises(NumericError, match="non-finite"):
-            self.materialized_route(self.with_x(g, (0, 0), lambda v: np.inf))
-        with pytest.raises(NumericError, match="non-finite"):
+
+class TestBuiltSymmetry:
+    """Construction leaves ``L``, ``X``, ``R``, ``L^+`` and ``R^{-1}`` finite
+    and bitwise symmetric.  So every block ``PINV_SUBMATRIX`` gathers from
+    ``L`` and ``X`` is one ``symmetrize`` would return unchanged, and the
+    check hands each to its rule as it is."""
+
+    @staticmethod
+    def assert_finite_and_symmetric(ws):
+        for a in (
+            ws.laplacian,
+            ws.shifted_inverse,
+            ws.resistance,
+            ws.pseudoinverse,
+            ws.inverse(),
+        ):
+            assert np.isfinite(a).all() and linalg._bitwise_symmetric(a)
+
+    @staticmethod
+    def assert_blocks_decided_as_gathered(g, ws):
+        """Run ``PINV_SUBMATRIX`` with its rule and ``symmetrize`` recording
+        their calls: every decided block is finite and bitwise symmetric,
+        and none reaches ``symmetrize``."""
+        decided, symmetrized = [], []
+        rule, symmetrize_ = verify._nonsingular, linalg.symmetrize
+
+        def deciding(b):
+            decided.append(b.copy())
+            return rule(b)
+
+        def symmetrizing(b):
+            symmetrized.append(np.shape(b))
+            return symmetrize_(b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_nonsingular", deciding)
+            patch.setattr(linalg, "symmetrize", symmetrizing)
             run_check(g, "PINV_SUBMATRIX", ws)
+        assert decided and symmetrized == []
+        for b in decided:
+            assert np.isfinite(b).all() and linalg._bitwise_symmetric(b)
+
+    def test_corpus(self, corpus):
+        for _, g in corpus:
+            ws = ResistanceWorkspace(g)
+            self.assert_finite_and_symmetric(ws)
+            self.assert_blocks_decided_as_gathered(g, ws)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        model=st.sampled_from(["tree", "gnp", "cycle", "complete"]),
+        n=st.integers(min_value=3, max_value=8),
+        s=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        log_scale=st.floats(min_value=-300.0, max_value=308.0),
+    )
+    @example(model="complete", n=6, s=3, seed=1, log_scale=307.0)
+    @example(model="tree", n=8, s=2, seed=2, log_scale=-300.0)
+    def test_every_weight_scale(self, model, n, s, seed, log_scale):
+        # Weights from 1e-300 to 1e308 times a random draw.  Construction
+        # runs with numpy's floating-point warnings off: near the top of the
+        # range it can overflow on its way to refusing the graph, and this
+        # property is about what a workspace that was built holds.
+        g = random_graph(n, s, model, seed, 0.6 if model == "gnp" else None)
+        with np.errstate(all="ignore"):
+            try:
+                scaled = dataclasses.replace(g, weights=g.weights * 10.0**log_scale)
+                ws = ResistanceWorkspace(scaled)
+            except (GraphError, NumericError):
+                assume(False)
+        self.assert_finite_and_symmetric(ws)
+        self.assert_blocks_decided_as_gathered(scaled, ws)
 
 
 class TestSharedProducts:
