@@ -43,47 +43,72 @@ def stacked_identity(n: int, s: int) -> np.ndarray:
     return np.tile(np.eye(s), (n, 1))
 
 
-def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
-    """Assemble the block Laplacian of a matrix-weighted graph, as a
-    read-only ``ns x ns`` array.
+def _laplacian_terms(g: MatrixWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the block Laplacian: the ``(m, s, s)`` inverse edge
+    weights and the ``(n, s, s)`` diagonal blocks.
 
-    Off-diagonal blocks are the negated inverse weights, all inverted in
-    one batched call with no test of their own (the graph's constructor
-    tested them for definiteness); each diagonal block is the sum of the
-    inverse weights of its incident edges, accumulated in ascending
-    neighbor order (the canonical edge order visits every vertex's
-    neighbors that way).  That makes the diagonal reproducible bitwise,
-    and block row and column sums cancel up to a reordering of identical
-    floating-point terms (residuals at the level of the last place, far
-    below any tolerance used downstream).
+    The weights are inverted in one batched call with no test of their own
+    (the graph's constructor tested them for definiteness); each diagonal
+    block is the sum of the inverse weights of its incident edges,
+    accumulated in ascending neighbor order (the canonical edge order
+    visits every vertex's neighbors that way).
 
     Raises :class:`NumericError`, its message naming the cause, when an
     inverse weight or the trace (which bounds every entry of ``L``) overflows.
     """
-    n, s = g.n, g.s
-    us, vs = g.endpoints.T
     inverse_weights = linalg._symmetric_inverse(g.weights)
     if not np.isfinite(inverse_weights).all():
         raise linalg.NumericError(
             "Laplacian trace is not finite: an inverse edge weight overflows"
         )
-    body = np.zeros((n * s, n * s))
-    blocks = body.reshape(n, s, n, s)
-    blocks[us, :, vs, :] = -inverse_weights
-    blocks[vs, :, us, :] = -inverse_weights
     # Interleave each edge's two endpoints so ``add.at`` (which applies its
     # updates in order) sums every vertex's blocks in canonical edge order.
-    diagonal = np.zeros((n, s, s))
+    diagonal = np.zeros((g.n, g.s, g.s))
     with np.errstate(over="ignore"):
         np.add.at(diagonal, g.endpoints.ravel(), np.repeat(inverse_weights, 2, axis=0))
-        vertices = np.arange(n)
-        blocks[vertices, :, vertices, :] = diagonal
-        trace = np.trace(body)
+        # The entries of tr(L) in the order ``np.trace(L)`` adds them.
+        trace = np.diagonal(diagonal, axis1=1, axis2=2).ravel().sum()
     if not math.isfinite(trace):
         raise linalg.NumericError(
             "Laplacian trace is not finite: a sum of inverse edge weights overflows"
         )
-    return linalg.frozen(body)
+    return inverse_weights, diagonal
+
+
+def _laplacian_from_terms(
+    g: MatrixWeightedGraph, terms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The block Laplacian of ``g`` as a new writable ``ns x ns`` array: the
+    :func:`_laplacian_terms` scattered into zeros, the negated inverse
+    weights off the diagonal and the diagonal blocks on it."""
+    inverse_weights, diagonal = terms
+    n, s = g.n, g.s
+    us, vs = g.endpoints.T
+    body = np.zeros((n * s, n * s))
+    blocks = body.reshape(n, s, n, s)
+    blocks[us, :, vs, :] = -inverse_weights
+    blocks[vs, :, us, :] = -inverse_weights
+    vertices = np.arange(n)
+    blocks[vertices, :, vertices, :] = diagonal
+    return body
+
+
+def build_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
+    """Assemble the block Laplacian of a matrix-weighted graph, as a
+    read-only ``ns x ns`` array.
+
+    Off-diagonal blocks are the negated inverse weights and each diagonal
+    block the sum of the inverse weights of its incident edges, in
+    ascending neighbor order (see :func:`_laplacian_terms`).  That makes
+    the diagonal reproducible bitwise, and block row and column sums
+    cancel up to a reordering of identical floating-point terms (residuals
+    at the level of the last place, far below any tolerance used
+    downstream).
+
+    Raises :class:`NumericError`, its message naming the cause, when an
+    inverse weight or the trace (which bounds every entry of ``L``) overflows.
+    """
+    return linalg.frozen(_laplacian_from_terms(g, _laplacian_terms(g)))
 
 
 def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
@@ -109,22 +134,31 @@ def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
     return linalg.frozen(body)
 
 
+def _add_shift(body: np.ndarray, n: int, s: int, scale: float = 1.0) -> None:
+    """Add ``scale P`` with ``P = (1/n) J (x) I_s`` to the C-contiguous
+    ``body``, in place."""
+    blocks = body.reshape(n, s, n, s)
+    blocks += (scale / n) * np.eye(s)[:, np.newaxis, :]
+
+
 def _shift(body: np.ndarray, n: int, s: int, scale: float = 1.0) -> np.ndarray:
     """``body + scale P`` with ``P = (1/n) J (x) I_s``, as a new array."""
     shifted = body.copy()
-    blocks = shifted.reshape(n, s, n, s)
-    blocks += (scale / n) * np.eye(s)[:, np.newaxis, :]
+    _add_shift(shifted, n, s, scale)
     return shifted
 
 
 def shifted_cholesky(
-    laplacian: np.ndarray, n: int, s: int
+    body: np.ndarray, n: int, s: int
 ) -> tuple[np.ndarray, float, tuple[float, float]]:
-    """Factor the shifted Laplacian ``M = L + alpha P = C C'``.
+    """Factor the shifted Laplacian ``M = L + alpha P = C C'`` in the
+    Laplacian's own buffer.
 
-    Returns the lower triangular factor ``C`` (a new writable array), the
-    shift ``alpha = tr(L)/ns`` and the Laplacian cofactor as
-    ``(sign, log|value|)`` from the pivots, since
+    ``body`` is a writable C-contiguous ``ns x ns`` array holding ``L``; the
+    shift is added to it in place, so it is left holding ``M``, and no
+    copy of ``L`` is made beside it.  Returns the lower triangular factor
+    ``C`` (a new writable array), the shift ``alpha = tr(L)/ns`` and the
+    Laplacian cofactor as ``(sign, log|value|)`` from the pivots, since
     ``log c(G) = 2 sum log diag(C) - s log(alpha n)``.  Any ``alpha > 0``
     makes ``M`` positive definite for a connected graph; scaling it to the
     Laplacian keeps the conditioning of ``M`` independent of the weight
@@ -134,15 +168,15 @@ def shifted_cholesky(
     its smallest pivot ``min diag(C)^2`` must clear
     ``default_rank_tol(ns) * max|M|``, else :class:`NumericError`.
     """
-    alpha = float(np.trace(laplacian)) / (n * s)
-    shift_body = _shift(laplacian, n, s, alpha)
+    alpha = float(np.trace(body)) / (n * s)
+    _add_shift(body, n, s, alpha)
     try:
-        factor = np.linalg.cholesky(shift_body)
+        factor = np.linalg.cholesky(body)
         pivots = np.diag(factor)
         smallest = float(np.min(pivots)) ** 2
     except np.linalg.LinAlgError:
         smallest = 0.0
-    if smallest <= linalg.default_rank_tol(n * s) * linalg.max_norm(shift_body):
+    if smallest <= linalg.default_rank_tol(n * s) * linalg.max_norm(body):
         raise linalg.NumericError(
             "shifted Laplacian is numerically singular; "
             "the graph is not usably connected"
@@ -160,8 +194,12 @@ def laplacian_cofactor_slog(
     every block cofactor of it takes this same value.  It comes from the
     pivots of :func:`shifted_cholesky`, so it raises :class:`NumericError`
     where that factorization finds the graph numerically disconnected.  A
-    prebuilt ``laplacian`` of ``g`` is used as given.
+    prebuilt ``laplacian`` of ``g`` is used as given and never written: the
+    shift goes into a copy of it.  Without one, ``L`` is built in a fresh
+    buffer that the shift then overwrites.
     """
     if laplacian is None:
-        laplacian = build_laplacian(g)
-    return shifted_cholesky(laplacian, g.n, g.s)[2]
+        body = _laplacian_from_terms(g, _laplacian_terms(g))
+    else:
+        body = laplacian.copy()
+    return shifted_cholesky(body, g.n, g.s)[2]

@@ -157,8 +157,10 @@ def certified_definite(a: np.ndarray, rtol: float) -> bool:
 
 def _mean(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``(a + t) / 2`` entrywise, as a new array: bit for bit, save that an
-    entry whose sum overflows is ``a / 2 + t / 2``, exact there."""
-    with np.errstate(over="ignore"):
+    entry whose sum overflows is ``a / 2 + t / 2``, exact there.  Where
+    ``inf`` meets ``-inf`` the mean is NaN, without a warning: callers
+    refuse a non-finite result themselves."""
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = a + t
     spilled = np.isinf(mean)
     mean /= 2.0

@@ -48,7 +48,13 @@ import numpy as np
 
 from . import linalg
 from .graph import MatrixWeightedGraph
-from .laplacian import _shift, build_laplacian, shifted_cholesky, stacked_identity
+from .laplacian import (
+    _laplacian_from_terms,
+    _laplacian_terms,
+    _shift,
+    shifted_cholesky,
+    stacked_identity,
+)
 from .linalg import frozen
 
 __all__ = [
@@ -124,7 +130,9 @@ class ResistanceWorkspace:
     forms ``X`` or ``R``: it is batched inverses of the edge weights, one
     Cholesky factorization ``M = C C'`` of the shifted Laplacian (which
     tests it, gives the cofactor and, inverted in place, ``Z = C^{-1}``),
-    one batched product for the diagonal blocks of ``X = Z' Z``, and the
+    made in ``L``'s own buffer, so that ``M``, LAPACK's working copy of it
+    and ``C`` are the only ``ns x ns`` arrays held while it runs, one
+    batched product for the diagonal blocks of ``X = Z' Z``, and the
     eigenvalues of the ``s x s`` deficit form.  It keeps two ``ns x ns``
     matrices, ``L`` and ``Z``, which is all that the determinant, the
     inverse, ``T`` and single resistance blocks need.  The shifted
@@ -153,31 +161,38 @@ class ResistanceWorkspace:
         self.graph = graph
         n, s = graph.n, graph.s
         ns = n * s
-        self.laplacian = build_laplacian(graph)
+        # M = L + alpha P is factored in L's own buffer, which is freed
+        # with it; L is then scattered again from its terms into a fresh
+        # zeroed buffer.  Subtracting the shift would not restore it, since
+        # (x + c) - c need not be x.
+        terms = _laplacian_terms(graph)
         factor, self.shift_scale, self.laplacian_cofactor_slog = shifted_cholesky(
-            self.laplacian, n, s
+            _laplacian_from_terms(graph, terms), n, s
         )
+        self.laplacian = frozen(_laplacian_from_terms(graph, terms))
+        del terms  # not held beside the inversion's temporaries
         _invert_lower(factor)  # factor now holds Z = C^{-1}
         self._inverse_factor = frozen(factor)
 
-        # X_ii = Z_i' Z_i for the block columns Z_i of Z, in one batched
-        # product, stacked (n, s, s) and then as an ns x s column.
-        columns = factor.reshape(ns, n, s).transpose(1, 0, 2)
-        diagonal = columns.transpose(0, 2, 1) @ columns
-        self.diag_stack = frozen(diagonal.reshape(ns, s))
-
-        # T = L xbar + (2/n)(1 (x) I_s); TAUDEF checks it against the edge
-        # sum that defines it.
-        deficit = self.laplacian @ self.diag_stack
-        deficit += (2.0 / n) * stacked_identity(n, s)
-        self.deficit = frozen(deficit)
-
-        # T' R T by its closed expression 2 xbar' L xbar
-        # + (8/n)(sum_i X_ii - I_s/alpha); TAURTAU_FORM checks it against
-        # the product with R.
-        xbar = self.diag_stack
-        # Near the double range the form overflows; refused without warnings.
+        # Near the double range X_ii, T and the form overflow; the form is
+        # refused below, without warnings.
         with np.errstate(over="ignore", invalid="ignore"):
+            # X_ii = Z_i' Z_i for the block columns Z_i of Z, in one batched
+            # product, stacked (n, s, s) and then as an ns x s column.
+            columns = factor.reshape(ns, n, s).transpose(1, 0, 2)
+            diagonal = columns.transpose(0, 2, 1) @ columns
+            self.diag_stack = frozen(diagonal.reshape(ns, s))
+
+            # T = L xbar + (2/n)(1 (x) I_s); TAUDEF checks it against the
+            # edge sum that defines it.
+            deficit = self.laplacian @ self.diag_stack
+            deficit += (2.0 / n) * stacked_identity(n, s)
+            self.deficit = frozen(deficit)
+
+            # T' R T by its closed expression 2 xbar' L xbar
+            # + (8/n)(sum_i X_ii - I_s/alpha); TAURTAU_FORM checks it
+            # against the product with R.
+            xbar = self.diag_stack
             total = xbar.reshape(n, s, s).sum(axis=0)
             form = 2.0 * xbar.T @ self.laplacian @ xbar + (8.0 / n) * (
                 total - np.eye(s) / self.shift_scale

@@ -48,6 +48,11 @@ WORKSPACE_ARRAYS = (
 )
 
 
+def scaled(g, scale):
+    """``g`` with every weight multiplied by ``scale``."""
+    return dataclasses.replace(g, weights=g.weights * scale)
+
+
 def laplacian_cofactor(g, laplacian=None):
     return value_from_slog(*laplacian_cofactor_slog(g, laplacian))
 
@@ -203,12 +208,15 @@ class TestBuildLaplacian:
             # The inverse weight 1e310 is beyond the double range.
             (path_graph(2, 1, np.array([[1e-310]])), "an inverse edge weight"),
             (path_graph(2, 2, 1e-310 * np.eye(2)), "an inverse edge weight"),
+            # Inverses holding +inf and -inf, whose symmetric mean is NaN.
+            (scaled(random_graph(4, 3, "complete", seed=427), 10**-309.88),
+             "an inverse edge weight"),
             # The inverse weight 1e308 is finite; the trace 2e308 is not.
             (path_graph(2, 1, np.array([[1e-308]])), "a sum of inverse edge weights"),
             # So is the center's diagonal block, a sum of two such weights.
             (star_graph(2, 1, np.array([[1e-308]])), "a sum of inverse edge weights"),
         ],
-        ids=["weight", "weight-s2", "trace", "diagonal-block"],
+        ids=["weight", "weight-s2", "weight-inf-minus-inf", "trace", "diagonal-block"],
     )
     def test_overflow_names_its_cause(self, g, cause):
         with pytest.raises(NumericError) as info:

@@ -174,6 +174,12 @@ class TestSymmetricMean:
         _symmetric_mean_in_place(a, rows)
         assert a.tobytes() == expected.tobytes()
 
+    def test_infinities_of_both_signs_mean_nan_without_a_warning(self):
+        inf = math.inf
+        mean = symmetric_mean(np.array([[1.0, inf], [-inf, inf]]))
+        assert mean[0, 0] == 1.0 and mean[1, 1] == inf
+        assert np.isnan(mean[0, 1]) and np.isnan(mean[1, 0])
+
     def test_symmetrize_takes_no_overflow(self):
         big = np.finfo(np.float64).max
         assert symmetrize([[big, 1.0], [1.0, big]]).tolist() == [[big, 1.0], [1.0, big]]

@@ -5,6 +5,7 @@ random graphs exercise every identity against independent routes (spectral
 pseudoinverse, brute-force LU inversion, path sums on trees).
 """
 
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,7 @@ from resmat.graph import (
 from resmat.laplacian import (
     build_incidence,
     build_laplacian,
+    laplacian_cofactor_slog,
     shifted_cholesky,
     stacked_identity,
 )
@@ -703,6 +705,86 @@ class TestShiftedInverseKernel:
         assert n * s > _LEAF_ORDER
         report = run_suite(kernel_graph(model, n, s, p))
         assert [c.check_id for c in report.checks if not c.passed] == []
+
+
+def copy_route(g):
+    """The shifted Laplacian factored in a copy of the frozen ``L``: the
+    factor, ``alpha = tr(L)/ns`` and the cofactor from the pivots."""
+    n, s = g.n, g.s
+    laplacian = build_laplacian(g)
+    alpha = float(np.trace(laplacian)) / (n * s)
+    factor = np.linalg.cholesky(_shift(laplacian, n, s, alpha))
+    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return factor, alpha, (1.0, log_det - s * math.log(alpha * n))
+
+
+#: The benchmark's dense and tree inputs at seed 11.
+BENCH_GRAPHS = [(100, 3, "gnp", 11000, 0.25), (600, 1, "tree", 11000)]
+
+
+class TestFactorInLaplacianBuffer:
+    """The workspace shifts and factors a fresh ``L`` in place and then
+    scatters ``L`` again from its terms: every result is bitwise that of
+    factoring a copy of ``L``."""
+
+    def test_same_bits_as_the_copy_route(self, corpus, monkeypatch):
+        factors = []
+
+        def recording(body, n, s):
+            result = shifted_cholesky(body, n, s)
+            factors.append(result[0].copy())  # before it is inverted in place
+            return result
+
+        monkeypatch.setattr(resistance, "shifted_cholesky", recording)
+        graphs = [g for _, g in corpus] + [random_graph(*a) for a in BENCH_GRAPHS]
+        for g in graphs:
+            factors.clear()
+            ws = ResistanceWorkspace(g)
+            factor, alpha, cofactor = copy_route(g)
+            assert ws.laplacian.tobytes() == build_laplacian(g).tobytes()
+            assert factors[0].tobytes() == factor.tobytes()
+            assert ws.shift_scale == alpha
+            assert ws.laplacian_cofactor_slog == cofactor
+            assert laplacian_cofactor_slog(g) == cofactor
+
+    @pytest.mark.parametrize(
+        "g",
+        # Identity weights put -0.0 in L, which the shift makes 0.0; and
+        # random weights, whose entries the shift rounds.
+        [path_graph(4, 2), random_graph(12, 3, "gnp", seed=5, p=0.5)],
+        ids=["signed-zeros", "rounding"],
+    )
+    def test_laplacian_back_where_subtracting_the_shift_is_not_exact(self, g):
+        n, s = g.n, g.s
+        laplacian = build_laplacian(g)
+        alpha = float(np.trace(laplacian)) / (n * s)
+        subtracted = _shift(_shift(laplacian, n, s, alpha), n, s, -alpha)
+        assert subtracted.tobytes() != laplacian.tobytes()
+        ws = ResistanceWorkspace(g)
+        assert ws.laplacian.tobytes() == laplacian.tobytes()
+        assert not ws.laplacian.flags.writeable
+
+    def test_a_read_only_laplacian_is_not_written(self):
+        g = random_graph(9, 2, "complete", seed=6)
+        ws = ResistanceWorkspace(g)
+        before = ws.laplacian.tobytes()
+        assert laplacian_cofactor_slog(g, ws.laplacian) == ws.laplacian_cofactor_slog
+        assert not ws.laplacian.flags.writeable
+        assert ws.laplacian.tobytes() == before
+
+    @pytest.mark.parametrize("n", [21, 201])
+    def test_singular_refusal_unchanged(self, n):
+        # Connected, but a 1e20 middle edge swamps the shift.
+        weights = [np.eye(1)] * (n - 1)
+        weights[(n - 1) // 2] = np.array([[1e20]])
+        g = path_graph(n, 1, weights)
+        message = (
+            "shifted Laplacian is numerically singular; "
+            "the graph is not usably connected"
+        )
+        for build in (ResistanceWorkspace, laplacian_cofactor_slog):
+            with pytest.raises(NumericError, match=f"^{message}$"):
+                build(g)
 
 
 def lu_minor_cofactor_slog(laplacian, s):

@@ -786,18 +786,20 @@ class TestBuiltSymmetry:
     )
     @example(model="complete", n=6, s=3, seed=1, log_scale=307.0)
     @example(model="tree", n=8, s=2, seed=2, log_scale=-300.0)
+    @example(model="tree", n=8, s=3, seed=1716, log_scale=307.65)
     def test_every_weight_scale(self, model, n, s, seed, log_scale):
-        # Weights from 1e-300 to 1e308 times a random draw.  Construction
-        # runs with numpy's floating-point warnings off: near the top of the
-        # range it can overflow on its way to refusing the graph, and this
-        # property is about what a workspace that was built holds.
+        # Weights from 1e-300 to 1e308 times a random draw.  Only the
+        # scaling runs with overflow warnings off (an infinite weight is
+        # refused as a graph error): construction either refuses a graph
+        # without a numpy warning or builds what this property is about.
         g = random_graph(n, s, model, seed, 0.6 if model == "gnp" else None)
-        with np.errstate(all="ignore"):
-            try:
-                scaled = dataclasses.replace(g, weights=g.weights * 10.0**log_scale)
-                ws = ResistanceWorkspace(scaled)
-            except (GraphError, NumericError):
-                assume(False)
+        with np.errstate(over="ignore"):
+            weights = g.weights * 10.0**log_scale
+        try:
+            scaled = dataclasses.replace(g, weights=weights)
+            ws = ResistanceWorkspace(scaled)
+        except (GraphError, NumericError):
+            assume(False)
         self.assert_finite_and_symmetric(ws)
         self.assert_blocks_decided_as_gathered(scaled, ws)
 
