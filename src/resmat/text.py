@@ -5,7 +5,10 @@ Matrices print with 12 significant digits, one row per line, with blank
 lines between block-row boundaries.  Each entry has the bytes of
 ``"%.11e" % x``: numpy builds the text of many rows at once with exact
 float arithmetic, and Python formats only the entries whose rounding that
-arithmetic cannot decide (near-ties, non-finite and extreme values).
+arithmetic cannot decide (near-ties, non-finite and extreme values).  The
+text is laid out at its exact width, one slot width per chunk of rows, so
+only bytes that one entry lacks and another of its chunk has are NUL, and
+no deletion pass runs over text that holds none.
 JSON matrices are written a row at a time, in ``json.dumps``'s bytes.  A
 determinant or cofactor beyond the double range prints in the same layout,
 computed from its exact logarithm; JSON then gives ``"value": null``
@@ -28,7 +31,6 @@ _FMT = "{:.11e}"
 # Matrix printing: entries print as ``"%.11e" % x`` does, built in bulk by
 # numpy (see ``_matrix_lines``), in chunks of about this many entries.
 _CHUNK_ENTRIES = 8192
-_WORDS = 5  # little-endian uint32 words per printed entry
 _FAST_MIN, _FAST_MAX = 1e-290, 1e290
 _TIE_WINDOW = 1e-3
 _LO, _HI = 1e11, 1e12
@@ -49,7 +51,7 @@ def _print_tables():
     quad = _ascii_words("".join(f"{i:04d}" for i in range(10000)))
     tail = _ascii_words("".join(f"{i:02d}e{sign}" for i in range(100) for sign in "+-"))
     exponent = _ascii_words(
-        "".join(f"{i:03d}\0" if i >= 100 else f"\0{i:02d}\0" for i in range(300))
+        "".join(f"\0{i:03d}" if i >= 100 else f"\0\0{i:02d}" for i in range(300))
     )
     return powers, lead, quad, tail, exponent
 
@@ -65,9 +67,25 @@ def _scaled(m: np.ndarray, e: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return y
 
 
-def _chunk_text(block: np.ndarray, sep: str, gaps: np.ndarray) -> str:
+def _chunk_text(block: np.ndarray, sep: str, gaps: np.ndarray, buf: np.ndarray) -> str:
     """The printed text of the rows of ``block``; ``gaps[r]`` adds a blank
-    line after row ``r``."""
+    line after row ``r``.  It is laid out in the start of ``buf``, a byte
+    buffer that all the chunks of a matrix share.
+
+    Every entry gets a slot of the same width: 17 bytes of text, one for
+    the sign if any entry has its sign bit set, one for the hundreds digit
+    of the exponent if any entry's text, a fallback's included, needs it,
+    and one for the separator, which is the newline after the last entry
+    of a row.  A chunk with block gaps gives each row one spare byte, the
+    blank line's newline on the rows before a gap and NUL on the others.
+    The table words go into ``buf`` through unaligned strided views, in an
+    order that lets later writes overwrite the bytes earlier ones spill
+    into: the lead word starts one byte before the first digit, at the
+    sign or, with no sign byte, at the previous slot's separator (or at
+    ``buf[0]``, before the first row); the exponent word ends at
+    the last exponent digit and the tail word overwrites its first bytes;
+    separators and newlines come last.  A fallback's text is written from
+    the start of its slot, padded with NUL."""
     powers, lead, quad, tail, exponent = _print_tables()
     rows, cols = block.shape
     shape = (rows, cols)
@@ -93,29 +111,41 @@ def _chunk_text(block: np.ndarray, sep: str, gaps: np.ndarray) -> str:
     q[carry] = _LO
     e[carry] += 1
 
+    texts = [_FMT.format(v) for v in x[fallback].tolist()]
+    negative = np.signbit(x)
+    e_abs = np.abs(e)
+    sign = int(negative.any())
+    wide = int(e_abs.max() >= 100 or any(len(t.lstrip("-")) > 17 for t in texts))
+    width = 18 + sign + wide
+    stride = cols * width + bool(gaps.any())
+
+    def words(start: int) -> np.ndarray:
+        return np.ndarray(shape, "<u4", buf, 1 + start, (stride, width))
+
     h = q + 0.5
     t10 = (h / 1e10).astype(np.intp)
     t6 = (h / 1e6).astype(np.intp)
     t2 = (h / 1e2).astype(np.intp)
-    words = np.empty((rows, cols * _WORDS + 1), dtype="<u4")
-    body = words[:, : cols * _WORDS].reshape(rows, cols, _WORDS)
-    body[..., 0] = lead[t10 + 100 * np.signbit(x)].reshape(shape)
-    body[..., 1] = quad[t6 - 10000 * t10].reshape(shape)
-    body[..., 2] = quad[t2 - 10000 * t6].reshape(shape)
-    body[..., 3] = tail[2 * (q.astype(np.intp) - 100 * t2) + (e < 0)].reshape(shape)
-    body[..., 4] = exponent[np.abs(e)].reshape(shape)
-    body[:, :-1, 4] |= ord(sep) << 24  # a separator after all but the last entry
-    words[:, -1] = np.where(gaps, 0x0A0A, 0x0A)
+    words(sign - 1)[...] = lead[t10 + 100 * negative].reshape(shape)
+    words(width - 5)[...] = exponent[e_abs].reshape(shape)
+    last_two = q.astype(np.intp) - 100 * t2
+    words(sign + 11)[...] = tail[2 * last_two + (e < 0)].reshape(shape)
+    words(sign + 3)[...] = quad[t6 - 10000 * t10].reshape(shape)
+    words(sign + 7)[...] = quad[t2 - 10000 * t6].reshape(shape)
+    text = buf[1 : 1 + rows * stride].reshape(rows, stride)
+    text[:, width - 1 : cols * width : width] = ord(sep)
+    text[:, cols * width - 1] = ord("\n")
+    if stride > cols * width:
+        text[:, -1] = np.where(gaps, ord("\n"), 0)
 
-    if fallback.size:
-        width = 4 * _WORDS - 1  # the longest text, as in -1.23456789012e-308
-        texts = "".join(_FMT.format(v).ljust(width, "\0") for v in x[fallback].tolist())
+    if texts:
+        padded = "".join(t.ljust(width - 1, "\0") for t in texts)
+        slots = np.ndarray((rows, cols, width), np.uint8, buf, 1, (stride, width, 1))
         r, c = np.divmod(fallback, cols)
-        slots = words.view(np.uint8)[:, : 4 * _WORDS * cols].reshape(rows, cols, -1)
-        slots[r, c, :width] = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(
-            -1, width
+        slots[r, c, :-1] = np.frombuffer(padded.encode("ascii"), np.uint8).reshape(
+            -1, width - 1
         )
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _matrix_lines(a: np.ndarray, s: int, sep: str, block_gaps: bool):
@@ -139,11 +169,18 @@ def _matrix_lines(a: np.ndarray, s: int, sep: str, block_gaps: bool):
     ``10^-k / 2`` from an integer, far beyond its rounding error, so
     truncating it gives ``floor(q / 10^k)`` exactly.  Each entry is five
     words, each gathered from a small table: ``[-][d0][.][d1]``,
-    ``[d2..d5]``, ``[d6..d9]``, ``[d10][d11][e][+-]`` and
-    ``[e2][e1][e0][sep]``.  An absent sign, hundreds digit of the exponent
-    or separator is a NUL byte, each row ends in a word holding its
-    newline and, at a block-row boundary, the blank line, and deleting
-    the NUL bytes gives the text.
+    ``[d2..d5]``, ``[d6..d9]``, ``[d10][d11][e][+-]`` and a word that
+    ends in ``[e2][e1][e0]``.  They go into slots of one width per chunk
+    (see ``_chunk_text``), and a byte stays NUL only where an entry lacks
+    what another entry of its chunk has: the sign of a non-negative entry
+    beside a negative one, the hundreds digit of a 2-digit exponent beside
+    a 3-digit one, the padding after a short fallback text such as
+    ``nan`` or ``inf``, and the spare byte of a row with no blank line
+    after it.  ``bytes.replace`` deletes them.  It returns its own bytes
+    when there is no NUL, as for ``R`` at ``s = 1`` whenever its entries,
+    all non-negative, share one exponent width; otherwise it finds each
+    NUL with ``memchr`` and copies the runs between them, which costs
+    little more than one copy when NUL bytes are sparse.
 
     Python's own formatter, which rounds correctly in every case, prints
     the rest: entries within the tie window, non-finite entries, nonzero
@@ -154,8 +191,11 @@ def _matrix_lines(a: np.ndarray, s: int, sep: str, block_gaps: bool):
     step = max(1, _CHUNK_ENTRIES // max(cols, 1))
     ends = np.arange(1, rows + 1)
     gaps = (ends % s == 0) & (ends < rows) if block_gaps else np.zeros(rows, bool)
+    # One buffer for every chunk, so that the heap does not take a new
+    # chunk-sized block per chunk: 20-byte slots and a spare byte a row.
+    buf = np.empty(1 + min(step, rows) * (20 * cols + 1), np.uint8)
     for r in range(0, rows, step):
-        yield _chunk_text(a[r : r + step], sep, gaps[r : r + step])
+        yield _chunk_text(a[r : r + step], sep, gaps[r : r + step], buf)
 
 
 def _matrix_output(a: np.ndarray, s: int, fmt: str):

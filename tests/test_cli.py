@@ -619,6 +619,36 @@ def _special_values():
     }
 
 
+def _slot_width_family(name):
+    """A ``(93, 93)`` matrix, two chunks of rows, built so that one chunk
+    takes the slot width that ``name`` picks out.
+
+    The base is non-negative with 2-digit exponents, zeros and round-half
+    ties (fallback entries): the NUL-free 18-byte slot.  One row then takes
+    the family's entries, at its first and last columns among others: row
+    5 in the first chunk, or row 90 in the second, which then is wider
+    than the first in the buffer the chunks share."""
+    rng = np.random.default_rng(29)
+    a = (1.0 + 9.0 * rng.random((93, 93))) * 10.0 ** rng.integers(-99, 99, (93, 93))
+    flat = a.reshape(-1)
+    flat[rng.choice(flat.size, 60, replace=False)] = 0.0
+    flat[rng.choice(flat.size, 6, replace=False)] = 123456789012.5
+    if name == "negative":
+        return -a
+    row, extra = {
+        "nonnegative": (5, []),
+        "negative_zero": (5, [-0.0]),
+        "fallback_exponent": (90, [5e-324]),
+        "nan_inf_19": (5, [np.nan, -1.5, np.inf]),
+        "nan_inf_20": (90, [np.nan, -1.5, 1e-150, np.inf]),
+    }[name]
+    if extra:
+        # The last one goes to the last column, the others from the first.
+        a[row, : len(extra) - 1] = extra[:-1]
+        a[row, -1] = extra[-1]
+    return a
+
+
 class TestMatrixPrinting:
     """The printing kernel gives the bytes of a per-entry format."""
 
@@ -654,6 +684,31 @@ class TestMatrixPrinting:
         values = np.array(_special_values()[name])
         _assert_prints_per_entry(_padded_rows(np.concatenate([values, -values]), 6), s, fmt)
 
+    @pytest.mark.parametrize("name", [
+        "nonnegative", "negative_zero", "negative", "fallback_exponent",
+        "nan_inf_19", "nan_inf_20",
+    ])
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_slot_widths_match_per_entry_format(self, name, s, fmt):
+        """Slots of 18, 19 and 20 bytes: the sign byte, the hundreds digit
+        of the exponent (here from a fallback's text), NUL-padded short
+        fallbacks, and chunks with no NUL byte at all."""
+        _assert_prints_per_entry(_slot_width_family(name), s, fmt)
+
+    @pytest.mark.parametrize("what", ["resistance", "inverse"])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_tree_commands_match_per_entry_format(self, capsys, tmp_path, what, fmt):
+        """The benchmark's shape at test size: ``R`` and ``R^-1`` of an
+        ``s = 1`` tree, over several chunks of rows."""
+        path = tmp_path / "tree.json"
+        path.write_text(serialize(random_graph(200, 1, "tree", seed=29)))
+        ws = ResistanceWorkspace(parse_graph(path.read_bytes()))
+        expected = ws.resistance if what == "resistance" else ws.inverse()
+        code, out, err = run_cli(capsys, "compute", str(path), what, "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == _per_entry_lines(expected, 1, " " if fmt == "text" else ",", False)
+
     def test_ties_round_half_even_and_carry(self):
         a = np.array([[123456789012.5, 123456789013.5, 9.999999999996e5]])
         assert "".join(_matrix_output(a, 1, "csv")) == (
@@ -680,6 +735,17 @@ class TestMatrixPrinting:
         """NaN payloads, signed zeros, subnormals, DBL_MAX: every float64."""
         a = _padded_rows(np.array(bits, dtype=np.uint64), cols).view(np.float64)
         _assert_prints_per_entry(a, s, fmt)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        values=st.lists(st.floats(min_value=1e-99, max_value=1e99), min_size=1, max_size=60),
+        cols=st.integers(min_value=1, max_value=7),
+        s=st.sampled_from([1, 3]),
+        fmt=st.sampled_from(["text", "csv"]),
+    )
+    def test_any_nonnegative_value_matches_per_entry_format(self, values, cols, s, fmt):
+        """Non-negative entries with 2-digit exponents: the NUL-free slot."""
+        _assert_prints_per_entry(_padded_rows(np.array(values), cols), s, fmt)
 
 
 def _json_dumps_matrix(a, s):
