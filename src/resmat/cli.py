@@ -137,8 +137,11 @@ def _cmd_compute(args) -> int:
 
     if fmt == "csv" and what not in _MATRIX_OBJECTS + ("interlace",):
         raise UsageError("csv format only applies to matrix and interlace output")
-    if args.pair is not None and what != "resistance":
-        raise UsageError("--pair only applies to resistance output")
+    if args.pair is not None:
+        if what != "resistance":
+            raise UsageError("--pair only applies to resistance output")
+        if not all(1 <= k <= g.n for k in args.pair):
+            raise UsageError(f"--pair indices must be in 1..{g.n}")
 
     if what == "laplacian":
         sys.stdout.writelines(_matrix_output(build_laplacian(g), g.s, fmt))
@@ -151,13 +154,11 @@ def _cmd_compute(args) -> int:
     if what in _MATRIX_OBJECTS:
         if args.pair is not None:
             i, j = args.pair
-            if not (1 <= i <= g.n and 1 <= j <= g.n):
-                raise UsageError(f"--pair indices must be in 1..{g.n}")
             matrix = ws.resistance_block(i - 1, j - 1)
         elif what == "resistance":
             matrix = ws.resistance
         elif what == "pinv":
-            matrix = ws.pseudoinverse
+            matrix = ws.pseudoinverse()
         elif what == "tau":
             matrix = ws.deficit
         else:

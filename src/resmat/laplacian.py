@@ -134,18 +134,11 @@ def build_incidence(g: MatrixWeightedGraph) -> np.ndarray:
     return linalg.frozen(body)
 
 
-def _add_shift(body: np.ndarray, n: int, s: int, scale: float = 1.0) -> None:
+def _add_shift(body: np.ndarray, n: int, s: int, scale: float) -> None:
     """Add ``scale P`` with ``P = (1/n) J (x) I_s`` to the C-contiguous
     ``body``, in place."""
     blocks = body.reshape(n, s, n, s)
     blocks += (scale / n) * np.eye(s)[:, np.newaxis, :]
-
-
-def _shift(body: np.ndarray, n: int, s: int, scale: float = 1.0) -> np.ndarray:
-    """``body + scale P`` with ``P = (1/n) J (x) I_s``, as a new array."""
-    shifted = body.copy()
-    _add_shift(shifted, n, s, scale)
-    return shifted
 
 
 def shifted_cholesky(

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graph import GraphError, MatrixWeightedGraph, _weight_stack
+from .graph import GraphError, MatrixWeightedGraph, _require_sizes, _weight_stack
 
 __all__ = ["parse_graph"]
 
@@ -152,6 +152,7 @@ def parse_graph(text) -> MatrixWeightedGraph:
     for name, value in (("n", n), ("s", s)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise GraphError(f"{name} must be an integer, got {value!r}")
+    _require_sizes(n, s)
     if not isinstance(raw_edges, list):
         raise GraphError("edges must be a list")
     arrays = _edge_arrays(raw_edges, s)

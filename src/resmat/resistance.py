@@ -49,9 +49,9 @@ import numpy as np
 from . import linalg
 from .graph import MatrixWeightedGraph
 from .laplacian import (
+    _add_shift,
     _laplacian_from_terms,
     _laplacian_terms,
-    _shift,
     shifted_cholesky,
     stacked_identity,
 )
@@ -135,14 +135,14 @@ class ResistanceWorkspace:
     batched product for the diagonal blocks of ``X = Z' Z``, and the
     eigenvalues of the ``s x s`` deficit form.  It keeps two ``ns x ns``
     matrices, ``L`` and ``Z``, which is all that the determinant, the
-    inverse, ``T`` and single resistance blocks need.  The shifted
-    inverse ``X`` and the resistance matrix ``R``, the pseudoinverse and
-    the two spectra (`laplacian_eigenvalues` and `resistance_eigenvalues`,
-    values only) are cached properties computed on first access, and so
-    are the two small products that two registry checks each read,
-    ``T' R T`` formed with ``R`` and the LU determinant of ``R``.  What a
-    single registry check alone reads, such as the incidence matrix or the
-    grounded inverse, that check builds and lets go.
+    inverse, ``T`` and single resistance blocks need.  What two or more
+    readers share is cached on first access: the shifted inverse ``X``,
+    ``R``, the two spectra (`laplacian_eigenvalues` and
+    `resistance_eigenvalues`, values only), ``T' R T`` formed with ``R``
+    and the LU determinant of ``R``.  What one reader alone uses is built
+    for it and let go: :meth:`pseudoinverse` and :meth:`inverse` return
+    fresh arrays, and a registry check builds its own, such as the
+    incidence matrix or the grounded inverse.
 
     Every matrix attribute is a read-only float64 array, so an in-place
     write raises ``ValueError`` instead of silently invalidating what was
@@ -225,13 +225,11 @@ class ResistanceWorkspace:
     @cached_property
     def resistance(self) -> np.ndarray:
         """The block resistance matrix ``R_ij = X_ii + X_jj - 2 X_ij``,
-        built in place in a buffer that holds ``X``, one band of block rows
-        at a time.  The buffer is the product ``Z' Z`` when ``X`` is not
-        cached, so the workspace holds ``L``, ``Z`` and ``R``, not ``X`` as
-        well; else it is a copy of the cached ``X``."""
+        built in place in the buffer of a fresh ``X = Z' Z``, one band of
+        block rows at a time, so ``compute resistance`` holds ``L``, ``Z``
+        and ``R`` only."""
         n, s = self.graph.n, self.graph.s
-        x = self.__dict__.get("shifted_inverse")
-        resistance = self._gram() if x is None else x.copy()
+        resistance = self._gram()
         blocks = resistance.reshape(n, s, n, s)
         vertices = np.arange(n)
         diagonal = blocks[vertices, :, vertices, :]  # a copy: bands overwrite X
@@ -260,11 +258,13 @@ class ResistanceWorkspace:
         closed form; ``DET_FORMULA`` and ``TREE_DET`` read it."""
         return linalg.slogdet_lu(self.resistance)
 
-    @cached_property
     def pseudoinverse(self) -> np.ndarray:
-        """Laplacian pseudoinverse ``X - (1/alpha) P``."""
+        """Laplacian pseudoinverse ``X - (1/alpha) P``, built in the buffer
+        of a fresh ``X = Z' Z`` and not kept: it has one reader per process."""
         n, s = self.graph.n, self.graph.s
-        return frozen(_shift(self.shifted_inverse, n, s, -1.0 / self.shift_scale))
+        pinv = self._gram()
+        _add_shift(pinv, n, s, -1.0 / self.shift_scale)
+        return pinv
 
     # ------------------------------------------------------------------
     # lazily computed spectral objects

@@ -362,7 +362,7 @@ def _check_lplus(ws: ResistanceWorkspace):
     blocks -= blocks.mean(axis=0)
     blocks -= blocks.mean(axis=2, keepdims=True)
     tol = 1e-8 * (1.0 + linalg.max_norm(grounded))
-    grounded -= ws.pseudoinverse
+    grounded -= ws.pseudoinverse()
     residual = linalg.max_norm(grounded)
     return residual, tol, "shifted-inverse route vs projected grounded inverse"
 
@@ -525,8 +525,8 @@ _NONSINGULAR_RTOL = 1e-10
 
 
 def _shifted_block(source: np.ndarray, rows: np.ndarray, n: int, s: int, *scales):
-    """``_shift(source, n, s, scale)[rows][:, rows]`` bit for bit, with no
-    shifted copy of ``source``: the principal block is gathered, then the
+    """``(source + scale P)[rows][:, rows]`` bit for bit as ``_add_shift``
+    makes it, with no shifted copy: the principal block is gathered, then the
     projector's ``scale / n`` is added where ``p = q (mod s)`` and ``0.0``
     elsewhere, as the shift adds it (turning ``-0.0`` into ``0.0``).  Each
     of ``scales`` is added so in turn, as nested shifts add them; with

@@ -212,7 +212,7 @@ def test_criterion_07_oracle_agreement(corpus_workspaces):
             worst_scalar = max(worst_scalar, max_norm(ws.resistance - oracle))
             scalar_graphs += 1
         spectral = pseudo_inverse(ws.laplacian)
-        gap = max_norm(ws.pseudoinverse - spectral)
+        gap = max_norm(ws.pseudoinverse() - spectral)
         worst_pinv = max(worst_pinv, gap / (1e-8 * (1.0 + max_norm(spectral))))
     ok = worst_scalar <= 1e-10 and worst_pinv <= 1.0 and scalar_graphs > 0
     report(
@@ -276,7 +276,7 @@ def test_criterion_09_cofactor_and_submatrix_invariance(corpus_workspaces):
                 worst_cof, abs(value - reference) / (1.0 + abs(reference))
             )
         ns = g.n * g.s
-        a = ws.pseudoinverse
+        a = ws.pseudoinverse()
         a_pinv = ws.laplacian
         for _ in range(3):
             for _ in range(40):

@@ -88,12 +88,26 @@ class TestCompute:
         assert code == EXIT_OK
         assert float(out.strip()) == pytest.approx(2.0, abs=1e-12)
 
-    def test_pair_out_of_range(self, capsys, p3_file):
-        code, _, err = run_cli(
-            capsys, "compute", p3_file, "resistance", "--pair", "1", "9"
-        )
-        assert code == EXIT_INPUT
-        assert "1..3" in err
+    @pytest.mark.parametrize("pair", [("1", "9"), ("0", "1"), ("1", "4"), ("-1", "2")])
+    def test_pair_out_of_range(self, capsys, monkeypatch, p3_file, pair):
+        # The range is a usage check: refused before the factorization.
+        def refuse(self, graph):
+            raise AssertionError("a workspace was built")
+
+        monkeypatch.setattr(ResistanceWorkspace, "__init__", refuse)
+        code, out, err = run_cli(capsys, "compute", p3_file, "resistance", "--pair", *pair)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: --pair indices must be in 1..3\n")
+
+    def test_pair_out_of_range_on_a_numerically_disconnected_graph(self, capsys, tmp_path):
+        # The factorization would refuse this path (exit 2); the usage
+        # error comes first.
+        weights = [np.eye(1)] * 19
+        weights[9] = np.array([[1e20]])
+        path = tmp_path / "stiff.json"
+        path.write_text(serialize(path_graph(20, 1, weights)))
+        assert run_cli(capsys, "compute", str(path), "resistance")[0] == EXIT_NUMERIC
+        code, _, err = run_cli(capsys, "compute", str(path), "resistance", "--pair", "0", "1")
+        assert (code, err) == (EXIT_INPUT, "error: --pair indices must be in 1..20\n")
 
     def test_pair_requires_resistance(self, capsys, p3_file):
         code, _, err = run_cli(capsys, "compute", p3_file, "det", "--pair", "1", "2")
@@ -790,7 +804,7 @@ class TestMatrixJson:
         else:
             expected = {
                 "laplacian": ws.laplacian,
-                "pinv": ws.pseudoinverse,
+                "pinv": ws.pseudoinverse(),
                 "resistance": ws.resistance,
                 "tau": ws.deficit,
                 "inverse": ws.inverse(),
@@ -820,9 +834,9 @@ class TestMatrixPeakMemory:
 
     ``compute det`` and ``compute tau`` build only the factorization, in
     ``L``'s own buffer: ``M`` and ``C`` (LAPACK's working copy of ``M`` is
-    not traced).  ``compute resistance`` and ``compute inverse`` build
-    their matrix in one ``ns x ns`` buffer and write it after the workspace
-    is freed."""
+    not traced).  ``compute resistance``, ``compute pinv`` and
+    ``compute inverse`` build their matrix in one ``ns x ns`` buffer and
+    write it after the workspace is freed."""
 
     @staticmethod
     def traced_peak(argv):
@@ -847,6 +861,7 @@ class TestMatrixPeakMemory:
             "det": (["compute", str(path), "det"], 2.4),
             "tau": (["compute", str(path), "tau"], 2.4),
             "resistance": (["compute", str(path), "resistance"], matrix_arrays),
+            "pinv": (["compute", str(path), "pinv"], matrix_arrays),
             "inverse": (
                 ["compute", str(path), "inverse", "--format", "csv"],
                 matrix_arrays,
@@ -858,7 +873,7 @@ class TestMatrixPeakMemory:
         array = 8 * (n * s) ** 2
         for name, (argv, bound) in commands.items():
             peak, chars = self.traced_peak(argv)
-            if name in ("resistance", "inverse"):
+            if name in ("resistance", "pinv", "inverse"):
                 assert chars > 17 * (n * s) ** 2, name
             assert peak <= bound * array, (name, peak / array)
 

@@ -659,9 +659,15 @@ class TestParseErrorsPinned:
         text = _document(2, 1, [{"u": 1, "v": 2, "w": [[]]}])
         assert _parse_error(text) == "edge #1 (1, 2): weight shape (1, 0) != (1, 1)"
 
-    def test_parse_error_precedes_size_check(self):
-        text = _document(2, 0, [{"u": 1, "v": 2, "w": []}])
-        assert _parse_error(text) == "edge #1: weight must be 2-D"
+    @pytest.mark.parametrize("n, s, message", [
+        (1, 1, "vertex count n must be an integer >= 2, got 1"),
+        (1, 0, "vertex count n must be an integer >= 2, got 1"),
+        (2, 0, "block size s must be an integer >= 1, got 0"),
+    ])
+    def test_size_check_precedes_edge_errors(self, n, s, message):
+        # The sizes are read before any edge, by the constructor's own rule.
+        text = _document(n, s, [{"u": 1, "v": 2, "w": []}])
+        assert _parse_error(text) == message
 
     def test_no_edges(self):
         assert _parse_error(_document(2, 1, [])) == "graph is not connected"

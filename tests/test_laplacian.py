@@ -44,7 +44,6 @@ WORKSPACE_ARRAYS = (
     "deficit",
     "deficit_form",
     "deficit_form_direct",
-    "pseudoinverse",
 )
 
 

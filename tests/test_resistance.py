@@ -23,6 +23,7 @@ from resmat.graph import (
     random_pd_weight,
 )
 from resmat.laplacian import (
+    _add_shift,
     build_incidence,
     build_laplacian,
     laplacian_cofactor_slog,
@@ -44,9 +45,15 @@ from resmat.resistance import (
     ResistanceWorkspace,
     _LEAF_ORDER,
     _invert_lower,
-    _shift,
 )
 from resmat.verify import run_suite, standard_corpus
+
+
+def _shift(body, n, s, scale=1.0):
+    """``body + scale P`` with ``P = (1/n) J (x) I_s``, as a new array."""
+    shifted = body.copy()
+    _add_shift(shifted, n, s, scale)
+    return shifted
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +110,7 @@ class TestHandValuesP2:
 
     def test_pseudoinverse(self, p2):
         expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-        assert max_norm(p2.pseudoinverse - expected) <= 1e-14
+        assert max_norm(p2.pseudoinverse() - expected) <= 1e-14
 
     def test_resistance(self, p2):
         expected = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -254,12 +261,12 @@ class TestWorkspaceStructure:
     def test_pseudoinverse_matches_spectral_route(self):
         ws = ResistanceWorkspace(random_graph(6, 2, "tree", seed=42))
         spectral = pseudo_inverse(ws.laplacian)
-        gap = max_norm(ws.pseudoinverse - spectral)
+        gap = max_norm(ws.pseudoinverse() - spectral)
         assert gap <= 1e-9 * (1.0 + max_norm(spectral))
 
     def test_definition_route_matches_workspace(self):
         ws = ResistanceWorkspace(random_graph(5, 2, "gnp", seed=43, p=0.7))
-        direct = resistance_from_pseudoinverse(ws.pseudoinverse, ws.graph.s)
+        direct = resistance_from_pseudoinverse(ws.pseudoinverse(), ws.graph.s)
         assert max_norm(direct - ws.resistance) <= 1e-10 * (
             1.0 + max_norm(ws.resistance)
         )
@@ -848,6 +855,23 @@ class TestRFreeRoute:
         expected = diagonal[:, :, np.newaxis, :] + diagonal.transpose(1, 0, 2) - 2.0 * x
         assert np.array_equal(r, expected.reshape(n * s, n * s))
 
+    def test_pinv_and_r_are_x_shifted_and_assembled_bit_for_bit(self, corpus):
+        # L^+ and R are each built in the buffer of a fresh Z'Z: bit for bit
+        # X shifted by -1/alpha and R's whole-array expression in X, whether
+        # X was read before them or not.
+        for g in [g for _, g in corpus] + [random_graph(*a) for a in BENCH_GRAPHS]:
+            n, s = g.n, g.s
+            cold, warm = ResistanceWorkspace(g), ResistanceWorkspace(g)
+            x = warm.shifted_inverse
+            pinv = _shift(x, n, s, -1.0 / warm.shift_scale)
+            blocks = x.reshape(n, s, n, s)
+            diagonal = blocks[np.arange(n), :, np.arange(n), :]
+            r = diagonal[:, :, np.newaxis, :] + diagonal.transpose(1, 0, 2) - 2.0 * blocks
+            for ws in (cold, warm):
+                assert ws.pseudoinverse().tobytes() == pinv.tobytes()
+                assert ws.resistance.tobytes() == r.tobytes()
+            assert "shifted_inverse" not in cold.__dict__
+
     @pytest.mark.parametrize("entries", [1, 200, 1000])
     @pytest.mark.parametrize("model,n,s,p", [UP_TO_LEAF[1], *ABOVE_LEAF[:2]])
     def test_banded_passes_are_the_whole_array_expressions(
@@ -855,7 +879,7 @@ class TestRFreeRoute:
     ):
         # R and R^-1 are built one band at a time; with bands down to one
         # block row each, they are the whole-array expressions bit for bit,
-        # R whether it is built in the buffer of Z'Z or from a cached X.
+        # R whether X was cached before it or not.
         monkeypatch.setattr(resistance, "_BAND_ENTRIES", entries)
         g = kernel_graph(model, n, s, p)
         built = ResistanceWorkspace(g).resistance

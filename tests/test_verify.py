@@ -19,7 +19,7 @@ from resmat.graph import (
     star_graph,
 )
 from resmat import linalg, verify
-from resmat.laplacian import _shift, build_incidence, build_laplacian
+from resmat.laplacian import _add_shift, build_incidence, build_laplacian
 from resmat.linalg import (
     DimensionError,
     NumericError,
@@ -43,6 +43,13 @@ from resmat.verify import (
     standard_corpus,
     tree_distance_matrix,
 )
+
+
+def _shift(body, n, s, scale=1.0):
+    """``body + scale P`` with ``P = (1/n) J (x) I_s``, as a new array."""
+    shifted = body.copy()
+    _add_shift(shifted, n, s, scale)
+    return shifted
 
 
 def numerically_nonsingular(b) -> bool:
@@ -450,9 +457,9 @@ class TestMutationsFail:
     def test_lplus_catches_perturbed_pseudoinverse(self, g):
         ws = ResistanceWorkspace(g)
         assert run_check(g, "LPLUS", workspace=ws).passed
-        pseudoinverse = ws.pseudoinverse.copy()
+        pseudoinverse = ws.pseudoinverse()
         pseudoinverse[3, 8] += 1e-6 * max_norm(pseudoinverse)
-        ws.__dict__["pseudoinverse"] = pseudoinverse
+        ws.pseudoinverse = lambda: pseudoinverse
         assert not run_check(g, "LPLUS", workspace=ws).passed
 
     def test_inertia_catches_sign_flip(self):
@@ -522,6 +529,20 @@ class TestOneEigendecomposition:
 
 
 class TestSingleReaderArrays:
+    def test_lplus_leaves_no_matrix_held(self):
+        # L^+ and the grounded inverse are LPLUS's alone: the workspace
+        # caches neither, nor the X that L^+ is shifted from.
+        g = random_graph(40, 3, "complete", seed=5)
+        ws = ResistanceWorkspace(g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run_check(g, "LPLUS", ws).passed
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * (g.n * g.s) ** 2
+
     def test_checks_let_their_own_arrays_go(self):
         # The incidence matrix and the spectral pseudoinverse are built by
         # the checks that read them and freed when each returns; what the
@@ -615,7 +636,7 @@ class TestPinvSubmatrixSampling:
         assert np.signbit(lap[lap == 0.0]).any()
         rng = np.random.default_rng(5)
         scales = () if scale is None else (scale,)
-        for source in (lap, ws.shifted_inverse, ws.pseudoinverse):
+        for source in (lap, ws.shifted_inverse, ws.pseudoinverse()):
             shifted = source if scale is None else _shift(source, g.n, g.s, scale)
             for size in list(range(1, 11)) * 3:
                 rows = np.sort(rng.choice(10, size=size, replace=False))
@@ -630,7 +651,7 @@ class TestPinvSubmatrixSampling:
         for g in (path_graph(5, 2), cycle_graph(6, 3), random_graph(9, 2, "gnp", seed=4, p=0.5)):
             ws = ResistanceWorkspace(g)
             order = g.n * g.s
-            pinv = ws.pseudoinverse
+            pinv = ws.pseudoinverse()
             for scale in scales:
                 pinv = _shift(pinv, g.n, g.s, scale)
             rng = np.random.default_rng(6)
@@ -663,11 +684,22 @@ class TestPinvSubmatrixSampling:
             assert expected and sorted(factored) == sorted(expected)
             factored.clear()
 
-    def test_the_check_never_builds_the_pseudoinverse(self):
+    def test_the_check_never_builds_the_pseudoinverse(self, monkeypatch):
+        calls = []
+        pseudoinverse = ResistanceWorkspace.pseudoinverse
+
+        def counting(ws):
+            calls.append(ws)
+            return pseudoinverse(ws)
+
+        monkeypatch.setattr(ResistanceWorkspace, "pseudoinverse", counting)
         g = random_graph(8, 2, "gnp", seed=3, p=0.5)
         ws = ResistanceWorkspace(g)
         assert run_check(g, "PINV_SUBMATRIX", ws).passed
-        assert "pseudoinverse" not in ws.__dict__
+        assert calls == []
+        # LPLUS, the one check that reads L^+, builds it once.
+        assert run_check(g, "LPLUS", ws).passed
+        assert calls == [ws]
 
     @staticmethod
     def materialized_route(ws):
@@ -677,9 +709,9 @@ class TestPinvSubmatrixSampling:
         g = ws.graph
         n, s = g.n, g.s
         instances = [
-            (ws.pseudoinverse, ws.laplacian),
+            (ws.pseudoinverse(), ws.laplacian),
             (_shift(ws.laplacian, n, s, ws.shift_scale), ws.shifted_inverse),
-            (_shift(ws.pseudoinverse, n, s), _shift(ws.laplacian, n, s)),
+            (_shift(ws.pseudoinverse(), n, s), _shift(ws.laplacian, n, s)),
         ]
         rng = np.random.default_rng([g.n, g.s, g.m, 1202])
         sets, verdicts = [], []
@@ -741,7 +773,7 @@ class TestBuiltSymmetry:
             ws.laplacian,
             ws.shifted_inverse,
             ws.resistance,
-            ws.pseudoinverse,
+            ws.pseudoinverse(),
             ws.inverse(),
         ):
             assert np.isfinite(a).all() and linalg._bitwise_symmetric(a)
