@@ -6,9 +6,11 @@ spectral pseudoinverse that the scalar oracle takes, determinants as exact
 ``(sign, log|det|)`` pairs, block cofactors, and inertia counts.  It adds
 the checks LAPACK does not make: material asymmetry is rejected instead of
 averaged away, symmetric means never overflow, and rank decisions are
-relative to scale.  The batched kernels for edge weights (inverse and
-inverse square root) check nothing: every graph's weights were tested for
-symmetry and definiteness when the graph was constructed.
+relative to scale.  A matrix is symmetrized only where asymmetry can
+arise: :func:`pseudo_inverse` takes caller input through
+:func:`symmetrize`, while :func:`sym_eigenvalues` and the batched kernels
+for edge weights (inverse and inverse square root) check nothing, since
+the graph's weights, ``L`` and ``R`` are built exactly symmetric.
 
 Everything operates on plain float64 ``numpy`` arrays, treats inputs as
 read-only, and returns freshly allocated arrays, with two exceptions:
@@ -192,11 +194,6 @@ def _symmetric_mean_in_place(a: np.ndarray, rows: int) -> None:
         mirror[rows:] = band[:, rows:].T
 
 
-def _bitwise_symmetric(a: np.ndarray) -> bool:
-    """True when the float64 ``a`` equals ``a'`` bit for bit, signed zeros included."""
-    return np.array_equal(a.view(np.int64), a.T.view(np.int64))
-
-
 def _asymmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one asymmetry test, on each matrix ``A`` of a finite float64
     ``(..., k, k)`` stack: whether ``max|A - A'| > SYMMETRY_RTOL (1 + max|A|)``,
@@ -209,7 +206,10 @@ def _asymmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def symmetrize(a) -> np.ndarray:
     """Return ``(A + A') / 2``, by :func:`symmetric_mean`, after checking A
-    is symmetric to within :data:`SYMMETRY_RTOL`.
+    is finite, square and symmetric to within :data:`SYMMETRY_RTOL`.
+
+    The result is a new array; a matrix that equals its transpose bit for
+    bit comes back bit for bit, as its own mean.
 
     Raises
     ------
@@ -219,8 +219,6 @@ def symmetrize(a) -> np.ndarray:
         averaging it away would mask the bug.
     """
     a = _checked(a)
-    if _bitwise_symmetric(a):
-        return a.copy()  # bit for bit its own mean
     asymmetric, gap = _asymmetric(a)
     if asymmetric:
         raise NumericError(
@@ -253,9 +251,14 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def sym_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending and read-only, with no
-    eigenvectors; the input is symmetrized via :func:`symmetrize`."""
-    return frozen(np.linalg.eigvalsh(symmetrize(a))[::-1].copy())
+    """Eigenvalues of the exactly symmetric, finite float64 matrix ``a``,
+    descending and read-only, with no eigenvectors.
+
+    Like the batched kernels, this checks nothing: ``eigvalsh`` reads one
+    triangle of ``a``, so a caller whose matrix may be asymmetric passes
+    it through :func:`symmetrize` first.
+    """
+    return frozen(np.linalg.eigvalsh(a)[::-1].copy())
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -364,8 +367,9 @@ def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
     minor[:i, :, j:] = view[:i, :, j + 1 :]
     minor[i:, :, :j] = view[i + 1 :, :, :j]
     minor[i:, :, j:] = view[i + 1 :, :, j + 1 :]
-    det_sign, log_abs = slogdet_lu(minor.reshape(n - s, n - s))
-    return (sign * det_sign, log_abs)
+    # The minor is a copy of the checked ``a``: LAPACK takes it as it is.
+    det_sign, log_abs = np.linalg.slogdet(minor.reshape(n - s, n - s))
+    return (sign * float(det_sign), float(log_abs))
 
 
 def count_inertia(values) -> Inertia:

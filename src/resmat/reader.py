@@ -50,23 +50,11 @@ def _entries_problem(position: int, w: list) -> str | None:
     return None
 
 
-def _converted(ws: list):
-    """:func:`~resmat.graph._weight_stack` of parsed weights, raising
-    :class:`GraphError` for the first that is not 2-D when they make no
-    stack."""
-    weights = _weight_stack(ws)
-    if isinstance(weights, list):
-        for position, w in enumerate(weights, start=1):
-            if w.ndim != 2:
-                raise GraphError(f"edge #{position}: weight must be 2-D")
-    return weights
-
-
 def _raise_first_problem(raw_edges: list):
     """Raise the error of a JSON edge list with a structural problem: the
     first edge with one stops the scan, and the first weight up to it that
-    does not convert, else the first that is not 2-D, comes before it.  A
-    weight with a string or bool entry is converted before it is refused."""
+    does not convert comes before it.  A weight with a string or bool entry
+    is converted before it is refused."""
     ws = []
     for position, entry in enumerate(raw_edges, start=1):
         problem = _entry_problem(position, entry)
@@ -76,7 +64,7 @@ def _raise_first_problem(raw_edges: list):
         problem = _entries_problem(position, entry["w"])
         if problem is not None:
             break
-    _converted(ws)
+    _weight_stack(ws)
     raise GraphError(problem)
 
 
@@ -115,7 +103,7 @@ def _edge_arrays(raw_edges: list, s: int):
         endpoints = [(u - 1, v - 1) for u, v in zip(ends[::2], ends[1::2])]
     else:
         endpoints -= 1
-    square = s >= 1 and not (set(map(len, ws)) | set(map(len, rows))) - {s}
+    square = not (set(map(len, ws)) | set(map(len, rows))) - {s}
     if square and not kinds - {int, float}:
         try:
             entries = chain.from_iterable(rows)
@@ -123,7 +111,7 @@ def _edge_arrays(raw_edges: list, s: int):
             return endpoints, stack.reshape(-1, s, s)
         except OverflowError:
             pass
-    return endpoints, _converted(ws)
+    return endpoints, _weight_stack(ws)
 
 
 def parse_graph(text) -> MatrixWeightedGraph:
@@ -133,8 +121,8 @@ def parse_graph(text) -> MatrixWeightedGraph:
     errors, structural problems, or validation failures.  Weight entries
     must be JSON numbers (``null`` reads as a non-finite entry).  Only the
     edges before the first structural problem are converted: the first of
-    their weights that does not convert is raised, else the first that is
-    not 2-D, else the structural problem.
+    their weights that does not convert is raised, else the structural
+    problem.  A weight of the wrong shape is the constructor's to refuse.
     """
     try:
         data = json.loads(text)

@@ -447,8 +447,9 @@ def _check_qrq(ws: ResistanceWorkspace):
 
 def _check_taurtau_pd(ws: ResistanceWorkspace):
     # T' R T formed with R, not the engine's closed expression, whose
-    # definiteness the workspace already required.
-    values = linalg.sym_eigenvalues(ws.deficit_form_direct)
+    # definiteness the workspace already required.  The product is only
+    # nearly symmetric, so it is symmetrized before its eigenvalues.
+    values = linalg.sym_eigenvalues(linalg.symmetrize(ws.deficit_form_direct))
     band = linalg.default_rank_tol(values.size) * linalg.max_norm(values)
     smallest = float(values[-1])
     residual = _margin_residual(smallest, band)

@@ -834,9 +834,11 @@ class TestMatrixPeakMemory:
 
     ``compute det`` and ``compute tau`` build only the factorization, in
     ``L``'s own buffer: ``M`` and ``C`` (LAPACK's working copy of ``M`` is
-    not traced).  ``compute resistance``, ``compute pinv`` and
-    ``compute inverse`` build their matrix in one ``ns x ns`` buffer and
-    write it after the workspace is freed."""
+    not traced).  ``compute inertia`` and ``compute interlace`` hand ``L``
+    and ``R`` to ``eigvalsh`` as built, with no symmetrized copy.
+    ``compute resistance``, ``compute pinv`` and ``compute inverse`` build
+    their matrix in one ``ns x ns`` buffer and write it after the workspace
+    is freed."""
 
     @staticmethod
     def traced_peak(argv):
@@ -860,6 +862,8 @@ class TestMatrixPeakMemory:
         commands = {
             "det": (["compute", str(path), "det"], 2.4),
             "tau": (["compute", str(path), "tau"], 2.4),
+            "inertia": (["compute", str(path), "inertia"], 3.3),
+            "interlace": (["compute", str(path), "interlace"], 3.3),
             "resistance": (["compute", str(path), "resistance"], matrix_arrays),
             "pinv": (["compute", str(path), "pinv"], matrix_arrays),
             "inverse": (

@@ -585,10 +585,19 @@ class TestParseErrorsPinned:
             "edge #2: malformed weight: could not convert string to float: 'x'"
         )
 
-    @pytest.mark.parametrize("w", [[], [[[1.0]]]])
-    def test_weight_not_two_dimensional(self, w):
+    @pytest.mark.parametrize(
+        "w,shape", [([], "(0,)"), ([[[1.0]]], "(1, 1, 1)"), ([[]], "(1, 0)")]
+    )
+    def test_weight_of_the_wrong_shape(self, w, shape):
+        # The constructor owns the shape rule, whatever the weight's rank.
         text = _document(2, 1, [{"u": 1, "v": 2, "w": w}])
-        assert _parse_error(text) == "edge #1: weight must be 2-D"
+        assert _parse_error(text) == f"edge #1 (1, 2): weight shape {shape} != (1, 1)"
+
+    def test_missing_key_after_weight_of_the_wrong_shape(self):
+        text = _document(3, 1, [{"u": 1, "v": 2, "w": []}, {"u": 2, "v": 3}])
+        assert _parse_error(text) == (
+            "edge #2 must be an object with exactly the keys u, v, w"
+        )
 
     def test_endpoint_beyond_int64(self):
         text = _document(2, 1, [{"u": 1, "v": 10**23, "w": [[1.0]]}])

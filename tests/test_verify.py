@@ -52,6 +52,11 @@ def _shift(body, n, s, scale=1.0):
     return shifted
 
 
+def bitwise_symmetric(a: np.ndarray) -> bool:
+    """True when the float64 ``a`` equals ``a'`` bit for bit, signed zeros included."""
+    return np.array_equal(a.view(np.int64), a.T.view(np.int64))
+
+
 def numerically_nonsingular(b) -> bool:
     """``PINV_SUBMATRIX``'s rule on the symmetrized ``b``."""
     return verify._nonsingular(symmetrize(b))
@@ -765,7 +770,9 @@ class TestBuiltSymmetry:
     """Construction leaves ``L``, ``X``, ``R``, ``L^+`` and ``R^{-1}`` finite
     and bitwise symmetric.  So every block ``PINV_SUBMATRIX`` gathers from
     ``L`` and ``X`` is one ``symmetrize`` would return unchanged, and the
-    check hands each to its rule as it is."""
+    check hands each to its rule as it is.  This also guards the
+    precondition of ``linalg.sym_eigenvalues``, which takes ``L`` and ``R``
+    as built and checks nothing."""
 
     @staticmethod
     def assert_finite_and_symmetric(ws):
@@ -776,7 +783,7 @@ class TestBuiltSymmetry:
             ws.pseudoinverse(),
             ws.inverse(),
         ):
-            assert np.isfinite(a).all() and linalg._bitwise_symmetric(a)
+            assert np.isfinite(a).all() and bitwise_symmetric(a)
 
     @staticmethod
     def assert_blocks_decided_as_gathered(g, ws):
@@ -800,7 +807,7 @@ class TestBuiltSymmetry:
             run_check(g, "PINV_SUBMATRIX", ws)
         assert decided and symmetrized == []
         for b in decided:
-            assert np.isfinite(b).all() and linalg._bitwise_symmetric(b)
+            assert np.isfinite(b).all() and bitwise_symmetric(b)
 
     def test_corpus(self, corpus):
         for _, g in corpus:
@@ -834,6 +841,46 @@ class TestBuiltSymmetry:
             assume(False)
         self.assert_finite_and_symmetric(ws)
         self.assert_blocks_decided_as_gathered(scaled, ws)
+
+
+class TestSymmetrizedWhereAsymmetryCanArise:
+    """``L`` and ``R`` reach ``eigvalsh`` as built, with no copy and no
+    ``symmetrize``; the nearly symmetric ``T'RT`` of ``TAURTAU_PD`` is the
+    one matrix of the spectral checks that is symmetrized first."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        solved, symmetrized = [], []
+        eigvalsh, symmetrize_ = np.linalg.eigvalsh, linalg.symmetrize
+
+        def solving(a):
+            solved.append(a)
+            return eigvalsh(a)
+
+        def symmetrizing(a):
+            symmetrized.append(np.shape(a))
+            return symmetrize_(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+        monkeypatch.setattr(linalg, "symmetrize", symmetrizing)
+        return solved, symmetrized
+
+    def test_inertia_and_interlacing_take_l_and_r_as_built(self, monkeypatch):
+        ws = ResistanceWorkspace(random_graph(7, 2, "gnp", seed=3, p=0.6))
+        solved, symmetrized = self.spied(monkeypatch)
+        assert ws.inertia().as_tuple() == (2, 12, 0)
+        assert len(solved) == 1 and solved[0] is ws.resistance
+        assert all(row.holds for row in ws.interlacing())
+        assert len(solved) == 2 and solved[1] is ws.laplacian
+        assert symmetrized == []
+
+    def test_taurtau_pd_symmetrizes_once_an_s_by_s_array(self, monkeypatch):
+        g = random_graph(7, 2, "gnp", seed=3, p=0.6)
+        ws = ResistanceWorkspace(g)
+        solved, symmetrized = self.spied(monkeypatch)
+        assert run_check(g, "TAURTAU_PD", ws).passed
+        assert symmetrized == [(g.s, g.s)]
+        assert [a.shape for a in solved] == [(g.s, g.s)]
 
 
 class TestSharedProducts:
