@@ -131,17 +131,18 @@ def _cmd_compute(args) -> int:
         _scalar_output,
     )
 
-    g = parse_graph(Path(args.input).read_bytes())
     what = args.what
     fmt = args.format
-
+    # Usage errors come before the file is read, except the --pair range,
+    # which needs the graph's n.
     if fmt == "csv" and what not in _MATRIX_OBJECTS + ("interlace",):
         raise UsageError("csv format only applies to matrix and interlace output")
-    if args.pair is not None:
-        if what != "resistance":
-            raise UsageError("--pair only applies to resistance output")
-        if not all(1 <= k <= g.n for k in args.pair):
-            raise UsageError(f"--pair indices must be in 1..{g.n}")
+    if args.pair is not None and what != "resistance":
+        raise UsageError("--pair only applies to resistance output")
+
+    g = parse_graph(Path(args.input).read_bytes())
+    if args.pair is not None and not all(1 <= k <= g.n for k in args.pair):
+        raise UsageError(f"--pair indices must be in 1..{g.n}")
 
     if what == "laplacian":
         sys.stdout.writelines(_matrix_output(build_laplacian(g), g.s, fmt))

@@ -358,8 +358,6 @@ def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
     # The deleted 1-based row and column indices sum to
     # s^2 (i + j) + s (s + 1), whose parity is that of s (i + j).
     sign = -1.0 if (s * (i + j)) % 2 else 1.0
-    if blocks == 1:
-        return (sign, 0.0)
     # Copy the four blocks of A around block row i and block column j.
     view = a.reshape(blocks, s, blocks, s)
     minor = np.empty((blocks - 1, s, blocks - 1, s))
@@ -368,6 +366,7 @@ def block_cofactor_slog(a, i: int, j: int, s: int) -> tuple[float, float]:
     minor[i:, :, :j] = view[i + 1 :, :, :j]
     minor[i:, :, j:] = view[i + 1 :, :, j + 1 :]
     # The minor is a copy of the checked ``a``: LAPACK takes it as it is.
+    # With one block it is empty, and ``slogdet`` gives it (1.0, 0.0).
     det_sign, log_abs = np.linalg.slogdet(minor.reshape(n - s, n - s))
     return (sign * float(det_sign), float(log_abs))
 

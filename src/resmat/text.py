@@ -214,16 +214,15 @@ def _matrix_json(a: np.ndarray, s: int):
     matrix payload, byte for byte, written one row at a time: each entry is
     its ``float.__repr__``, and a non-finite one is spelled ``NaN``,
     ``Infinity`` or ``-Infinity`` as ``json.dumps`` spells it (no finite
-    ``repr`` holds ``nan`` or ``inf``)."""
+    ``repr`` holds ``nan`` or ``inf``).  ``a`` has at least one row and one
+    column, as every ``compute`` matrix has."""
     rows, cols = a.shape
     yield f'{{\n  "block_size": {s},\n  "cols": {cols},\n  "entries": ['
     for r in range(rows):
         entries = ",\n      ".join(map(float.__repr__, a[r].tolist()))
         entries = entries.replace("nan", "NaN").replace("inf", "Infinity")
-        item = f"\n      {entries}\n    " if cols else ""
-        yield f"{',' if r else ''}\n    [{item}]"
-    close = "\n  ]" if rows else "]"
-    yield f'{close},\n  "rows": {rows}\n}}\n'
+        yield f"{',' if r else ''}\n    [\n      {entries}\n    ]"
+    yield f'\n  ],\n  "rows": {rows}\n}}\n'
 
 
 def _slog_text(sign: float, log_abs: float) -> str:

@@ -69,8 +69,8 @@ class UnknownCheckError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# JSON reports, written as ``json.dumps(..., indent=2, sort_keys=True)``
-# writes them: with an indent, json encodes in pure Python.
+# The single-graph JSON report, written as ``json.dumps(..., indent=2,
+# sort_keys=True)`` writes it: with an indent, json encodes in pure Python.
 
 #: How ``json.dumps`` writes a value of each exact type; any other value
 #: (a container, a subclass) goes through ``json.dumps`` itself.
@@ -107,11 +107,8 @@ _CHECK_JSON = "    " + _object_template(
     ("details", "id", "passed", "residual", "skipped", "tolerance"), "    "
 )
 _GRAPH_ORDER = ("low_confidence", "m", "model", "n", "s", "seed")
-_GRAPH_KEYS = frozenset(_GRAPH_ORDER)
 _GRAPH_JSON = _object_template(_GRAPH_ORDER, "  ")
 _REPORT_JSON = _object_template(("checks", "graph", "passed"), "")
-_ENTRY_JSON = "    " + _object_template(("error", "report", "spec"), "    ")
-_CORPUS_JSON = _object_template(("entries", "passed"), "")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,8 @@ class SuiteReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.as_dict(), indent=2, sort_keys=True)``, written
-        directly: json's indenting encoder runs in pure Python."""
+        directly: json's indenting encoder runs in pure Python.  ``graph``
+        is the descriptor :func:`run_suite` writes, with its six keys."""
         checks = ",\n".join(
             _CHECK_JSON
             % (
@@ -171,15 +169,10 @@ class SuiteReport:
             )
             for c in self.checks
         )
-        graph = self.graph
-        if isinstance(graph, dict) and graph.keys() == _GRAPH_KEYS:
-            values = tuple(_json_value(graph[k], "    ") for k in _GRAPH_ORDER)
-            descriptor = _GRAPH_JSON % values
-        else:
-            descriptor = _json_value(graph, "  ")
+        descriptor = tuple(_json_value(self.graph[k], "    ") for k in _GRAPH_ORDER)
         return _REPORT_JSON % (
             f"[\n{checks}\n  ]" if checks else "[]",
-            descriptor,
+            _GRAPH_JSON % descriptor,
             _json_value(self.passed, "  "),
         )
 
@@ -834,26 +827,22 @@ def run_corpus(specs) -> list[CorpusEntry]:
 
 
 def corpus_json(entries) -> str:
-    """The JSON document of a :func:`run_corpus` result: one object per
-    entry with its ``spec`` (``GraphSpec.as_dict``), ``error`` and
-    ``report`` (``null`` on a generation failure), and ``passed`` for the
-    whole corpus, in the layout of ``json.dumps(..., indent=2,
-    sort_keys=True)``."""
-    items = ",\n".join(
-        _ENTRY_JSON
-        % (
-            _json_value(e.error, _ITEM_INDENT),
-            "null"
-            if e.report is None
-            else e.report.to_json().replace("\n", "\n" + _ITEM_INDENT),
-            _json_value(e.spec.as_dict(), _ITEM_INDENT),
-        )
-        for e in entries
-    )
-    return _CORPUS_JSON % (
-        f"[\n{items}\n  ]" if items else "[]",
-        _json_value(all(e.passed for e in entries), "  "),
-    )
+    """``json.dumps(..., indent=2, sort_keys=True)`` of a :func:`run_corpus`
+    result: one object per entry with its ``spec`` (``GraphSpec.as_dict``),
+    ``error`` and ``report`` (``null`` on a generation failure), and
+    ``passed`` for the whole corpus."""
+    payload = {
+        "entries": [
+            {
+                "error": e.error,
+                "report": None if e.report is None else e.report.as_dict(),
+                "spec": e.spec.as_dict(),
+            }
+            for e in entries
+        ],
+        "passed": all(e.passed for e in entries),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def corpus_text(entries) -> str:

@@ -944,6 +944,78 @@ class TestRFreeRoute:
         assert max_norm(big.deficit - ws.deficit) <= 1e-12
 
 
+class TestSpectrumMoments:
+    """The spectra that ``compute interlace`` prints, against two moments
+    of their matrix: ``sum lambda_i = tr A`` and ``sum lambda_i^2 =
+    ||A||_F^2``, for ``A = L`` and ``A = R`` of order ``k = ns``.  No
+    registry check sees an error there: ``INERTIA`` counts signs and
+    ``INTERLACE`` tests inequalities with slack.
+
+    The bound.  ``eigvalsh`` is backward stable: its values are the exact
+    eigenvalues of ``A + E`` with ``||E||_2 <= p(k) eps ||A||_2``, for a
+    modest function ``p`` of the order.  By Weyl's inequality each
+    computed value is within ``||E||_2`` of the exact one, so, summed over
+    ``k`` values, the first moment is off by at most ``k p eps ||A||_2``
+    and the second, since ``|mu^2 - lambda^2| = |mu - lambda| |mu +
+    lambda|``, by at most ``k p eps ||A||_2 (2 + p eps) ||A||_2``.  Each
+    side is summed by ``math.fsum``, correctly rounded, after one rounding
+    per square: that adds at most ``k eps ||A||_2`` to the first moment
+    and ``2 k eps ||A||_2^2`` to the second.  With ``M = max|lambda|``
+    for ``||A||_2``, the residuals are at most ``p + 1`` units of
+    ``k eps M`` and ``2p + 2`` units of ``k eps M^2``; the test allows one
+    unit more for the second-order terms.  It takes ``p(k) = k``: worst-
+    case rounding analyses of the Householder reduction bound ``p`` by a
+    low power of ``k``, while LAPACK's own error estimate takes ``p = 1``.
+    ``tr R`` is exactly 0: each diagonal block of ``R`` is ``2 X_ii - 2
+    X_ii``.
+
+    What the moments see: an error ``d`` in one eigenvalue ``lambda_j``
+    moves the first moment by ``d`` and the second by about ``2 lambda_j
+    d``.  A relative error ``r`` in the largest eigenvalue reads ``r / (k
+    eps)`` units, but an error in a small eigenvalue shows only in
+    proportion to its size, ``r |lambda_j| / (k eps M)`` units."""
+
+    @staticmethod
+    def residual_units(a, values):
+        k = a.shape[0]
+        top = float(np.abs(values).max())
+        unit = k * np.finfo(np.float64).eps * top
+        first = math.fsum(values.tolist()) - math.fsum(a.diagonal().tolist())
+        second = math.fsum((values * values).tolist()) - math.fsum(
+            (a * a).ravel().tolist()
+        )
+        return abs(first) / unit, abs(second) / (unit * top)
+
+    @staticmethod
+    def bounds(k):
+        return k + 2, 2 * k + 3
+
+    def test_spectra_within_the_backward_error_bound(self, corpus_workspaces):
+        workspaces = [ws for _, _, ws in corpus_workspaces]
+        workspaces += [ResistanceWorkspace(random_graph(*a)) for a in BENCH_GRAPHS]
+        for ws in workspaces:
+            assert not ws.resistance.diagonal().any()
+            bound_first, bound_second = self.bounds(ws.laplacian.shape[0])
+            for a, values in (
+                (ws.laplacian, ws.laplacian_eigenvalues),
+                (ws.resistance, ws.resistance_eigenvalues),
+            ):
+                first, second = self.residual_units(a, values)
+                assert first <= bound_first and second <= bound_second, (
+                    ws.graph.n, ws.graph.s, first, second
+                )
+
+    @pytest.mark.parametrize("index", [0, 13], ids=["top", "middle"])
+    def test_an_eigenvalue_off_by_1e_6_fails(self, index):
+        # The tree n=9 s=3 (k = 27): R's largest eigenvalue, 41.1, then off
+        # by 1.7e8 units on the first moment, and its 14th, -0.97, by 3.9e6.
+        ws = ResistanceWorkspace(random_graph(9, 3, "tree", 1))
+        values = ws.resistance_eigenvalues.copy()
+        values[index] *= 1.0 + 1e-6
+        first, second = self.residual_units(ws.resistance, values)
+        bound_first, bound_second = self.bounds(27)
+        assert first > bound_first and second > bound_second
+
 
 def test_means_bitwise_equal_to_written_out_expressions():
     # The means of a matrix and its transpose, all taken by
